@@ -1,43 +1,8 @@
 """Differentially private AIMD multi-resource allocation simulator."""
 
-from .model import (
-    AgentState,
-    ConfigurationError,
-    CostFunction,
-    NumericError,
-    ResourceConfig,
-    SystemConfig,
-    eval_cost,
-    eval_partial,
-    quad_quartic_cost,
-    quadratic_cost,
-    quartic_cost,
-    reference_agent_costs,
-)
-from .privacy import (
-    NoiseDraw,
-    NoiseKind,
-    NoiseSpec,
-    ScaleMode,
-    SensitivityTracker,
-    empirical_dp_ratio,
-    empirical_dp_violation_fraction,
-    gaussian_sigma,
-    laplace_scale,
-    sample_noise,
-)
-from .engine import (
-    ServerState,
-    StepOutcome,
-    Trace,
-    additive_increase,
-    compute_lambda_hat,
-    multiplicative_decrease,
-    run,
-    server_step,
-    update_average,
-)
-from .baseline import OptimalAllocation, solve_grid_oracle, solve_optimum
-from .metrics import RunSummary, comm_cost_series, cost_ratio, derivative_spread, summarize
+from .model import quad_quartic_cost, quadratic_cost
+from .engine import run
+from .baseline import solve_optimum
+from .metrics import cost_ratio
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["run", "solve_optimum", "cost_ratio", "quadratic_cost", "quad_quartic_cost"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, CostFunction
+from .model import ConfigurationError, PolyBatch
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,13 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _total_cost(costs, x: np.ndarray) -> float:
-    return float(sum(f.value(x[i]) for i, f in enumerate(costs)))
-
-
-def _gradient(costs, x: np.ndarray) -> np.ndarray:
-    return np.stack([f.gradient(xi) for f, xi in zip(costs, x)])
-
-
 def kkt_residual(costs, x: np.ndarray, capacities: np.ndarray,
                  active_tol: float = 1e-6) -> float:
-    """Max per-resource spread of partials over active agents plus feasibility gap."""
-    grads = _gradient(costs, x)
+    """Max per-resource spread of partials over active agents plus feasibility gap.
+
+    ``costs`` is a list of cost functions or their ``PolyBatch``.
+    """
+    grads = PolyBatch.of(costs).gradient(x)
     residual = 0.0
     for j in range(x.shape[1]):
         active = x[:, j] > active_tol
@@ -61,27 +56,25 @@ def solve_optimum(costs, resources, tol: float = 1e-7, max_iter: int = 500_000) 
     """Projected gradient descent with a 1/L step; fails loudly on non-convergence."""
     n, m = len(costs), len(resources)
     capacities = np.array([r.capacity for r in resources])
+    batch = PolyBatch(costs)
     x = np.tile(capacities / n, (n, 1))   # feasible symmetric start
 
     # Lipschitz bound: curvature is monotone in each coordinate for positive
     # polynomials, so the max over the feasible box sits at the capacity corner.
-    corner = capacities.copy()
-    lip = max(
-        float(f.second_partial(corner, j)) for f in costs for j in range(m)
-    )
+    lip = max(float(batch.second_partial(capacities, j).max()) for j in range(m))
     step = 1.0 / max(lip, 1e-12)
 
     residual = math.inf
     for it in range(max_iter):
-        grads = _gradient(costs, x)
+        grads = batch.gradient(x)
         for j in range(m):
             x[:, j] = project_simplex(x[:, j] - step * grads[:, j], capacities[j])
         if it % 50 == 0:
-            residual = kkt_residual(costs, x, capacities)
+            residual = kkt_residual(batch, x, capacities)
             if residual <= tol:
                 break
     else:
-        residual = kkt_residual(costs, x, capacities)
+        residual = kkt_residual(batch, x, capacities)
     if residual > 1e-6:
         raise RuntimeError(
             f"baseline solver did not converge: KKT residual {residual:.3e} > 1e-6"
@@ -90,7 +83,7 @@ def solve_optimum(costs, resources, tol: float = 1e-7, max_iter: int = 500_000) 
         (i, j) for i in range(n) for j in range(m) if x[i, j] <= 1e-6
     )
     return OptimalAllocation(
-        x_star=x, total_cost=_total_cost(costs, x),
+        x_star=x, total_cost=float(batch.value(x).sum()),
         kkt_residual=residual, boundary_agents=boundary,
     )
 
@@ -131,13 +124,12 @@ def solve_grid_oracle(costs, resources, resolution: float) -> OptimalAllocation:
         raise ConfigurationError(f"grid too large ({total_points} points > 1e7)")
 
     col_sets = [_simplex_grid_columns(n, capacities[j], resolution) for j in range(m)]
+    batch = PolyBatch(costs)
     best_cost = math.inf
     best = None
     if m == 1:
         xs = col_sets[0][:, :, None]          # (P, n, 1)
-        total = np.zeros(xs.shape[0])
-        for i, f in enumerate(costs):
-            total += f.value(xs[:, i, :])
+        total = batch.value(xs).sum(axis=1)
         idx = int(np.argmin(total))
         best, best_cost = xs[idx], float(total[idx])
     elif m == 2:
@@ -148,9 +140,7 @@ def solve_grid_oracle(costs, resources, resolution: float) -> OptimalAllocation:
         x_batch[:, :, 1] = b_cols
         for a_col in col_sets[0]:
             x_batch[:, :, 0] = a_col
-            total = np.zeros(p2)
-            for i, f in enumerate(costs):
-                total += f.value(x_batch[:, i, :])
+            total = batch.value(x_batch).sum(axis=1)
             idx = int(np.argmin(total))
             if total[idx] < best_cost:
                 best_cost, best = float(total[idx]), x_batch[idx].copy()
@@ -158,9 +148,9 @@ def solve_grid_oracle(costs, resources, resolution: float) -> OptimalAllocation:
         # n * m <= 4 with m > 2 forces n = 1, so the product is tiny anyway
         for combo in itertools.product(*col_sets):
             x = np.column_stack(combo)
-            c = _total_cost(costs, x)
+            c = float(batch.value(x).sum())
             if c < best_cost:
                 best_cost, best = c, x
-    residual = kkt_residual(costs, best, capacities)
+    residual = kkt_residual(batch, best, capacities)
     return OptimalAllocation(x_star=np.asarray(best, dtype=float),
                              total_cost=best_cost, kkt_residual=residual)

@@ -63,8 +63,12 @@ def parse_config(raw: dict) -> SystemConfig:
         terms = a.get("terms")
         if not terms:
             raise ConfigurationError(f"agents[{idx}].terms must be a non-empty list")
-        coeffs = np.array([t[0] for t in terms], dtype=float)
-        exps = np.array([t[1] for t in terms], dtype=int)
+        try:
+            coeffs = np.array([t[0] for t in terms], dtype=float)
+            exps = np.array([t[1] for t in terms], dtype=int)
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"agents[{idx}].terms must be [coefficient, [exponents]] pairs: {exc}") from exc
         agents.append(CostFunction(coeffs=coeffs, exponents=exps))
 
     resources = []
@@ -139,15 +143,20 @@ def _apply_path(doc: dict, path: str, value):
     """Set a dotted path like 'noise.0.scale' inside the raw config document."""
     parts = path.split(".")
     node = doc
-    for part in parts[:-1]:
-        node = node[int(part)] if isinstance(node, list) else node[part]
     leaf = parts[-1]
-    if isinstance(node, list):
-        node[int(leaf)] = value
-    else:
-        if leaf not in node and leaf not in _TOP_KEYS | _NOISE_KEYS | _RESOURCE_KEYS:
-            raise ConfigurationError(f"sweep path '{path}' targets unknown key '{leaf}'")
-        node[leaf] = value
+    try:
+        for part in parts[:-1]:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        if isinstance(node, list):
+            node[int(leaf)] = value
+            return
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"sweep path '{path}' does not exist") from exc
+    if not isinstance(node, dict):
+        raise ConfigurationError(f"sweep path '{path}' does not exist")
+    if leaf not in node and leaf not in _TOP_KEYS | _NOISE_KEYS | _RESOURCE_KEYS:
+        raise ConfigurationError(f"sweep path '{path}' targets unknown key '{leaf}'")
+    node[leaf] = value
 
 
 def expand_sweep(raw: dict):
@@ -280,9 +289,11 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
         if steps is not None:
             raw["steps"] = int(steps)
         parse_config(raw)  # validate before expanding
+        work = expand_sweep(raw)
+        for _, _, doc, _ in work:   # every sweep point, before any job starts
+            parse_config(doc)
         out_dir = Path(out) if out else Path(raw.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        work = expand_sweep(raw)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -294,6 +305,9 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
                 rows = list(pool.map(_run_one, full_jobs))
         else:
             rows = [_run_one(job) for job in full_jobs]
+    except ConfigurationError as exc:     # e.g. calibration that saw no events
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric abort at step {exc.step}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

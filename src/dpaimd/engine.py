@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import AgentState, ConfigurationError, NumericError, SystemConfig, NOISE_STREAM
+from .model import ConfigurationError, NumericError, PolyBatch, SystemConfig, NOISE_STREAM
 from .privacy import (
     NoiseKind,
     NoiseSpec,
@@ -21,79 +21,32 @@ from .privacy import (
     SensitivityTracker,
     gaussian_sigma,
     laplace_scale,
+    sample_noise,
 )
 
 LAMBDA_MIN = 1e-9
 
 
-@dataclass
-class ServerState:
-    """Capacity bookkeeping on the server side."""
-
-    capacities: np.ndarray
-    event_bits: np.ndarray          # current S, one bit per resource
-    event_counts: np.ndarray        # lifetime K_j per resource
-    broadcast_bits_total: int = 0
-
-    @classmethod
-    def initial(cls, capacities) -> "ServerState":
-        capacities = np.asarray(capacities, dtype=float)
-        m = capacities.shape[0]
-        return cls(capacities, np.zeros(m, dtype=np.uint8), np.zeros(m, dtype=int))
-
-
-def server_step(server: ServerState, aggregate: np.ndarray) -> np.ndarray:
-    """Set S_j = 1 iff aggregate_j >= C_j; updates event counts and bit totals."""
+def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
+    """Event bits S_j = 1 iff aggregate_j >= C_j."""
     aggregate = np.asarray(aggregate, dtype=float)
     if not np.isfinite(aggregate).all():
         raise NumericError("non-finite aggregate demand")
-    bits = (aggregate >= server.capacities).astype(np.uint8)
-    server.event_bits = bits
-    server.event_counts += bits
-    server.broadcast_bits_total += int(bits.sum())
-    return bits
+    return (aggregate >= capacities).astype(np.uint8)
 
 
-def additive_increase(x_j: float, alpha_j: float) -> float:
-    return x_j + alpha_j
+def compute_lambda_hat(gamma, derivative, noise, xbar):
+    """Noisy back-off factor gamma * |f' + d| / xbar, clamped into [LAMBDA_MIN, 1].
 
-
-def compute_lambda_hat(gamma_j: float, derivative: float, noise: float,
-                       xbar_j: float, lam_min: float = LAMBDA_MIN) -> float:
-    """Noisy back-off factor gamma * |f' + d| / xbar, clamped into (lam_min, 1]."""
-    if not xbar_j > 0:
-        raise ConfigurationError("compute_lambda_hat needs xbar > 0")
-    if not gamma_j > 0:
-        raise ConfigurationError("compute_lambda_hat needs gamma > 0")
-    raw = gamma_j * abs(derivative + noise) / xbar_j
-    return min(max(raw, lam_min), 1.0)
-
-
-def multiplicative_decrease(x_j: float, lam: float, beta_j: float) -> float:
-    return (lam * beta_j + (1.0 - lam)) * x_j
-
-
-def update_average(xbar_j: float, sum_at_events_j: float, k_j: int, x_j: float):
-    """Exact incremental mean: fold one more demand sample into the running sum.
-
-    The engine folds in the demand of every step, x(0) = 0 included, so after
-    step k the average is (x(0) + ... + x(k)) / (k + 1). ``k_j`` counts samples
-    already folded into ``sum_at_events_j``; returns the updated (xbar, sum) pair.
+    Elementwise over agents. Needs xbar > 0, which holds at every event: no
+    event fires at step 0, so xbar >= alpha / (nu + 1) by then.
     """
-    new_sum = sum_at_events_j + x_j
-    return new_sum / (k_j + 1), new_sum
+    return np.clip(gamma * np.abs(derivative + noise) / xbar, LAMBDA_MIN, 1.0)
 
 
-@dataclass
-class StepOutcome:
-    """One step's observables (views into the trace arrays)."""
-
-    step: int
-    x: np.ndarray               # (n, m) demands at end of step
-    xbar: np.ndarray            # (n, m) running averages
-    event_bits: np.ndarray      # (m,)
-    lambda_hat: np.ndarray      # (n, m), NaN where no MD occurred
-    noisy_derivative: np.ndarray  # (n, m), NaN where no MD occurred
+def multiplicative_decrease(x, lam, beta):
+    """Back-off x <- (lam * beta + 1 - lam) * x, elementwise over agents."""
+    return (lam * beta + (1.0 - lam)) * x
 
 
 @dataclass
@@ -101,7 +54,7 @@ class Trace:
     """Struct-of-arrays record of a full run."""
 
     x: np.ndarray                   # (steps, n, m)
-    xbar: np.ndarray                # (steps, n, m)
+    xbar: np.ndarray                # (steps, n, m), after the step's update
     event_bits: np.ndarray          # (steps, m) uint8
     lambda_hat: np.ndarray          # (steps, n, m), NaN off-event
     noisy_derivative: np.ndarray    # (steps, n, m), NaN off-event
@@ -110,7 +63,6 @@ class Trace:
     event_counts: np.ndarray        # (m,) final K_j
     broadcast_bits_total: int
     noise_scales: np.ndarray        # (m,) scales actually used (0 where none)
-    final_agents: list              # list[AgentState]
 
     @property
     def steps(self) -> int:
@@ -123,41 +75,6 @@ class Trace:
     @property
     def n_resources(self) -> int:
         return self.x.shape[2]
-
-    def outcome(self, nu: int) -> StepOutcome:
-        return StepOutcome(nu, self.x[nu], self.xbar[nu], self.event_bits[nu],
-                           self.lambda_hat[nu], self.noisy_derivative[nu])
-
-
-class _CostBatch:
-    """Vectorized gradient of all agents' costs at their average vectors."""
-
-    def __init__(self, costs):
-        n = len(costs)
-        m = costs[0].n_resources
-        t_max = max(f.coeffs.shape[0] for f in costs)
-        self.coeffs = np.zeros((n, t_max))
-        # padded terms get exponent 1 so powers stay finite; zero coeff kills them
-        self.exps = np.ones((n, t_max, m), dtype=int)
-        for i, f in enumerate(costs):
-            t = f.coeffs.shape[0]
-            self.coeffs[i, :t] = f.coeffs
-            self.exps[i, :t] = f.exponents
-        self.mod_exps = []
-        for j in range(m):
-            mod = self.exps.copy()
-            mod[:, :, j] = np.maximum(self.exps[:, :, j] - 1, 0)
-            self.mod_exps.append(mod)
-        self.m = m
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """x: (n, m) evaluation points -> (n, m) partial derivatives."""
-        out = np.empty_like(x)
-        xe = x[:, None, :]
-        for j in range(self.m):
-            mono = np.prod(xe ** self.mod_exps[j], axis=2)
-            out[:, j] = np.einsum("nt,nt->n", self.coeffs * self.exps[:, :, j], mono)
-        return out
 
 
 def _agent_rngs(config: SystemConfig) -> list:
@@ -222,19 +139,18 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
     beta = np.array([r.beta for r in config.resources])
     gamma = np.array([r.gamma for r in config.resources])
 
-    server = ServerState.initial(capacities)
-    batch = _CostBatch(config.agents)
+    batch = PolyBatch(config.agents)
     rngs = _agent_rngs(config)
     tracker = SensitivityTracker(
         n_agents=n, n_resources=m, burn_in_events=config.burn_in_events,
-        p=max((s.norm_order for s in config.noise if s.kind is not NoiseKind.NONE), default=1),
         per_agent=config.per_agent_sensitivity,
     )
 
     x = np.zeros((n, m))
     xbar = np.zeros((n, m))
     x_sum = np.zeros((n, m))            # x(0) + x(1) + ... + x(nu + 1) after step nu
-    k = np.zeros(m, dtype=int)
+    event_counts = np.zeros(m, dtype=int)
+    bits_total = 0
 
     tr_x = np.empty((steps, n, m))
     tr_xbar = np.empty((steps, n, m))
@@ -245,29 +161,23 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
     tr_cum = np.empty(steps, dtype=np.int64)
 
     for nu in range(steps):
-        bits = server_step(server, x.sum(axis=0))
+        bits = server_step(capacities, x.sum(axis=0))
+        event_counts += bits
+        bits_total += int(bits.sum())
         fired = np.nonzero(bits)[0]
         if fired.size:
             for j in fired:
-                k[j] += 1
                 tracker.note_event(j)
             grads = batch.gradient(xbar)
             if not np.isfinite(grads).all():
                 raise NumericError(f"non-finite derivative at step {nu}", step=nu)
             for j in fired:
-                spec = config.noise[j]
                 tracker.update_all(j, grads[:, j])
-                if spec.kind is NoiseKind.NONE:
-                    d = np.zeros(n)
-                elif spec.kind is NoiseKind.LAPLACE:
-                    d = np.array([rng.laplace(0.0, scales[j]) for rng in rngs])
-                else:
-                    d = np.array([rng.normal(0.0, scales[j]) for rng in rngs])
+                d = sample_noise(config.noise[j].kind, scales[j], rngs)
                 tr_nderiv[nu, :, j] = grads[:, j] + d
-                # xbar >= alpha / (nu + 1) > 0: no event can fire at step 0
-                lam = np.clip(gamma[j] * np.abs(grads[:, j] + d) / xbar[:, j], LAMBDA_MIN, 1.0)
+                lam = compute_lambda_hat(gamma[j], grads[:, j], d, xbar[:, j])
                 tr_lam[nu, :, j] = lam
-                x[:, j] = (lam * beta[j] + (1.0 - lam)) * x[:, j]
+                x[:, j] = multiplicative_decrease(x[:, j], lam, beta[j])
         grow = bits == 0
         if grow.any():
             x[:, grow] += alpha[grow]
@@ -280,17 +190,11 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
         tr_xbar[nu] = xbar
         tr_bits[nu] = bits
         tr_dq[nu] = tracker.running_max.max(axis=0) if config.per_agent_sensitivity else tracker.running_max
-        tr_cum[nu] = server.broadcast_bits_total
+        tr_cum[nu] = bits_total
 
-    final_agents = [
-        AgentState(x=x[i].copy(), xbar=xbar[i].copy(), k=k.copy(),
-                   sum_at_events=x_sum[i].copy(), rng_stream=config.agent_ids[i])
-        for i in range(n)
-    ]
     return Trace(
         x=tr_x, xbar=tr_xbar, event_bits=tr_bits, lambda_hat=tr_lam,
         noisy_derivative=tr_nderiv, sensitivity=tr_dq, cum_bits=tr_cum,
-        event_counts=server.event_counts.copy(),
-        broadcast_bits_total=server.broadcast_bits_total,
-        noise_scales=scales.copy(), final_agents=final_agents,
+        event_counts=event_counts, broadcast_bits_total=bits_total,
+        noise_scales=scales.copy(),
     )

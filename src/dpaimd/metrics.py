@@ -1,8 +1,10 @@
 """Post-processing of simulation traces: errors, cost ratio, consensus, bits.
 
 All functions are pure over immutable traces; the derivative-spread series is
-computed from noiseless partials at the recorded averages, the noisy values the
-agents actually used stay available in the trace for privacy-side analysis.
+computed from noiseless partials at the averages the agents used at each
+event, the noisy values they actually used stay available in the trace for
+privacy-side analysis. Functions taking ``costs`` accept a list of cost
+functions or their ``PolyBatch``.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import numpy as np
 
 from .baseline import OptimalAllocation
 from .engine import Trace
+from .model import PolyBatch
 
 
 @dataclass
@@ -36,25 +39,29 @@ def cost_ratio(trace: Trace, costs, optimum: OptimalAllocation) -> float | None:
     """
     if trace.steps == 0 or (trace.event_counts == 0).any():
         return None
-    xbar = trace.xbar[-1]
-    total = float(sum(f.value(xbar[i]) for i, f in enumerate(costs)))
+    total = float(PolyBatch.of(costs).value(trace.xbar[-1]).sum())
     return total / optimum.total_cost
 
 
 def derivative_spread(trace: Trace, costs) -> dict:
-    """Per resource: event step indices and max-min of noiseless partials there."""
+    """Per resource: event step indices and max-min of noiseless partials there.
+
+    The partials are taken at the average each agent used for its back-off at
+    the event, which is the one recorded for the step before: no event fires
+    at step 0, so that index exists.
+    """
+    batch = PolyBatch.of(costs)
+    # events per kernel call, so its (events, n, T, m) temporaries stay near 0.5 MB
+    block = max(1, (1 << 16) // batch.exps.size)
     out = {}
     for j in range(trace.n_resources):
         event_steps = np.nonzero(trace.event_bits[:, j])[0]
-        if event_steps.size == 0:
-            out[j] = (event_steps, np.empty(0))
-            continue
-        pts = trace.xbar[event_steps]                     # (E, n, m)
-        partials = np.stack(
-            [np.atleast_1d(f.partial(pts[:, i, :], j)) for i, f in enumerate(costs)],
-            axis=1,
-        )                                                 # (E, n)
-        out[j] = (event_steps, partials.max(axis=1) - partials.min(axis=1))
+        spread = np.empty(event_steps.size)
+        for start in range(0, event_steps.size, block):
+            steps = event_steps[start:start + block]
+            partials = batch.partial(trace.xbar[steps - 1], j)      # (events, n)
+            spread[start:start + block] = partials.max(axis=1) - partials.min(axis=1)
+        out[j] = (event_steps, spread)
     return out
 
 
@@ -78,18 +85,19 @@ def linear_fit_r2(series: np.ndarray) -> float:
 
 def summarize(trace: Trace, costs, optimum: OptimalAllocation | None = None) -> RunSummary:
     final_xbar = trace.xbar[-1].copy() if trace.steps else np.zeros((trace.n_agents, trace.n_resources))
+    batch = PolyBatch(costs)
     abs_error = None
     ratio = None
     if optimum is not None:
         abs_error = np.abs(final_xbar - optimum.x_star)
-        ratio = cost_ratio(trace, costs, optimum)
+        ratio = cost_ratio(trace, batch, optimum)
     return RunSummary(
         final_xbar=final_xbar,
         abs_error=abs_error,
         cost_ratio=ratio,
         comm_bits_cumulative=comm_cost_series(trace),
         sensitivity_series=trace.sensitivity.copy(),
-        derivative_spread=derivative_spread(trace, costs),
+        derivative_spread=derivative_spread(trace, batch),
         event_counts=trace.event_counts.copy(),
         broadcast_bits_total=trace.broadcast_bits_total,
         noise_scales=trace.noise_scales.copy(),

@@ -1,4 +1,4 @@
-"""Domain types: polynomial cost functions, resources, agents, run configuration.
+"""Domain types: polynomial costs and their stacked evaluator, resources, run configuration.
 
 Cost functions are positive-coefficient multivariate polynomials, which keeps
 them strictly convex and increasing on the non-negative orthant and makes the
@@ -6,7 +6,7 @@ partial derivatives exact (no numeric differentiation in the simulation loop).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class CostFunction:
     def n_resources(self) -> int:
         return self.exponents.shape[1]
 
-    def _check_point(self, x: np.ndarray) -> np.ndarray:
+    def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_resources:
             raise ConfigurationError(
@@ -63,38 +63,92 @@ class CostFunction:
             )
         return x
 
+    def _derivative(self, x, j: int, order: int) -> float | np.ndarray:
+        if not 0 <= j < self.n_resources:
+            raise ConfigurationError(f"resource index {j} out of range")
+        terms = _differentiate(self.coeffs, self.exponents, j, order)
+        return _scalar_or_array(_sum_terms(self._check_point(x), *terms))
+
     def value(self, x) -> float | np.ndarray:
         """Evaluate the cost at x (last axis indexes resources; batching allowed)."""
-        x = self._check_point(x)
-        mono = np.prod(x[..., None, :] ** self.exponents, axis=-1)
-        out = mono @ self.coeffs
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(_sum_terms(self._check_point(x), self.coeffs, self.exponents))
 
     def partial(self, x, j: int) -> float | np.ndarray:
         """Analytic partial derivative with respect to resource j."""
-        x = self._check_point(x)
-        if not 0 <= j < self.n_resources:
-            raise ConfigurationError(f"resource index {j} out of range")
-        ej = self.exponents[:, j]
-        mod = self.exponents.copy()
-        mod[:, j] = np.maximum(ej - 1, 0)
-        mono = np.prod(x[..., None, :] ** mod, axis=-1)
-        out = mono @ (self.coeffs * ej)
-        return float(out) if out.ndim == 0 else out
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        return np.stack([self.partial(x, j) for j in range(self.n_resources)], axis=-1)
+        return self._derivative(x, j, 1)
 
     def second_partial(self, x, j: int) -> float | np.ndarray:
-        """d^2 f / dx_j^2, used for Lipschitz bounds in the baseline solver."""
-        x = self._check_point(x)
-        ej = self.exponents[:, j]
-        mod = self.exponents.copy()
-        mod[:, j] = np.maximum(ej - 2, 0)
-        mono = np.prod(x[..., None, :] ** mod, axis=-1)
-        out = mono @ (self.coeffs * ej * np.maximum(ej - 1, 0))
-        return float(out) if out.ndim == 0 else out
+        """d^2 f / dx_j^2."""
+        return self._derivative(x, j, 2)
+
+
+def _scalar_or_array(out: np.ndarray) -> float | np.ndarray:
+    return float(out) if out.ndim == 0 else out
+
+
+def _differentiate(coeffs: np.ndarray, exponents: np.ndarray, j: int, order: int):
+    """Weights and exponents of the terms of d^order f / dx_j^order.
+
+    ``coeffs`` has shape (..., T) and ``exponents`` (..., T, m); exponents that
+    drop below zero are clamped, and their terms get weight 0.
+    """
+    ej = exponents[..., j]
+    weights = coeffs
+    for k in range(order):
+        weights = weights * np.maximum(ej - k, 0)
+    reduced = exponents.copy()
+    reduced[..., j] = np.maximum(ej - order, 0)
+    return weights, reduced
+
+
+def _sum_terms(x: np.ndarray, weights: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """sum_t weights[..., t] * prod_j x[..., j] ** exponents[..., t, j].
+
+    The one polynomial evaluator: ``x`` (..., m) broadcasts against
+    ``exponents`` (..., T, m), and the term axis is reduced with ``einsum``.
+    """
+    mono = np.prod(x[..., None, :] ** exponents, axis=-1)
+    return np.einsum("...t,...t->...", weights, mono)
+
+
+class PolyBatch:
+    """All agents' cost functions stacked into padded (n, T, m) term tensors.
+
+    Evaluates every agent at once: a point array (..., n, m) gives (..., n)
+    values or partials, one per agent. Agents with fewer than T terms are
+    padded with zero-weight terms of exponent 1, so powers stay finite.
+    """
+
+    def __init__(self, costs):
+        n, m = len(costs), costs[0].n_resources
+        t_max = max(f.coeffs.shape[0] for f in costs)
+        self.coeffs = np.zeros((n, t_max))
+        self.exps = np.ones((n, t_max, m), dtype=int)
+        for i, f in enumerate(costs):
+            t = f.coeffs.shape[0]
+            self.coeffs[i, :t] = f.coeffs
+            self.exps[i, :t] = f.exponents
+        self.m = m
+        self._terms = {(j, order): _differentiate(self.coeffs, self.exps, j, order)
+                       for j in range(m) for order in (1, 2)}
+
+    @classmethod
+    def of(cls, costs) -> "PolyBatch":
+        """``costs`` itself if it is already a batch, else the batch of a cost list."""
+        return costs if isinstance(costs, cls) else cls(costs)
+
+    def value(self, x) -> np.ndarray:
+        return _sum_terms(x, self.coeffs, self.exps)
+
+    def partial(self, x, j: int) -> np.ndarray:
+        return _sum_terms(x, *self._terms[j, 1])
+
+    def second_partial(self, x, j: int) -> np.ndarray:
+        return _sum_terms(x, *self._terms[j, 2])
+
+    def gradient(self, x) -> np.ndarray:
+        """(..., n, m) points -> (..., n, m) partial derivatives."""
+        return np.stack([self.partial(x, j) for j in range(self.m)], axis=-1)
 
 
 def eval_cost(f: CostFunction, x) -> float:
@@ -123,27 +177,6 @@ class ResourceConfig:
             raise ConfigurationError(f"beta must be in [0, 1), got {self.beta}")
         if not self.gamma > 0:
             raise ConfigurationError(f"gamma must be > 0, got {self.gamma}")
-
-
-@dataclass
-class AgentState:
-    """Mutable per-agent simulation state (one entry per resource)."""
-
-    x: np.ndarray               # current demand
-    xbar: np.ndarray            # running mean of the demand over every step, x(0) = 0 included
-    k: np.ndarray               # capacity-event counters
-    sum_at_events: np.ndarray   # running sum of the demand over every step (the mean's numerator)
-    rng_stream: int             # agent identity used to key the RNG stream
-
-    @classmethod
-    def initial(cls, n_resources: int, rng_stream: int) -> "AgentState":
-        return cls(
-            x=np.zeros(n_resources),
-            xbar=np.zeros(n_resources),
-            k=np.zeros(n_resources, dtype=int),
-            sum_at_events=np.zeros(n_resources),
-            rng_stream=rng_stream,
-        )
 
 
 @dataclass

@@ -53,20 +53,12 @@ class NoiseSpec:
         if self.kind is NoiseKind.GAUSSIAN and self.scale_mode is ScaleMode.CALIBRATED:
             if self.delta is None or not 0 < self.delta < 1:
                 raise ConfigurationError("Gaussian calibration needs delta in (0, 1)")
+            # sigma = dq sqrt(2 ln(1.25 / delta)) / epsilon is proven only for
+            # epsilon < 1 (Dwork & Roth 2014, Theorem A.1)
+            if not self.epsilon < 1:
+                raise ConfigurationError("Gaussian calibration needs epsilon < 1")
         if self.sensitivity is not None and not self.sensitivity > 0:
             raise ConfigurationError("sensitivity override must be > 0")
-
-    @property
-    def norm_order(self) -> int:
-        """Which p-norm the sensitivity feeds: l1 for Laplace, l2 for Gaussian."""
-        return 2 if self.kind is NoiseKind.GAUSSIAN else 1
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    value: float
-    kind: NoiseKind
-    scale: float
 
 
 def laplace_scale(dq: float, epsilon: float) -> float:
@@ -85,15 +77,13 @@ def gaussian_sigma(dq: float, epsilon: float, delta: float) -> float:
     return (dq / epsilon) * math.sqrt(2.0 * math.log(1.25 / delta))
 
 
-def sample_noise(spec: NoiseSpec, scale: float, rng: np.random.Generator) -> NoiseDraw:
-    """One draw from the mechanism's noise distribution, consuming only ``rng``."""
-    if spec.kind is NoiseKind.NONE:
-        return NoiseDraw(0.0, NoiseKind.NONE, 0.0)
-    if not scale > 0:
-        raise ConfigurationError("noise scale must be > 0")
-    if spec.kind is NoiseKind.LAPLACE:
-        return NoiseDraw(float(rng.laplace(0.0, scale)), NoiseKind.LAPLACE, scale)
-    return NoiseDraw(float(rng.normal(0.0, scale)), NoiseKind.GAUSSIAN, scale)
+def sample_noise(kind: NoiseKind, scale: float, rngs) -> np.ndarray:
+    """One draw per agent stream, in stream order; zeros for ``NoiseKind.NONE``."""
+    if kind is NoiseKind.NONE:
+        return np.zeros(len(rngs))
+    if kind is NoiseKind.LAPLACE:
+        return np.array([rng.laplace(0.0, scale) for rng in rngs])
+    return np.array([rng.normal(0.0, scale) for rng in rngs])
 
 
 @dataclass
@@ -101,17 +91,15 @@ class SensitivityTracker:
     """Running max of consecutive-event derivative differences.
 
     For scalar per-event differences the l1 and l2 norms coincide with the
-    absolute difference; ``p`` records which calibration formula consumes the
-    value. The first ``burn_in_events`` events per resource are excluded
-    because early derivatives reflect initialization, not dynamics. By default
-    the max is shared across agents per resource; ``per_agent`` keeps separate
-    maxima.
+    absolute difference, so one value serves both calibration formulas. The
+    first ``burn_in_events`` events per resource are excluded because early
+    derivatives reflect initialization, not dynamics. By default the max is
+    shared across agents per resource; ``per_agent`` keeps separate maxima.
     """
 
     n_agents: int
     n_resources: int
     burn_in_events: int = 5
-    p: int = 1
     per_agent: bool = False
     last_derivative: np.ndarray = field(init=False)
     running_max: np.ndarray = field(init=False)
@@ -129,22 +117,11 @@ class SensitivityTracker:
     def current(self, j: int):
         return self.running_max[:, j].copy() if self.per_agent else float(self.running_max[j])
 
-    def update(self, i: int, j: int, derivative: float):
-        """Feed one noiseless partial derivative; returns the current max for j."""
-        if not math.isfinite(derivative) or derivative < 0:
-            raise NumericError(f"non-finite or negative derivative for agent {i}, resource {j}")
-        prev = self.last_derivative[i, j]
-        if not math.isnan(prev) and self.events_seen[j] >= self.burn_in_events:
-            diff = abs(derivative - prev)
-            if self.per_agent:
-                self.running_max[i, j] = max(self.running_max[i, j], diff)
-            else:
-                self.running_max[j] = max(self.running_max[j], diff)
-        self.last_derivative[i, j] = derivative
-        return self.current(j)
-
     def update_all(self, j: int, derivatives: np.ndarray):
-        """Vectorized ``update`` across all agents for resource j."""
+        """Feed every agent's noiseless partial for resource j at one event.
+
+        Returns the current max for j (per agent with ``per_agent``).
+        """
         derivatives = np.asarray(derivatives, dtype=float)
         if not np.isfinite(derivatives).all() or (derivatives < 0).any():
             raise NumericError(f"non-finite or negative derivative for resource {j}")
@@ -159,10 +136,6 @@ class SensitivityTracker:
                     self.running_max[j] = max(self.running_max[j], float(diffs.max()))
         self.last_derivative[:, j] = derivatives
         return self.current(j)
-
-
-def update_sensitivity(tracker: SensitivityTracker, i: int, j: int, derivative: float):
-    return tracker.update(i, j, derivative)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,24 @@ class TestRunCommand:
         doc["typo"] = True
         assert cli.main(["run", "--config", str(self.write(tmp_path, doc))]) == 2
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(sweep={"axes": [{"path": "noise.7.scale", "values": [1.0]}]}),
+        lambda d: d.update(sweep={"axes": [{"path": "resources.0.beta", "values": [1.5]}]}),
+        lambda d: d["agents"][0]["terms"].append([1.0]),
+        lambda d: d.update(noise=[{"kind": "gaussian", "scale_mode": "calibrated",
+                                   "epsilon": 0.5, "delta": 0.01}] * 2),
+    ], ids=["sweep-path-index", "sweep-value", "term-without-exponents",
+            "calibration-without-events"])
+    def test_config_errors_exit_2(self, tmp_path, capsys, mutate):
+        suite = {p.name: p for p in cli.emit_reference_suite(tmp_path / "suite")}
+        doc = json.loads(suite["laplace_base.json"].read_text())
+        doc["steps"] = 50       # too short for any capacity event
+        mutate(doc)
+        path = self.write(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch):
         def boom(config):
             raise NumericError("non-finite demand at step 7", step=7)

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 import dpaimd
 from dpaimd.engine import (
     LAMBDA_MIN,
-    ServerState,
-    additive_increase,
     compute_lambda_hat,
     multiplicative_decrease,
     resolve_noise_scales,
     server_step,
-    update_average,
 )
 from dpaimd.model import (
     ConfigurationError,
@@ -42,46 +39,37 @@ def square_cost(c=1.0):
 
 class TestPrimitives:
     def test_server_step_threshold_inclusive(self):
-        s = ServerState.initial([5.0, 6.0])
-        bits = server_step(s, np.array([5.0, 5.999]))
+        bits = server_step(np.array([5.0, 6.0]), np.array([5.0, 5.999]))
         assert bits.tolist() == [1, 0]
-        assert s.event_counts.tolist() == [1, 0]
-        assert s.broadcast_bits_total == 1
-
-    def test_server_step_accumulates(self):
-        s = ServerState.initial([1.0])
-        for agg in (0.5, 1.2, 2.0, 0.1):
-            server_step(s, np.array([agg]))
-        assert s.event_counts.tolist() == [2]
-        assert s.broadcast_bits_total == 2
 
     def test_server_step_rejects_non_finite(self):
-        s = ServerState.initial([1.0])
         with pytest.raises(NumericError):
-            server_step(s, np.array([np.nan]))
-
-    def test_additive_increase(self):
-        assert additive_increase(0.4, 0.01) == pytest.approx(0.41)
+            server_step(np.array([1.0]), np.array([np.nan]))
 
     def test_lambda_hat_examples(self):
         assert compute_lambda_hat(1e-3, 500.0, 0.0, 1.0) == pytest.approx(0.5)
         assert compute_lambda_hat(1e-3, 50.0, 50.0, 1.0) == pytest.approx(0.1)
         # negative noise enters through the absolute value
         assert compute_lambda_hat(1e-3, 50.0, -150.0, 1.0) == pytest.approx(0.1)
+        # one agent per element, each equal to its scalar case
+        lam = compute_lambda_hat(1e-3, np.array([500.0, 50.0, 50.0]),
+                                 np.array([0.0, 50.0, -150.0]), np.ones(3))
+        assert np.array_equal(lam, [compute_lambda_hat(1e-3, 500.0, 0.0, 1.0),
+                                    compute_lambda_hat(1e-3, 50.0, 50.0, 1.0),
+                                    compute_lambda_hat(1e-3, 50.0, -150.0, 1.0)])
 
     def test_lambda_hat_clamps(self):
         assert compute_lambda_hat(1e-3, 5e6, 0.0, 1.0) == 1.0
         assert compute_lambda_hat(1e-3, 0.0, 0.0, 1.0) == LAMBDA_MIN
-
-    def test_lambda_hat_requires_positive_xbar_and_gamma(self):
-        with pytest.raises(ConfigurationError):
-            compute_lambda_hat(1e-3, 1.0, 0.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            compute_lambda_hat(0.0, 1.0, 0.0, 1.0)
+        lam = compute_lambda_hat(1e-3, np.array([5e6, 0.0]), np.zeros(2), np.ones(2))
+        assert lam.tolist() == [1.0, LAMBDA_MIN]
 
     def test_multiplicative_decrease_examples(self):
         assert multiplicative_decrease(1.0, 0.5, 0.7) == pytest.approx(0.85)
         assert multiplicative_decrease(2.0, 1.0, 0.7) == pytest.approx(1.4)
+        y = multiplicative_decrease(np.array([1.0, 2.0]), np.array([0.5, 1.0]), 0.7)
+        assert np.array_equal(y, [multiplicative_decrease(1.0, 0.5, 0.7),
+                                  multiplicative_decrease(2.0, 1.0, 0.7)])
 
     @given(
         st.floats(1e-6, 100.0),
@@ -92,14 +80,8 @@ class TestPrimitives:
     def test_multiplicative_decrease_shrinks(self, x, lam, beta):
         y = multiplicative_decrease(x, lam, beta)
         assert 0 < y < x or (beta == 0 and lam == 1.0 and y == 0)
-
-    def test_update_average_sequence(self):
-        xbar, total = 0.0, 0.0
-        means = []
-        for k, sample in enumerate([1.0, 2.0, 3.0]):
-            xbar, total = update_average(xbar, total, k, sample)
-            means.append(xbar)
-        assert means == pytest.approx([1.0, 1.5, 2.0])
+        ys = multiplicative_decrease(np.array([x, 2 * x]), np.array([lam, lam]), beta)
+        assert np.array_equal(ys, [y, multiplicative_decrease(2 * x, lam, beta)])
 
 
 @pytest.fixture(scope="module")
@@ -202,11 +184,13 @@ class TestRunBehaviour:
             slack = config.n_agents * r.alpha
             assert r.capacity - slack <= totals[j] <= r.capacity + slack
 
-    def test_final_agent_state_matches_trace(self, short_reference_run):
+    def test_average_positive_at_events(self, short_reference_run):
+        """lambda-hat divides by the average recorded the step before an event."""
         _, trace, _ = short_reference_run
-        for i, agent in enumerate(trace.final_agents):
-            assert np.array_equal(agent.x, trace.x[-1, i])
-            assert np.array_equal(agent.xbar, trace.xbar[-1, i])
+        for j in range(trace.n_resources):
+            event_steps = np.nonzero(trace.event_bits[:, j])[0]
+            assert event_steps.size and event_steps[0] > 0
+            assert (trace.xbar[event_steps - 1, :, j] > 0).all()
 
 
 class TestCalibration:

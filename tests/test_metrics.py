@@ -68,6 +68,15 @@ class TestDerivativeSpread:
             tail = values[-10:].mean()
             assert tail < 0.1 * head
 
+    def test_spread_of_partials_the_agents_used(self, short_reference_run):
+        """Noiseless, the spread is max - min of the partials behind each event's lambda-hat."""
+        config, trace, _ = short_reference_run
+        spread = derivative_spread(trace, config.agents)
+        for j in range(trace.n_resources):
+            steps_j, values = spread[j]
+            used = trace.noisy_derivative[steps_j, :, j]
+            assert np.array_equal(values, used.max(axis=1) - used.min(axis=1))
+
     def test_empty_without_events(self):
         cfg, trace = tiny_run(3)
         spread = derivative_spread(trace, cfg.agents)

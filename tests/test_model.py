@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from dpaimd.model import (
     ConfigurationError,
     CostFunction,
+    PolyBatch,
     ResourceConfig,
     eval_cost,
     eval_partial,
@@ -97,6 +100,46 @@ def test_eval_cost_invariant_under_term_reordering(perm, x):
     f = quad_quartic_cost(12, 20)
     g = CostFunction(f.coeffs[list(perm)], f.exponents[list(perm)])
     assert eval_cost(f, x) == pytest.approx(eval_cost(g, x), abs=1e-12, rel=1e-12)
+
+
+def naive_derivative(f, x, j, order):
+    """d^order f / dx_j^order at one point, term by term in plain Python."""
+    total = 0.0
+    for c, e in zip(f.coeffs, f.exponents):
+        falling = math.prod(range(e[j] - order + 1, e[j] + 1))   # e (e - 1) ... ; 1 at order 0
+        if falling:
+            powers = [x[k] ** (int(e[k]) - (order if k == j else 0)) for k in range(len(e))]
+            total += c * falling * math.prod(powers)
+    return total
+
+
+@st.composite
+def agents_and_point(draw):
+    """2-4 agents with distinct term counts, so every batch pads some agent."""
+    m = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4, unique=True))
+    exponent_row = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
+    agents = [
+        CostFunction(np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=t, max_size=t))),
+                     np.array(draw(st.lists(exponent_row, min_size=t, max_size=t))))
+        for t in counts
+    ]
+    coords = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+    x = np.array(draw(st.lists(coords, min_size=len(agents) * m, max_size=len(agents) * m)))
+    return agents, x.reshape(len(agents), m)
+
+
+@given(agents_and_point())
+@settings(max_examples=200, deadline=None)
+def test_poly_batch_matches_naive_terms(case):
+    agents, x = case
+    batch = PolyBatch(agents)
+    for j in range(x.shape[1]):
+        for order, got in ((0, batch.value(x)), (1, batch.partial(x, j)),
+                           (2, batch.second_partial(x, j))):
+            expected = [naive_derivative(f, x[i], j, order) for i, f in enumerate(agents)]
+            assert got.tolist() == pytest.approx(expected, rel=1e-12, abs=0)
+    assert np.array_equal(batch.gradient(x)[:, 0], batch.partial(x, 0))
 
 
 def test_resource_config_validation():
