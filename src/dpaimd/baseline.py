@@ -35,13 +35,10 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def kkt_residual(costs, x: np.ndarray, capacities: np.ndarray,
+def kkt_residual(batch: PolyBatch, x: np.ndarray, capacities: np.ndarray,
                  active_tol: float = 1e-6) -> float:
-    """Max per-resource spread of partials over active agents plus feasibility gap.
-
-    ``costs`` is a list of cost functions or their ``PolyBatch``.
-    """
-    grads = PolyBatch.of(costs).gradient(x)
+    """Max per-resource spread of partials over active agents plus feasibility gap."""
+    grads = batch.gradient(x)
     residual = 0.0
     for j in range(x.shape[1]):
         active = x[:, j] > active_tol

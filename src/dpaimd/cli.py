@@ -38,16 +38,50 @@ _SWEEP_KEYS = {"axes", "seeds"}
 _AXIS_KEYS = {"path", "values"}
 
 
+_JSON_TYPES = {"integer": int, "boolean": bool, "string": str, "object": dict, "list": list}
+
+
+def _typed(value, kind: str, where: str, items: bool = False):
+    """``value`` itself if its JSON type is ``kind`` (with ``items``, a list of them).
+
+    Integers are integer literals only: no booleans, no numbers with a fraction.
+    """
+    def is_kind(v):
+        return isinstance(v, _JSON_TYPES[kind]) and not (kind == "integer" and isinstance(v, bool))
+
+    ok = (isinstance(value, list) and all(map(is_kind, value))) if items else is_kind(value)
+    if not ok:
+        expected = f"a list of {kind}s" if items else f"a JSON {kind}"
+        raise ConfigurationError(f"{where} must be {expected}, got {value!r}")
+    return value
+
+
 def _reject_unknown(obj: dict, allowed: set, where: str):
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigurationError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _checked_sweep(raw: dict):
+    """The validated sweep block: (axis paths, axis value lists, seeds)."""
+    sweep = _typed(raw.get("sweep", {}), "object", "sweep")
+    _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
+    axes = _typed(sweep.get("axes", []), "object", "sweep.axes", items=True)
+    for idx, axis in enumerate(axes):
+        _reject_unknown(axis, _AXIS_KEYS, f"sweep.axes[{idx}]")
+    paths = [_typed(a.get("path"), "string", f"sweep.axes[{i}].path") for i, a in enumerate(axes)]
+    values = [_typed(a.get("values"), "list", f"sweep.axes[{i}].values") for i, a in enumerate(axes)]
+    if "seeds" not in sweep:
+        return paths, values, [raw["seed"]]
+    seeds = _typed(sweep["seeds"], "integer", "sweep.seeds", items=True)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError(f"sweep.seeds repeats a seed: {seeds}")
+    return paths, values, seeds
+
+
 def parse_config(raw: dict) -> SystemConfig:
-    """Build a SystemConfig from a parsed JSON document (sweep block ignored)."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a JSON object")
+    """Build a SystemConfig from a parsed JSON document (sweep block checked, not expanded)."""
+    _typed(raw, "object", "config root")
     _reject_unknown(raw, _TOP_KEYS, "config root")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigurationError(
@@ -58,7 +92,7 @@ def parse_config(raw: dict) -> SystemConfig:
             raise ConfigurationError(f"missing required field '{req}'")
 
     agents = []
-    for idx, a in enumerate(raw["agents"]):
+    for idx, a in enumerate(_typed(raw["agents"], "object", "agents", items=True)):
         _reject_unknown(a, _AGENT_KEYS, f"agents[{idx}]")
         terms = a.get("terms")
         if not terms:
@@ -72,7 +106,7 @@ def parse_config(raw: dict) -> SystemConfig:
         agents.append(CostFunction(coeffs=coeffs, exponents=exps))
 
     resources = []
-    for idx, r in enumerate(raw["resources"]):
+    for idx, r in enumerate(_typed(raw["resources"], "object", "resources", items=True)):
         _reject_unknown(r, _RESOURCE_KEYS, f"resources[{idx}]")
         try:
             resources.append(ResourceConfig(**r))
@@ -80,32 +114,31 @@ def parse_config(raw: dict) -> SystemConfig:
             raise ConfigurationError(f"resources[{idx}]: {exc}") from exc
 
     noise = []
-    for idx, nspec in enumerate(raw["noise"]):
+    for idx, nspec in enumerate(_typed(raw["noise"], "object", "noise", items=True)):
         _reject_unknown(nspec, _NOISE_KEYS, f"noise[{idx}]")
         try:
             noise.append(NoiseSpec(**nspec))
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"noise[{idx}]: {exc}") from exc
 
-    if "sweep" in raw:
-        _reject_unknown(raw["sweep"], _SWEEP_KEYS, "sweep")
-        for idx, axis in enumerate(raw["sweep"].get("axes", [])):
-            _reject_unknown(axis, _AXIS_KEYS, f"sweep.axes[{idx}]")
+    agent_ids = raw.get("agent_ids")
+    _checked_sweep(raw)
 
     return SystemConfig(
         agents=agents,
         resources=resources,
         noise=noise,
-        steps=int(raw["steps"]),
-        seed=int(raw["seed"]),
-        burn_in_events=int(raw.get("burn_in_events", 5)),
-        per_agent_sensitivity=bool(raw.get("per_agent_sensitivity", False)),
-        agent_ids=raw.get("agent_ids"),
+        steps=_typed(raw["steps"], "integer", "steps"),
+        seed=_typed(raw["seed"], "integer", "seed"),
+        burn_in_events=_typed(raw.get("burn_in_events", 5), "integer", "burn_in_events"),
+        per_agent_sensitivity=_typed(raw.get("per_agent_sensitivity", False), "boolean",
+                                     "per_agent_sensitivity"),
+        agent_ids=None if agent_ids is None else _typed(agent_ids, "integer", "agent_ids", items=True),
     )
 
 
 def serialize_config(config: SystemConfig) -> dict:
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "agents": [
             {"terms": [[float(c), [int(e) for e in row]]
@@ -123,7 +156,6 @@ def serialize_config(config: SystemConfig) -> dict:
         "per_agent_sensitivity": config.per_agent_sensitivity,
         "agent_ids": list(config.agent_ids),
     }
-    return doc
 
 
 def _noise_to_dict(spec: NoiseSpec) -> dict:
@@ -161,22 +193,18 @@ def _apply_path(doc: dict, path: str, value):
 
 def expand_sweep(raw: dict):
     """Yield (point_index, overrides, raw_config, seed) for the sweep cross product."""
-    sweep = raw.get("sweep", {})
-    axes = sweep.get("axes", [])
-    seeds = sweep.get("seeds", [raw["seed"]])
-    value_lists = [axis["values"] for axis in axes]
-    paths = [axis["path"] for axis in axes]
-    points = list(itertools.product(*value_lists)) if axes else [()]
+    paths, value_lists, seeds = _checked_sweep(raw)
+    points = list(itertools.product(*value_lists)) if paths else [()]
     jobs = []
     for p_idx, values in enumerate(points):
         for seed in seeds:
             doc = copy.deepcopy(raw)
             doc.pop("sweep", None)
-            doc["seed"] = int(seed)
+            doc["seed"] = seed
             overrides = dict(zip(paths, values))
             for path, value in overrides.items():
                 _apply_path(doc, path, value)
-            jobs.append((p_idx, overrides, doc, int(seed)))
+            jobs.append((p_idx, overrides, doc, seed))
     return jobs
 
 
@@ -194,8 +222,9 @@ def _downsample(series: np.ndarray, limit: int = MAX_SERIES_POINTS):
 
 def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
                     optimum: baseline.OptimalAllocation | None) -> dict:
-    bits_idx, bits = _downsample(summary.comm_bits_cumulative)
-    sens_idx, sens = _downsample(summary.sensitivity_series)
+    trace = summary.trace
+    bits_idx, bits = _downsample(trace.cum_bits)
+    sens_idx, sens = _downsample(trace.sensitivity)
     spread = {}
     for j, (steps_j, spread_j) in summary.derivative_spread.items():
         s_idx, s_val = _downsample(spread_j)
@@ -210,9 +239,9 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
         "final_xbar": summary.final_xbar.tolist(),
         "abs_error": summary.abs_error.tolist() if summary.abs_error is not None else None,
         "cost_ratio": summary.cost_ratio,
-        "event_counts": summary.event_counts.tolist(),
-        "broadcast_bits_total": summary.broadcast_bits_total,
-        "noise_scales": summary.noise_scales.tolist(),
+        "event_counts": trace.event_counts.tolist(),
+        "broadcast_bits_total": trace.broadcast_bits_total,
+        "noise_scales": trace.noise_scales.tolist(),
         "comm_bits": {"steps": bits_idx.tolist(), "values": bits.tolist()},
         "sensitivity": {"steps": sens_idx.tolist(), "values": sens.tolist()},
         "derivative_spread": spread,
@@ -227,6 +256,7 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
 def write_trace_csv(trace: engine.Trace, path: Path):
     """Full per-step trace, one row per (step, agent, resource), 17 sig digits."""
     fmt = lambda v: "" if v is None or (isinstance(v, float) and np.isnan(v)) else f"{v:.17g}"
+    cum_bits = trace.cum_bits           # derived from the event bits on each read
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "agent", "resource", "x", "xbar", "event_bit",
@@ -242,7 +272,7 @@ def write_trace_csv(trace: engine.Trace, path: Path):
                         fmt(float(trace.lambda_hat[nu, i, j])),
                         fmt(float(trace.noisy_derivative[nu, i, j])),
                         fmt(float(trace.sensitivity[nu, j])),
-                        int(trace.cum_bits[nu]),
+                        int(cum_bits[nu]),
                     ])
 
 
@@ -270,7 +300,7 @@ def _run_one(job):
         "overrides": json.dumps(sdoc["overrides"], sort_keys=True),
         "cost_ratio": summary.cost_ratio,
         "max_rel_error": max_rel_err,
-        "broadcast_bits_total": summary.broadcast_bits_total,
+        "broadcast_bits_total": trace.broadcast_bits_total,
     }
 
 
@@ -283,9 +313,11 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        _typed(raw, "object", "config root")
         if seed is not None:
             raw["seed"] = int(seed)
-            raw.get("sweep", {}).pop("seeds", None)
+            if isinstance(raw.get("sweep"), dict):
+                raw["sweep"].pop("seeds", None)
         if steps is not None:
             raw["steps"] = int(steps)
         parse_config(raw)  # validate before expanding

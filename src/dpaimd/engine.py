@@ -29,7 +29,6 @@ LAMBDA_MIN = 1e-9
 
 def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
     """Event bits S_j = 1 iff aggregate_j >= C_j."""
-    aggregate = np.asarray(aggregate, dtype=float)
     if not np.isfinite(aggregate).all():
         raise NumericError("non-finite aggregate demand")
     return (aggregate >= capacities).astype(np.uint8)
@@ -51,18 +50,28 @@ def multiplicative_decrease(x, lam, beta):
 
 @dataclass
 class Trace:
-    """Struct-of-arrays record of a full run."""
+    """Struct-of-arrays record of a full run; every bit count derives from the event bits."""
 
     x: np.ndarray                   # (steps, n, m)
     xbar: np.ndarray                # (steps, n, m), after the step's update
     event_bits: np.ndarray          # (steps, m) uint8
     lambda_hat: np.ndarray          # (steps, n, m), NaN off-event
     noisy_derivative: np.ndarray    # (steps, n, m), NaN off-event
+    partial_spread: np.ndarray      # (steps, m) max - min of noiseless partials, NaN off-event
     sensitivity: np.ndarray         # (steps, m) running max dq
-    cum_bits: np.ndarray            # (steps,) cumulative broadcast bits
-    event_counts: np.ndarray        # (m,) final K_j
-    broadcast_bits_total: int
     noise_scales: np.ndarray        # (m,) scales actually used (0 where none)
+
+    @property
+    def event_counts(self) -> np.ndarray:       # (m,) events K_j per resource
+        return self.event_bits.sum(axis=0, dtype=np.int64)
+
+    @property
+    def cum_bits(self) -> np.ndarray:           # (steps,) cumulative broadcast bits
+        return np.cumsum(self.event_bits.sum(axis=1, dtype=np.int64))
+
+    @property
+    def broadcast_bits_total(self) -> int:
+        return int(self.event_bits.sum(dtype=np.int64))
 
     @property
     def steps(self) -> int:
@@ -149,30 +158,25 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
     x = np.zeros((n, m))
     xbar = np.zeros((n, m))
     x_sum = np.zeros((n, m))            # x(0) + x(1) + ... + x(nu + 1) after step nu
-    event_counts = np.zeros(m, dtype=int)
-    bits_total = 0
 
     tr_x = np.empty((steps, n, m))
     tr_xbar = np.empty((steps, n, m))
     tr_bits = np.empty((steps, m), dtype=np.uint8)
     tr_lam = np.full((steps, n, m), np.nan)
     tr_nderiv = np.full((steps, n, m), np.nan)
+    tr_spread = np.full((steps, m), np.nan)
     tr_dq = np.empty((steps, m))
-    tr_cum = np.empty(steps, dtype=np.int64)
 
     for nu in range(steps):
         bits = server_step(capacities, x.sum(axis=0))
-        event_counts += bits
-        bits_total += int(bits.sum())
         fired = np.nonzero(bits)[0]
         if fired.size:
-            for j in fired:
-                tracker.note_event(j)
             grads = batch.gradient(xbar)
             if not np.isfinite(grads).all():
                 raise NumericError(f"non-finite derivative at step {nu}", step=nu)
             for j in fired:
                 tracker.update_all(j, grads[:, j])
+                tr_spread[nu, j] = grads[:, j].max() - grads[:, j].min()
                 d = sample_noise(config.noise[j].kind, scales[j], rngs)
                 tr_nderiv[nu, :, j] = grads[:, j] + d
                 lam = compute_lambda_hat(gamma[j], grads[:, j], d, xbar[:, j])
@@ -190,11 +194,9 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
         tr_xbar[nu] = xbar
         tr_bits[nu] = bits
         tr_dq[nu] = tracker.running_max.max(axis=0) if config.per_agent_sensitivity else tracker.running_max
-        tr_cum[nu] = bits_total
 
     return Trace(
         x=tr_x, xbar=tr_xbar, event_bits=tr_bits, lambda_hat=tr_lam,
-        noisy_derivative=tr_nderiv, sensitivity=tr_dq, cum_bits=tr_cum,
-        event_counts=event_counts, broadcast_bits_total=bits_total,
+        noisy_derivative=tr_nderiv, partial_spread=tr_spread, sensitivity=tr_dq,
         noise_scales=scales.copy(),
     )

@@ -132,11 +132,6 @@ class PolyBatch:
         self._terms = {(j, order): _differentiate(self.coeffs, self.exps, j, order)
                        for j in range(m) for order in (1, 2)}
 
-    @classmethod
-    def of(cls, costs) -> "PolyBatch":
-        """``costs`` itself if it is already a batch, else the batch of a cost list."""
-        return costs if isinstance(costs, cls) else cls(costs)
-
     def value(self, x) -> np.ndarray:
         return _sum_terms(x, self.coeffs, self.exps)
 
@@ -149,14 +144,6 @@ class PolyBatch:
     def gradient(self, x) -> np.ndarray:
         """(..., n, m) points -> (..., n, m) partial derivatives."""
         return np.stack([self.partial(x, j) for j in range(self.m)], axis=-1)
-
-
-def eval_cost(f: CostFunction, x) -> float:
-    return float(f.value(np.asarray(x, dtype=float)))
-
-
-def eval_partial(f: CostFunction, x, j: int) -> float:
-    return float(f.partial(np.asarray(x, dtype=float), j))
 
 
 @dataclass(frozen=True)
@@ -201,6 +188,8 @@ class SystemConfig:
             raise ConfigurationError("need one noise spec per resource")
         if self.steps < 0:
             raise ConfigurationError("steps must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.burn_in_events < 0:
             raise ConfigurationError("burn_in_events must be >= 0")
         m = len(self.resources)
@@ -211,6 +200,9 @@ class SystemConfig:
             self.agent_ids = list(range(len(self.agents)))
         elif len(self.agent_ids) != len(self.agents):
             raise ConfigurationError("agent_ids length must match agents")
+        # an id keys the agent's noise stream: equal ids would draw equal noise
+        if len(set(self.agent_ids)) != len(self.agent_ids) or min(self.agent_ids) < 0:
+            raise ConfigurationError(f"agent_ids must be distinct and >= 0, got {self.agent_ids}")
 
     @property
     def n_agents(self) -> int:

@@ -111,20 +111,19 @@ class SensitivityTracker:
         self.running_max = np.zeros(shape)
         self.events_seen = np.zeros(self.n_resources, dtype=int)
 
-    def note_event(self, j: int):
-        self.events_seen[j] += 1
-
     def current(self, j: int):
         return self.running_max[:, j].copy() if self.per_agent else float(self.running_max[j])
 
     def update_all(self, j: int, derivatives: np.ndarray):
         """Feed every agent's noiseless partial for resource j at one event.
 
-        Returns the current max for j (per agent with ``per_agent``).
+        Each call counts as one event of resource j. Returns the current max
+        for j (per agent with ``per_agent``).
         """
         derivatives = np.asarray(derivatives, dtype=float)
         if not np.isfinite(derivatives).all() or (derivatives < 0).any():
             raise NumericError(f"non-finite or negative derivative for resource {j}")
+        self.events_seen[j] += 1
         prev = self.last_derivative[:, j]
         if self.events_seen[j] >= self.burn_in_events:
             seen = ~np.isnan(prev)

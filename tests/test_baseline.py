@@ -12,6 +12,7 @@ from dpaimd.baseline import (
 from dpaimd.model import (
     ConfigurationError,
     CostFunction,
+    PolyBatch,
     ResourceConfig,
     quad_quartic_cost,
     quadratic_cost,
@@ -59,17 +60,17 @@ class TestKktResidual:
     def test_zero_at_analytic_optimum(self):
         costs = [power_cost(1.0, 2), power_cost(2.0, 2)]   # x^2 and 2 x^2
         x = np.array([[2.0], [1.0]])                       # 2 x1 matches 4 x2
-        assert kkt_residual(costs, x, np.array([3.0])) < 1e-12
+        assert kkt_residual(PolyBatch(costs), x, np.array([3.0])) < 1e-12
 
     def test_positive_off_optimum(self):
         costs = [power_cost(1.0, 2), power_cost(2.0, 2)]
         x = np.array([[1.5], [1.5]])
-        assert kkt_residual(costs, x, np.array([3.0])) == pytest.approx(3.0)
+        assert kkt_residual(PolyBatch(costs), x, np.array([3.0])) == pytest.approx(3.0)
 
     def test_includes_feasibility_gap(self):
         costs = [power_cost(1.0, 2)]
         x = np.array([[2.5]])
-        assert kkt_residual(costs, x, np.array([3.0])) >= 0.5
+        assert kkt_residual(PolyBatch(costs), x, np.array([3.0])) >= 0.5
 
 
 class TestSolver:

@@ -179,21 +179,44 @@ class TestRunCommand:
         doc["typo"] = True
         assert cli.main(["run", "--config", str(self.write(tmp_path, doc))]) == 2
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.update(sweep={"axes": [{"path": "noise.7.scale", "values": [1.0]}]}),
-        lambda d: d.update(sweep={"axes": [{"path": "resources.0.beta", "values": [1.5]}]}),
-        lambda d: d["agents"][0]["terms"].append([1.0]),
-        lambda d: d.update(noise=[{"kind": "gaussian", "scale_mode": "calibrated",
-                                   "epsilon": 0.5, "delta": 0.01}] * 2),
+    # each case edits the document in place or returns the document to write
+    @pytest.mark.parametrize("mutate,extra_args", [
+        (lambda d: d.update(sweep={"axes": [{"path": "noise.7.scale", "values": [1.0]}]}), []),
+        (lambda d: d.update(sweep={"axes": [{"path": "resources.0.beta", "values": [1.5]}]}), []),
+        (lambda d: d["agents"][0]["terms"].append([1.0]), []),
+        (lambda d: d.update(noise=[{"kind": "gaussian", "scale_mode": "calibrated",
+                                    "epsilon": 0.5, "delta": 0.01}] * 2), []),
+        (lambda d: d.update(agents=5), []),
+        (lambda d: d.update(resources=[5, 6]), []),
+        (lambda d: d.update(noise=[1, 2]), []),
+        (lambda d: d.update(agent_ids=3), []),
+        (lambda d: d.update(sweep={"seeds": 3}), []),
+        (lambda d: d.update(steps="abc"), []),
+        (lambda d: d.update(steps=2.7), []),
+        (lambda d: d.update(seed="x"), []),
+        (lambda d: d.update(seed=-1), []),
+        (lambda d: d.update(burn_in_events="a"), []),
+        (lambda d: d.update(per_agent_sensitivity="false"), []),
+        (lambda d: d.update(sweep={"axes": [{"path": "noise.0.scale", "values": 3}]}), []),
+        (lambda d: d.update(sweep={"axes": [{"values": [1.0]}]}), []),
+        (lambda d: [d], ["--seed", "3"]),
+        (lambda d: d.update(sweep=[]), ["--seed", "3"]),
+        (lambda d: d.update(agent_ids=[0, 0, 1, 2, 3, 4]), []),
+        (lambda d: d.update(sweep={"seeds": [5, 5]}), []),
     ], ids=["sweep-path-index", "sweep-value", "term-without-exponents",
-            "calibration-without-events"])
-    def test_config_errors_exit_2(self, tmp_path, capsys, mutate):
+            "calibration-without-events", "agents-not-list", "resources-not-objects",
+            "noise-not-objects", "agent-ids-not-list", "sweep-seeds-not-list", "steps-string",
+            "steps-fraction", "seed-string", "seed-negative", "burn-in-string",
+            "per-agent-string", "sweep-values-not-list", "sweep-axis-without-path",
+            "seed-override-on-list-root", "seed-override-on-list-sweep",
+            "duplicate-agent-ids", "duplicate-sweep-seeds"])
+    def test_config_errors_exit_2(self, tmp_path, capsys, mutate, extra_args):
         suite = {p.name: p for p in cli.emit_reference_suite(tmp_path / "suite")}
         doc = json.loads(suite["laplace_base.json"].read_text())
         doc["steps"] = 50       # too short for any capacity event
-        mutate(doc)
-        path = self.write(tmp_path, doc)
-        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        path = self.write(tmp_path, mutate(doc) or doc)
+        args = ["run", "--config", str(path), "--out", str(tmp_path / "out"), *extra_args]
+        assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
 
@@ -248,3 +271,11 @@ class TestSuiteAndSolve:
         path = tmp_path / "config.json"
         path.write_text("[]", encoding="utf-8")
         assert cli.main(["solve", "--config", str(path)]) == 2
+
+    def test_solve_wrong_field_type_exits_2(self, tmp_path, capsys):
+        doc = small_doc()
+        doc["steps"] = "abc"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        assert "config error: steps must be a JSON integer" in capsys.readouterr().err

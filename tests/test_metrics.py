@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpaimd
+from dpaimd.cli import reference_system_config
 from dpaimd.metrics import (
-    comm_cost_series,
     cost_ratio,
     derivative_spread,
     linear_fit_r2,
     summarize,
 )
-from dpaimd.model import CostFunction, ResourceConfig, SystemConfig
-from dpaimd.privacy import NoiseKind, NoiseSpec
+from dpaimd.model import CostFunction, PolyBatch, ResourceConfig, SystemConfig
+from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
 
 
 def tiny_run(steps):
@@ -52,7 +54,7 @@ class TestCostRatio:
 class TestDerivativeSpread:
     def test_one_entry_per_event(self, short_reference_run):
         config, trace, _ = short_reference_run
-        spread = derivative_spread(trace, config.agents)
+        spread = derivative_spread(trace)
         for j in range(trace.n_resources):
             steps_j, values = spread[j]
             assert steps_j.size == trace.event_counts[j]
@@ -61,7 +63,7 @@ class TestDerivativeSpread:
 
     def test_spread_shrinks_under_no_noise(self, short_reference_run):
         config, trace, _ = short_reference_run
-        spread = derivative_spread(trace, config.agents)
+        spread = derivative_spread(trace)
         for j in range(trace.n_resources):
             _, values = spread[j]
             head = values[:10].mean()
@@ -71,7 +73,7 @@ class TestDerivativeSpread:
     def test_spread_of_partials_the_agents_used(self, short_reference_run):
         """Noiseless, the spread is max - min of the partials behind each event's lambda-hat."""
         config, trace, _ = short_reference_run
-        spread = derivative_spread(trace, config.agents)
+        spread = derivative_spread(trace)
         for j in range(trace.n_resources):
             steps_j, values = spread[j]
             used = trace.noisy_derivative[steps_j, :, j]
@@ -79,19 +81,102 @@ class TestDerivativeSpread:
 
     def test_empty_without_events(self):
         cfg, trace = tiny_run(3)
-        spread = derivative_spread(trace, cfg.agents)
+        spread = derivative_spread(trace)
         steps_j, values = spread[0]
         assert steps_j.size == 0 and values.size == 0
 
 
-class TestCommCost:
-    def test_series_matches_trace(self, short_reference_run):
-        _, trace, _ = short_reference_run
-        series = comm_cost_series(trace)
-        assert np.array_equal(series, trace.cum_bits)
-        series[0] = -1
-        assert trace.cum_bits[0] != -1       # defensive copy
+def kernel_spread(config, trace, j):
+    """Per event of resource j: max - min of the noiseless partials at the x-bar used then."""
+    steps_j = np.nonzero(trace.event_bits[:, j])[0]
+    partials = PolyBatch(config.agents).partial(trace.xbar[steps_j - 1], j)
+    return steps_j, partials.max(axis=1) - partials.min(axis=1)
 
+
+def assert_spread_matches_kernel(config, trace):
+    spread = derivative_spread(trace)
+    assert trace.event_counts.all()
+    for j in range(trace.n_resources):
+        steps_j, expected = kernel_spread(config, trace, j)
+        assert np.array_equal(spread[j][0], steps_j)
+        assert np.array_equal(spread[j][1], expected)
+
+
+def noisy_pair(kind, s1, s2):
+    return [NoiseSpec(kind=kind, scale_mode=ScaleMode.FIXED, scale=s) for s in (s1, s2)]
+
+
+def wide_config(steps):
+    """16 agents, 3 resources, separable quadratic-plus-quartic costs, per-agent dq."""
+    n, m = 16, 3
+    agents = []
+    for i in range(n):
+        a = 10 + (i + 3 * np.arange(m)) % n
+        b = 15 + (5 * i + np.arange(m)) % n
+        coeffs = np.stack([a / 2, b / 4], axis=1).ravel()            # per resource: quad, quartic
+        exps = np.kron(np.eye(m, dtype=int), [[2], [4]])              # (2m, m)
+        agents.append(CostFunction(coeffs, exps))
+    return SystemConfig(
+        agents=agents,
+        resources=[ResourceConfig(capacity=0.3 * n * (1 + 0.1 * j), alpha=0.01,
+                                  beta=0.7 - 0.05 * j, gamma=1e-3) for j in range(m)],
+        noise=[NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=40.0)] * m,
+        steps=steps,
+        seed=5,
+        per_agent_sensitivity=True,
+    )
+
+
+class TestRecordedSpreadMatchesKernel:
+    """The spread the engine records equals a fresh kernel pass, bit for bit."""
+
+    @pytest.mark.parametrize("noise", [
+        noisy_pair(NoiseKind.GAUSSIAN, 20.50, 39.31),
+        noisy_pair(NoiseKind.LAPLACE, 59.0, 63.4),
+    ], ids=["gaussian", "laplace"])
+    def test_noisy_reference_runs(self, noise):
+        config = reference_system_config(noise, seed=20230601, steps=3_000)
+        assert_spread_matches_kernel(config, dpaimd.run(config))
+
+    def test_wide_per_agent_sensitivity(self):
+        config = wide_config(steps=2_000)
+        assert_spread_matches_kernel(config, dpaimd.run(config))
+
+    def test_off_event_steps_are_nan(self, short_reference_run):
+        _, trace, _ = short_reference_run
+        assert np.array_equal(np.isnan(trace.partial_spread), trace.event_bits == 0)
+
+
+@st.composite
+def small_configs(draw):
+    """2-4 agents with distinct term counts and cross-resource terms, random noise."""
+    m = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4, unique=True))
+    exponent_row = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
+    agents = [
+        CostFunction(np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=t, max_size=t))),
+                     np.array(draw(st.lists(exponent_row, min_size=t, max_size=t))))
+        for t in counts
+    ]
+    kind = draw(st.sampled_from(list(NoiseKind)))
+    spec = (NoiseSpec(kind=kind) if kind is NoiseKind.NONE
+            else NoiseSpec(kind=kind, scale_mode=ScaleMode.FIXED, scale=draw(st.floats(0.1, 5.0))))
+    return SystemConfig(
+        agents=agents,
+        resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5, gamma=1e-3)] * m,
+        noise=[spec] * m,
+        steps=300,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(small_configs())
+@settings(max_examples=40, deadline=None)
+def test_recorded_spread_matches_kernel_on_random_configs(config):
+    assert_spread_matches_kernel(config, dpaimd.run(config))
+
+
+class TestCommCost:
     def test_linear_fit_r2_exact_line(self):
         assert linear_fit_r2(3.0 * np.arange(100) + 2.0) == pytest.approx(1.0)
 
@@ -113,8 +198,7 @@ class TestSummarize:
         assert s.abs_error.shape == (config.n_agents, config.n_resources)
         assert np.allclose(s.abs_error, np.abs(trace.xbar[-1] - optimum.x_star))
         assert s.cost_ratio is not None
-        assert s.broadcast_bits_total == trace.broadcast_bits_total
-        assert np.array_equal(s.event_counts, trace.event_counts)
+        assert s.trace is trace
 
     def test_without_baseline(self, short_reference_run):
         config, trace, _ = short_reference_run

@@ -10,8 +10,6 @@ from dpaimd.model import (
     CostFunction,
     PolyBatch,
     ResourceConfig,
-    eval_cost,
-    eval_partial,
     quad_quartic_cost,
     quadratic_cost,
     quartic_cost,
@@ -22,40 +20,40 @@ from dpaimd.model import (
 def test_eval_cost_mixed_form():
     # f = 1/2*10 x1^2 + 1/4*15 x1^4 + 1/2*15 x2^2 + 1/4*10 x2^4 at (1, 1)
     f = quad_quartic_cost(10, 15)
-    assert eval_cost(f, [1.0, 1.0]) == pytest.approx(5 + 3.75 + 7.5 + 2.5)
+    assert f.value([1.0, 1.0]) == pytest.approx(5 + 3.75 + 7.5 + 2.5)
 
 
 def test_eval_cost_zero_at_origin():
     for f in (quad_quartic_cost(10, 15), quadratic_cost(20), quartic_cost(30)):
-        assert eval_cost(f, [0.0, 0.0]) == 0.0
+        assert f.value([0.0, 0.0]) == 0.0
 
 
 def test_eval_cost_quadratic_form():
-    assert eval_cost(quadratic_cost(20), [2.0, 2.0]) == pytest.approx(40 + 20)
+    assert quadratic_cost(20).value([2.0, 2.0]) == pytest.approx(40 + 20)
 
 
 def test_eval_partial_mixed_form():
     f = quad_quartic_cost(10, 15)
-    assert eval_partial(f, [1.0, 1.0], 0) == pytest.approx(10 + 15)
+    assert f.partial([1.0, 1.0], 0) == pytest.approx(10 + 15)
 
 
 def test_eval_partial_zero_at_origin():
     for f in (quad_quartic_cost(10, 15), quartic_cost(30)):
         for j in (0, 1):
-            assert eval_partial(f, [0.0, 0.0], j) == 0.0
+            assert f.partial([0.0, 0.0], j) == 0.0
 
 
 def test_eval_partial_quartic_form():
     # d/dx2 of b/3 x2^4 = (4/3) b x2^3 at x2 = 0.5
-    assert eval_partial(quartic_cost(30), [1.0, 0.5], 1) == pytest.approx((4 / 3) * 30 * 0.125)
+    assert quartic_cost(30).partial([1.0, 0.5], 1) == pytest.approx((4 / 3) * 30 * 0.125)
 
 
 def test_dimension_mismatch_rejected():
     f = quadratic_cost(20)
     with pytest.raises(ConfigurationError):
-        eval_cost(f, [1.0, 2.0, 3.0])
+        f.value([1.0, 2.0, 3.0])
     with pytest.raises(ConfigurationError):
-        eval_partial(f, [1.0, 2.0], 5)
+        f.partial([1.0, 2.0], 5)
 
 
 def test_invalid_cost_functions_rejected():
@@ -77,8 +75,8 @@ def test_partial_matches_finite_differences():
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
-                fd = (eval_cost(f, x + e) - eval_cost(f, x - e)) / (2 * h)
-                assert eval_partial(f, x, j) == pytest.approx(fd, rel=1e-4)
+                fd = (f.value(x + e) - f.value(x - e)) / (2 * h)
+                assert f.partial(x, j) == pytest.approx(fd, rel=1e-4)
 
 
 def test_partial_strictly_increasing_in_own_variable():
@@ -90,7 +88,7 @@ def test_partial_strictly_increasing_in_own_variable():
             for g in grid:
                 x = np.full(2, other)
                 x[j] = g
-                vals.append(eval_partial(f, x, j))
+                vals.append(f.partial(x, j))
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -99,7 +97,7 @@ def test_partial_strictly_increasing_in_own_variable():
 def test_eval_cost_invariant_under_term_reordering(perm, x):
     f = quad_quartic_cost(12, 20)
     g = CostFunction(f.coeffs[list(perm)], f.exponents[list(perm)])
-    assert eval_cost(f, x) == pytest.approx(eval_cost(g, x), abs=1e-12, rel=1e-12)
+    assert f.value(x) == pytest.approx(g.value(x), abs=1e-12, rel=1e-12)
 
 
 def naive_derivative(f, x, j, order):

@@ -93,34 +93,28 @@ class TestNoiseSpecValidation:
 
 
 class TestSensitivityTracker:
-    """Each event feeds ``update_all`` one noiseless partial per agent."""
+    """Each ``update_all`` call is one event, fed one noiseless partial per agent."""
 
     def make(self, burn_in=0, **kw):
         return SensitivityTracker(n_agents=2, n_resources=2, burn_in_events=burn_in, **kw)
 
     def test_consecutive_difference(self):
         t = self.make()
-        t.note_event(0)
         t.update_all(0, [10.00, 0.0])
-        t.note_event(0)
         assert t.update_all(0, [8.68, 0.0]) == pytest.approx(1.32)
 
     def test_first_observation_no_change(self):
         t = self.make()
-        t.note_event(1)
         assert t.update_all(1, [42.0, 42.0]) == 0.0
 
     def test_identical_values_no_change(self):
         t = self.make()
-        t.note_event(0)
         t.update_all(0, [5.0, 5.0])
-        t.note_event(0)
         assert t.update_all(0, [5.0, 5.0]) == 0.0
 
     def test_burn_in_excludes_early_events(self):
         t = self.make(burn_in=3)
         for event, deriv in enumerate([10.0, 2.0, 9.0], start=1):
-            t.note_event(0)
             t.update_all(0, [deriv, deriv])
         assert t.current(0) == pytest.approx(7.0)  # only the event-3 diff counted
 
@@ -129,30 +123,24 @@ class TestSensitivityTracker:
         rng = np.random.default_rng(2)
         prev = 0.0
         for deriv in rng.uniform(0, 50, size=100):
-            t.note_event(0)
             cur = t.update_all(0, [deriv, deriv])
             assert cur >= prev
             prev = cur
 
     def test_shared_max_across_agents(self):
         t = self.make()
-        t.note_event(0)
         t.update_all(0, [10.0, 3.0])
-        t.note_event(0)
         assert t.update_all(0, [9.5, 8.0]) == pytest.approx(5.0)
 
     def test_per_agent_mode(self):
         t = self.make(per_agent=True)
-        t.note_event(0)
         t.update_all(0, [10.0, 3.0])
-        t.note_event(0)
         t.update_all(0, [9.0, 8.0])
         assert t.running_max[0, 0] == pytest.approx(1.0)
         assert t.running_max[1, 0] == pytest.approx(5.0)
 
     def test_non_finite_rejected(self):
         t = self.make()
-        t.note_event(0)
         with pytest.raises(NumericError):
             t.update_all(0, [float("nan"), 1.0])
         with pytest.raises(NumericError):
