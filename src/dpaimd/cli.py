@@ -7,6 +7,7 @@ wrong experiment. Exit codes: 0 ok, 2 config error, 3 numeric abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import itertools
@@ -33,21 +34,25 @@ _TOP_KEYS = {
 }
 _AGENT_KEYS = {"terms"}
 _RESOURCE_KEYS = {"capacity", "alpha", "beta", "gamma"}
-_NOISE_KEYS = {"kind", "epsilon", "delta", "scale_mode", "scale", "sensitivity"}
+_NOISE_NUMBERS = ("epsilon", "delta", "scale", "sensitivity")
+_NOISE_KEYS = {"kind", "scale_mode", *_NOISE_NUMBERS}
 _SWEEP_KEYS = {"axes", "seeds"}
 _AXIS_KEYS = {"path", "values"}
 
 
-_JSON_TYPES = {"integer": int, "boolean": bool, "string": str, "object": dict, "list": list}
+_JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str,
+               "object": dict, "list": list}
 
 
 def _typed(value, kind: str, where: str, items: bool = False):
     """``value`` itself if its JSON type is ``kind`` (with ``items``, a list of them).
 
     Integers are integer literals only: no booleans, no numbers with a fraction.
+    Numbers are integer or fraction literals, not booleans.
     """
     def is_kind(v):
-        return isinstance(v, _JSON_TYPES[kind]) and not (kind == "integer" and isinstance(v, bool))
+        return isinstance(v, _JSON_TYPES[kind]) and not (
+            kind in ("integer", "number") and isinstance(v, bool))
 
     ok = (isinstance(value, list) and all(map(is_kind, value))) if items else is_kind(value)
     if not ok:
@@ -71,9 +76,14 @@ def _checked_sweep(raw: dict):
         _reject_unknown(axis, _AXIS_KEYS, f"sweep.axes[{idx}]")
     paths = [_typed(a.get("path"), "string", f"sweep.axes[{i}].path") for i, a in enumerate(axes)]
     values = [_typed(a.get("values"), "list", f"sweep.axes[{i}].values") for i, a in enumerate(axes)]
+    for idx, axis_values in enumerate(values):
+        if not axis_values:
+            raise ConfigurationError(f"sweep.axes[{idx}].values must not be empty")
     if "seeds" not in sweep:
         return paths, values, [raw["seed"]]
     seeds = _typed(sweep["seeds"], "integer", "sweep.seeds", items=True)
+    if not seeds:
+        raise ConfigurationError("sweep.seeds must not be empty")
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError(f"sweep.seeds repeats a seed: {seeds}")
     return paths, values, seeds
@@ -108,6 +118,8 @@ def parse_config(raw: dict) -> SystemConfig:
     resources = []
     for idx, r in enumerate(_typed(raw["resources"], "object", "resources", items=True)):
         _reject_unknown(r, _RESOURCE_KEYS, f"resources[{idx}]")
+        for key, value in r.items():
+            _typed(value, "number", f"resources[{idx}].{key}")
         try:
             resources.append(ResourceConfig(**r))
         except (TypeError, ConfigurationError) as exc:
@@ -116,6 +128,9 @@ def parse_config(raw: dict) -> SystemConfig:
     noise = []
     for idx, nspec in enumerate(_typed(raw["noise"], "object", "noise", items=True)):
         _reject_unknown(nspec, _NOISE_KEYS, f"noise[{idx}]")
+        for key in _NOISE_NUMBERS:
+            if key in nspec:
+                _typed(nspec[key], "number", f"noise[{idx}].{key}")
         try:
             noise.append(NoiseSpec(**nspec))
         except (TypeError, ValueError) as exc:
@@ -276,16 +291,43 @@ def write_trace_csv(trace: engine.Trace, path: Path):
                     ])
 
 
+def _problem_key(config: SystemConfig):
+    """What the baseline solver reads: the agents' terms and the capacities.
+
+    A capacity enters by its repr, so 5 and 5.0, which the solver would
+    carry in arrays of different dtypes, are two problems.
+    """
+    terms = tuple((f.coeffs.tobytes(), f.exponents.tobytes(), f.exponents.shape)
+                  for f in config.agents)
+    return terms, tuple(repr(r.capacity) for r in config.resources)
+
+
+def _call(task):
+    """Worker for one input that jobs share: ``fn(*args)``."""
+    fn, args = task
+    return fn(*args)
+
+
+@contextlib.contextmanager
+def _job_map(jobs: int, n_jobs: int):
+    """A map returning a list: over a pool of ``jobs`` processes when there is
+    more than one job to share out, otherwise in this process."""
+    if jobs > 1 and n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield lambda fn, items: list(pool.map(fn, items))
+    else:
+        yield lambda fn, items: list(map(fn, items))
+
+
 def _run_one(job):
-    """Worker for one sweep point x seed; returns (tag, summary dict)."""
-    p_idx, overrides, doc, seed, emit_trace, out_dir = job
-    config = parse_config(doc)
-    optimum = baseline.solve_optimum(config.agents, config.resources)
-    trace = engine.run(config)
+    """Worker for one sweep point x seed, given the optimum and noise scales it
+    shares with other jobs; returns its sweep_summary.csv row."""
+    p_idx, overrides, config, optimum, scales, emit_trace, out_dir = job
+    trace = engine.run(config, scales)
     summary = metrics.summarize(trace, config.agents, optimum)
     sdoc = summary_to_dict(summary, config, optimum)
     sdoc["overrides"] = {k: overrides[k] for k in sorted(overrides)}
-    tag = f"p{p_idx:03d}_s{seed}"
+    tag = f"p{p_idx:03d}_s{config.seed}"
     out_path = Path(out_dir) / f"summary_{tag}.json"
     out_path.write_text(json.dumps(sdoc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     if emit_trace:
@@ -296,7 +338,7 @@ def _run_one(job):
             rel = summary.abs_error / np.abs(optimum.x_star)
         max_rel_err = float(np.nanmax(rel))
     return {
-        "tag": tag, "point": p_idx, "seed": seed,
+        "tag": tag, "point": p_idx, "seed": config.seed,
         "overrides": json.dumps(sdoc["overrides"], sort_keys=True),
         "cost_ratio": summary.cost_ratio,
         "max_rel_error": max_rel_err,
@@ -322,21 +364,31 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
             raw["steps"] = int(steps)
         parse_config(raw)  # validate before expanding
         work = expand_sweep(raw)
-        for _, _, doc, _ in work:   # every sweep point, before any job starts
-            parse_config(doc)
+        configs = [parse_config(doc) for _, _, doc, _ in work]   # before any job starts
         out_dir = Path(out) if out else Path(raw.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"sweep cross-product: {len(work)} run(s)")
-    full_jobs = [(p, ov, doc, s, emit_trace, str(out_dir)) for p, ov, doc, s in work]
+    # What jobs share is computed once: the optimum per distinct problem, and
+    # the noise scales per sweep point (its jobs differ only in the seed, which
+    # a noiseless calibration pilot never reads).
+    keys = [_problem_key(config) for config in configs]
+    problems, points = {}, {}
+    for (p_idx, _, _, _), key, config in zip(work, keys, configs):
+        problems.setdefault(key, config)
+        points.setdefault(p_idx, config)
+    shared = [(baseline.solve_optimum, (c.agents, c.resources)) for c in problems.values()]
+    shared += [(engine.resolve_noise_scales, (c,)) for c in points.values()]
     try:
-        if jobs > 1 and len(full_jobs) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_run_one, full_jobs))
-        else:
-            rows = [_run_one(job) for job in full_jobs]
+        with _job_map(jobs, len(work)) as job_map:
+            results = job_map(_call, shared)
+            optima = dict(zip(problems, results))
+            scales = dict(zip(points, results[len(problems):]))
+            rows = job_map(_run_one, [
+                (p_idx, overrides, config, optima[key], scales[p_idx], emit_trace, str(out_dir))
+                for (p_idx, overrides, _, _), key, config in zip(work, keys, configs)])
     except ConfigurationError as exc:     # e.g. calibration that saw no events
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -135,9 +135,13 @@ def resolve_noise_scales(config: SystemConfig) -> np.ndarray:
     return scales
 
 
-def run(config: SystemConfig) -> Trace:
-    """Full simulation run; deterministic given config and seed."""
-    return _simulate(config, resolve_noise_scales(config))
+def run(config: SystemConfig, scales: np.ndarray | None = None) -> Trace:
+    """Full simulation run; deterministic given config and seed.
+
+    ``scales`` are the per-resource noise scales to use; by default
+    ``resolve_noise_scales(config)`` works them out, running its pilot if needed.
+    """
+    return _simulate(config, resolve_noise_scales(config) if scales is None else scales)
 
 
 def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:

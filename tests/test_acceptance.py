@@ -90,6 +90,8 @@ def test_acceptance_3_baseline_matches_grid_oracle():
 def test_acceptance_4_privacy_accuracy_tradeoff():
     grid = [(20.5, 39.31), (50.0, 70.0), (70.0, 110.0)]
     seeds = (101, 102, 103)
+    # a seed fixes the agents, so one solve per seed serves every sigma grid
+    optima = {}
     means = []
     for s1, s2 in grid:
         noise = [
@@ -102,8 +104,9 @@ def test_acceptance_4_privacy_accuracy_tradeoff():
         for seed in seeds:
             config = cli.reference_system_config(noise, seed=seed, steps=30_000)
             trace = dpaimd.run(config)
-            optimum = solve_optimum(config.agents, config.resources)
-            ratios.append(cost_ratio(trace, config.agents, optimum))
+            if seed not in optima:
+                optima[seed] = solve_optimum(config.agents, config.resources)
+            ratios.append(cost_ratio(trace, config.agents, optima[seed]))
         means.append(float(np.mean(ratios)))
     ok = means[0] <= means[1] <= means[2] and means[2] > means[0]
     report(4, ok, "mean cost_ratio per sigma grid: "

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from dpaimd import cli, engine
+from dpaimd import baseline, cli, engine, metrics
 from dpaimd.model import ConfigurationError, NumericError, ResourceConfig, SystemConfig
-from dpaimd.model import CostFunction
+from dpaimd.model import CostFunction, quad_quartic_cost, quadratic_cost, quartic_cost
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
 
 
@@ -203,13 +203,20 @@ class TestRunCommand:
         (lambda d: d.update(sweep=[]), ["--seed", "3"]),
         (lambda d: d.update(agent_ids=[0, 0, 1, 2, 3, 4]), []),
         (lambda d: d.update(sweep={"seeds": [5, 5]}), []),
+        (lambda d: d.update(sweep={"seeds": []}), []),
+        (lambda d: d.update(sweep={"axes": [{"path": "noise.0.scale", "values": []}]}), []),
+        (lambda d: d["noise"][0].update(scale=True), []),
+        (lambda d: d["resources"][0].update(beta=False), []),
+        (lambda d: d["resources"][0].update(capacity=True), []),
     ], ids=["sweep-path-index", "sweep-value", "term-without-exponents",
             "calibration-without-events", "agents-not-list", "resources-not-objects",
             "noise-not-objects", "agent-ids-not-list", "sweep-seeds-not-list", "steps-string",
             "steps-fraction", "seed-string", "seed-negative", "burn-in-string",
             "per-agent-string", "sweep-values-not-list", "sweep-axis-without-path",
             "seed-override-on-list-root", "seed-override-on-list-sweep",
-            "duplicate-agent-ids", "duplicate-sweep-seeds"])
+            "duplicate-agent-ids", "duplicate-sweep-seeds", "sweep-seeds-empty",
+            "sweep-values-empty", "noise-scale-bool", "resource-beta-bool",
+            "resource-capacity-bool"])
     def test_config_errors_exit_2(self, tmp_path, capsys, mutate, extra_args):
         suite = {p.name: p for p in cli.emit_reference_suite(tmp_path / "suite")}
         doc = json.loads(suite["laplace_base.json"].read_text())
@@ -221,7 +228,7 @@ class TestRunCommand:
         assert "config error:" in err and "Traceback" not in err
 
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch):
-        def boom(config):
+        def boom(config, scales=None):
             raise NumericError("non-finite demand at step 7", step=7)
         monkeypatch.setattr(engine, "run", boom)
         path = self.write(tmp_path, small_doc())
@@ -233,6 +240,77 @@ class TestRunCommand:
         monkeypatch.setattr(cli.baseline, "solve_optimum", no_converge)
         path = self.write(tmp_path, small_doc())
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+
+
+def calibrated_sweep_doc():
+    """Calibrated Gaussian and Laplace noise; 2 epsilons x 2 capacities x 2 seeds.
+
+    The capacity axis makes two distinct baseline problems, each shared by
+    four jobs; each of the four sweep points is shared by two seeds.
+    """
+    config = SystemConfig(
+        agents=[quad_quartic_cost(12, 20), quadratic_cost(25), quartic_cost(18)],
+        resources=[ResourceConfig(capacity=1.0, alpha=0.01, beta=0.7, gamma=1e-3),
+                   ResourceConfig(capacity=1.2, alpha=0.0125, beta=0.6, gamma=1e-3)],
+        noise=[NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.5, delta=0.01,
+                         scale_mode=ScaleMode.CALIBRATED),
+               NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5, scale_mode=ScaleMode.CALIBRATED)],
+        steps=300,
+        seed=1,
+    )
+    doc = cli.serialize_config(config)
+    doc["sweep"] = {"axes": [{"path": "noise.0.epsilon", "values": [0.3, 0.6]},
+                             {"path": "resources.0.capacity", "values": [1.0, 1.5]}],
+                    "seeds": [7, 8]}
+    return doc
+
+
+@pytest.fixture(scope="module")
+def lone_job_summaries():
+    """Summary text per tag, each job computed alone with its own solve and pilot."""
+    texts = {}
+    for p_idx, overrides, doc, seed in cli.expand_sweep(calibrated_sweep_doc()):
+        config = cli.parse_config(doc)
+        optimum = baseline.solve_optimum(config.agents, config.resources)
+        summary = metrics.summarize(engine.run(config), config.agents, optimum)
+        sdoc = cli.summary_to_dict(summary, config, optimum)
+        sdoc["overrides"] = {k: overrides[k] for k in sorted(overrides)}
+        texts[f"p{p_idx:03d}_s{seed}"] = json.dumps(sdoc, sort_keys=True, indent=2) + "\n"
+    return texts
+
+
+class TestSharedSweepInputs:
+    def run_sweep(self, tmp_path, jobs):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(calibrated_sweep_doc()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        return out
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_summary_equals_a_lone_run(self, tmp_path, jobs, lone_job_summaries):
+        out = self.run_sweep(tmp_path, jobs)
+        assert len(lone_job_summaries) == 8
+        assert len(list(out.glob("summary_*.json"))) == 8
+        for tag, text in lone_job_summaries.items():
+            assert (out / f"summary_{tag}.json").read_bytes() == text.encode("utf-8"), tag
+
+    def test_one_solve_per_problem_one_calibration_per_point(self, tmp_path, monkeypatch):
+        calls = {"solve_optimum": 0, "resolve_noise_scales": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(baseline, "solve_optimum")
+        counted(engine, "resolve_noise_scales")
+        self.run_sweep(tmp_path, jobs=1)
+        assert calls == {"solve_optimum": 2, "resolve_noise_scales": 4}
 
 
 class TestSuiteAndSolve:
