@@ -52,23 +52,29 @@ def kkt_residual(batch: PolyBatch, x: np.ndarray, capacities: np.ndarray,
 def solve_optimum(costs, resources, tol: float = 1e-7, max_iter: int = 500_000) -> OptimalAllocation:
     """Projected gradient descent with a 1/L step; fails loudly on non-convergence."""
     n, m = len(costs), len(resources)
-    capacities = np.array([r.capacity for r in resources])
+    capacities = np.array([r.capacity for r in resources], dtype=float)
     batch = PolyBatch(costs)
     x = np.tile(capacities / n, (n, 1))   # feasible symmetric start
 
     # Lipschitz bound: curvature is monotone in each coordinate for positive
     # polynomials, so the max over the feasible box sits at the capacity corner.
     lip = max(float(batch.second_partial(capacities, j).max()) for j in range(m))
+    if not math.isfinite(lip):
+        raise RuntimeError(f"baseline solver: curvature bound {lip} is not finite")
     step = 1.0 / max(lip, 1e-12)
 
     residual = math.inf
     for it in range(max_iter):
-        grads = batch.gradient(x)
+        moved = x - step * batch.gradient(x)
+        if not np.isfinite(moved).all():
+            raise RuntimeError(f"baseline solver: non-finite gradient step at iteration {it}")
+        before = x.copy() if it % 50 == 0 else None
         for j in range(m):
-            x[:, j] = project_simplex(x[:, j] - step * grads[:, j], capacities[j])
+            x[:, j] = project_simplex(moved[:, j], capacities[j])
         if it % 50 == 0:
             residual = kkt_residual(batch, x, capacities)
-            if residual <= tol:
+            # a fixed point of the iteration keeps this residual for good
+            if residual <= tol or np.array_equal(x, before):
                 break
     else:
         residual = kkt_residual(batch, x, capacities)

@@ -10,10 +10,12 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -28,71 +30,81 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 MAX_SERIES_POINTS = 512
 
-_TOP_KEYS = {
-    "schema_version", "agents", "resources", "noise", "steps", "seed",
-    "burn_in_events", "per_agent_sensitivity", "agent_ids", "sweep", "output_dir",
+# The config schema. A dict is an object with only those keys, [kind] a list of
+# kind, a tuple a list with exactly one item per entry, and a string names a
+# JSON kind. _JOB is what one run reads, so it is all a sweep axis may set.
+_JOB = {
+    "agents": [{"terms": [("number", ["integer"])]}],
+    "resources": [{"capacity": "number", "alpha": "number", "beta": "number", "gamma": "number"}],
+    "noise": [{"kind": "string", "scale_mode": "string", "epsilon": "number",
+               "delta": "number", "scale": "number", "sensitivity": "number"}],
+    "steps": "integer",
+    "seed": "integer",
+    "burn_in_events": "integer",
+    "per_agent_sensitivity": "boolean",
+    "agent_ids": ["integer"],
 }
-_AGENT_KEYS = {"terms"}
-_RESOURCE_KEYS = {"capacity", "alpha", "beta", "gamma"}
-_NOISE_NUMBERS = ("epsilon", "delta", "scale", "sensitivity")
-_NOISE_KEYS = {"kind", "scale_mode", *_NOISE_NUMBERS}
-_SWEEP_KEYS = {"axes", "seeds"}
-_AXIS_KEYS = {"path", "values"}
+_SCHEMA = {
+    **_JOB,
+    "schema_version": "integer",
+    "output_dir": "string",
+    "sweep": {"axes": [{"path": "string", "values": "list"}], "seeds": ["integer"]},
+}
+_KINDS = {"integer": int, "number": (int, float), "boolean": bool, "string": str,
+          "object": dict, "list": list}
 
 
-_JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str,
-               "object": dict, "list": list}
+def _check(value, kind, where: str = ""):
+    """Raise ConfigurationError unless ``value`` has the schema kind ``kind``.
 
-
-def _typed(value, kind: str, where: str, items: bool = False):
-    """``value`` itself if its JSON type is ``kind`` (with ``items``, a list of them).
-
-    Integers are integer literals only: no booleans, no numbers with a fraction.
-    Numbers are integer or fraction literals, not booleans.
+    Integers are integer literals and numbers finite; neither is a boolean.
+    ``where`` names the value in messages, "" being the config root.
     """
-    def is_kind(v):
-        return isinstance(v, _JSON_TYPES[kind]) and not (
-            kind in ("integer", "number") and isinstance(v, bool))
-
-    ok = (isinstance(value, list) and all(map(is_kind, value))) if items else is_kind(value)
-    if not ok:
-        expected = f"a list of {kind}s" if items else f"a JSON {kind}"
-        raise ConfigurationError(f"{where} must be {expected}, got {value!r}")
-    return value
-
-
-def _reject_unknown(obj: dict, allowed: set, where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) {sorted(unknown)} in {where}")
+    name = where or "config root"
+    if isinstance(kind, dict):
+        _check(value, "object", where)
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise ConfigurationError(f"unknown key(s) {sorted(unknown)} in {name}")
+        for key, item in value.items():
+            _check(item, kind[key], f"{where}.{key}" if where else key)
+    elif isinstance(kind, (list, tuple)):
+        _check(value, "list", where)
+        kinds = kind if isinstance(kind, tuple) else kind * len(value)
+        if len(kinds) != len(value):
+            raise ConfigurationError(f"{name} must be a list of {len(kinds)} items, got {value!r}")
+        for idx, (item_kind, item) in enumerate(zip(kinds, value)):
+            _check(item, item_kind, f"{where}[{idx}]")
+    elif (not isinstance(value, _KINDS[kind])
+          or kind in ("integer", "number") and isinstance(value, bool)
+          or kind == "number" and not abs(value) <= sys.float_info.max):
+        finite = "finite " if kind == "number" else ""
+        raise ConfigurationError(f"{name} must be a {finite}JSON {kind}, got {value!r}")
 
 
 def _checked_sweep(raw: dict):
     """The validated sweep block: (axis paths, axis value lists, seeds)."""
-    sweep = _typed(raw.get("sweep", {}), "object", "sweep")
-    _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
-    axes = _typed(sweep.get("axes", []), "object", "sweep.axes", items=True)
+    sweep = raw.get("sweep", {})
+    _check(sweep, _SCHEMA["sweep"], "sweep")
+    axes = sweep.get("axes", [])
     for idx, axis in enumerate(axes):
-        _reject_unknown(axis, _AXIS_KEYS, f"sweep.axes[{idx}]")
-    paths = [_typed(a.get("path"), "string", f"sweep.axes[{i}].path") for i, a in enumerate(axes)]
-    values = [_typed(a.get("values"), "list", f"sweep.axes[{i}].values") for i, a in enumerate(axes)]
-    for idx, axis_values in enumerate(values):
-        if not axis_values:
-            raise ConfigurationError(f"sweep.axes[{idx}].values must not be empty")
-    if "seeds" not in sweep:
-        return paths, values, [raw["seed"]]
-    seeds = _typed(sweep["seeds"], "integer", "sweep.seeds", items=True)
-    if not seeds:
-        raise ConfigurationError("sweep.seeds must not be empty")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigurationError(f"sweep.seeds repeats a seed: {seeds}")
-    return paths, values, seeds
+        if "path" not in axis or not axis.get("values"):
+            raise ConfigurationError(f"sweep.axes[{idx}] needs a path and a non-empty list of values")
+    seeds = sweep.get("seeds", [raw.get("seed")])
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigurationError(f"sweep.seeds must name one or more distinct seeds, got {seeds}")
+    return [a["path"] for a in axes], [a["values"] for a in axes], seeds
+
+
+def _cost_function(terms=()) -> CostFunction:
+    """One agent's cost from its [coefficient, [exponents]] terms."""
+    return CostFunction(coeffs=np.array([c for c, _ in terms], dtype=float),
+                        exponents=np.array([e for _, e in terms], dtype=int))
 
 
 def parse_config(raw: dict) -> SystemConfig:
     """Build a SystemConfig from a parsed JSON document (sweep block checked, not expanded)."""
-    _typed(raw, "object", "config root")
-    _reject_unknown(raw, _TOP_KEYS, "config root")
+    _check(raw, _SCHEMA)
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigurationError(
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
@@ -100,86 +112,38 @@ def parse_config(raw: dict) -> SystemConfig:
     for req in ("agents", "resources", "noise", "steps", "seed"):
         if req not in raw:
             raise ConfigurationError(f"missing required field '{req}'")
-
-    agents = []
-    for idx, a in enumerate(_typed(raw["agents"], "object", "agents", items=True)):
-        _reject_unknown(a, _AGENT_KEYS, f"agents[{idx}]")
-        terms = a.get("terms")
-        if not terms:
-            raise ConfigurationError(f"agents[{idx}].terms must be a non-empty list")
-        try:
-            coeffs = np.array([t[0] for t in terms], dtype=float)
-            exps = np.array([t[1] for t in terms], dtype=int)
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"agents[{idx}].terms must be [coefficient, [exponents]] pairs: {exc}") from exc
-        agents.append(CostFunction(coeffs=coeffs, exponents=exps))
-
-    resources = []
-    for idx, r in enumerate(_typed(raw["resources"], "object", "resources", items=True)):
-        _reject_unknown(r, _RESOURCE_KEYS, f"resources[{idx}]")
-        for key, value in r.items():
-            _typed(value, "number", f"resources[{idx}].{key}")
-        try:
-            resources.append(ResourceConfig(**r))
-        except (TypeError, ConfigurationError) as exc:
-            raise ConfigurationError(f"resources[{idx}]: {exc}") from exc
-
-    noise = []
-    for idx, nspec in enumerate(_typed(raw["noise"], "object", "noise", items=True)):
-        _reject_unknown(nspec, _NOISE_KEYS, f"noise[{idx}]")
-        for key in _NOISE_NUMBERS:
-            if key in nspec:
-                _typed(nspec[key], "number", f"noise[{idx}].{key}")
-        try:
-            noise.append(NoiseSpec(**nspec))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"noise[{idx}]: {exc}") from exc
-
-    agent_ids = raw.get("agent_ids")
     _checked_sweep(raw)
+    job = {key: raw[key] for key in _JOB if key in raw}
+    for key, build in (("agents", _cost_function), ("resources", ResourceConfig),
+                       ("noise", NoiseSpec)):
+        built = job[key] = list(job[key])
+        for idx, item in enumerate(built):
+            try:
+                built[idx] = build(**item)
+            except (TypeError, ValueError, OverflowError) as exc:   # Overflow: exponent > int64
+                raise ConfigurationError(f"{key}[{idx}]: {exc}") from exc
+    return SystemConfig(**job)
 
-    return SystemConfig(
-        agents=agents,
-        resources=resources,
-        noise=noise,
-        steps=_typed(raw["steps"], "integer", "steps"),
-        seed=_typed(raw["seed"], "integer", "seed"),
-        burn_in_events=_typed(raw.get("burn_in_events", 5), "integer", "burn_in_events"),
-        per_agent_sensitivity=_typed(raw.get("per_agent_sensitivity", False), "boolean",
-                                     "per_agent_sensitivity"),
-        agent_ids=None if agent_ids is None else _typed(agent_ids, "integer", "agent_ids", items=True),
-    )
+
+def _fields(obj) -> dict:
+    """A dataclass's fields that are set, an enum by its value."""
+    return {f.name: v.value if isinstance(v, Enum) else v
+            for f in dataclasses.fields(obj) if (v := getattr(obj, f.name)) is not None}
 
 
 def serialize_config(config: SystemConfig) -> dict:
     return {
+        **_fields(config),
         "schema_version": SCHEMA_VERSION,
         "agents": [
             {"terms": [[float(c), [int(e) for e in row]]
                        for c, row in zip(f.coeffs, f.exponents)]}
             for f in config.agents
         ],
-        "resources": [
-            {"capacity": r.capacity, "alpha": r.alpha, "beta": r.beta, "gamma": r.gamma}
-            for r in config.resources
-        ],
-        "noise": [_noise_to_dict(s) for s in config.noise],
-        "steps": config.steps,
-        "seed": config.seed,
-        "burn_in_events": config.burn_in_events,
-        "per_agent_sensitivity": config.per_agent_sensitivity,
+        "resources": [_fields(r) for r in config.resources],
+        "noise": [_fields(s) for s in config.noise],
         "agent_ids": list(config.agent_ids),
     }
-
-
-def _noise_to_dict(spec: NoiseSpec) -> dict:
-    d = {"kind": spec.kind.value, "scale_mode": spec.scale_mode.value}
-    for key in ("epsilon", "delta", "scale", "sensitivity"):
-        value = getattr(spec, key)
-        if value is not None:
-            d[key] = value
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +151,23 @@ def _noise_to_dict(spec: NoiseSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 def _apply_path(doc: dict, path: str, value):
-    """Set a dotted path like 'noise.0.scale' inside the raw config document."""
-    parts = path.split(".")
-    node = doc
-    leaf = parts[-1]
+    """Set a dotted path like 'noise.0.scale' inside a job's config document.
+
+    The path walks the job schema, so it reaches only fields a run reads;
+    every part but the last must also exist in ``doc``.
+    """
+    kind, keys, node = _JOB, [], doc
     try:
-        for part in parts[:-1]:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        if isinstance(node, list):
-            node[int(leaf)] = value
-            return
+        for part in path.split("."):
+            if isinstance(kind, str):           # a path below a number, string or flag
+                raise KeyError(part)
+            keys.append(part if isinstance(kind, dict) else int(part))
+            kind = kind[0] if isinstance(kind, list) else kind[keys[-1]]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
     except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"sweep path '{path}' does not exist") from exc
-    if not isinstance(node, dict):
-        raise ConfigurationError(f"sweep path '{path}' does not exist")
-    if leaf not in node and leaf not in _TOP_KEYS | _NOISE_KEYS | _RESOURCE_KEYS:
-        raise ConfigurationError(f"sweep path '{path}' targets unknown key '{leaf}'")
-    node[leaf] = value
+        raise ConfigurationError(f"sweep path '{path}' names no field of a job's config") from exc
 
 
 def expand_sweep(raw: dict):
@@ -292,14 +256,11 @@ def write_trace_csv(trace: engine.Trace, path: Path):
 
 
 def _problem_key(config: SystemConfig):
-    """What the baseline solver reads: the agents' terms and the capacities.
-
-    A capacity enters by its repr, so 5 and 5.0, which the solver would
-    carry in arrays of different dtypes, are two problems.
-    """
+    """What the baseline solver reads: the agents' terms and the capacities,
+    which it holds as floats (so 5 and 5.0 are one problem)."""
     terms = tuple((f.coeffs.tobytes(), f.exponents.tobytes(), f.exponents.shape)
                   for f in config.agents)
-    return terms, tuple(repr(r.capacity) for r in config.resources)
+    return terms, tuple(float(r.capacity) for r in config.resources)
 
 
 def _call(task):
@@ -319,6 +280,14 @@ def _job_map(jobs: int, n_jobs: int):
         yield lambda fn, items: list(map(fn, items))
 
 
+def _json_text(doc) -> str:
+    """``doc`` as strict JSON; a NaN or an infinity in it is a numeric abort."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"output holds a non-finite number: {exc}") from exc
+
+
 def _run_one(job):
     """Worker for one sweep point x seed, given the optimum and noise scales it
     shares with other jobs; returns its sweep_summary.csv row."""
@@ -329,19 +298,16 @@ def _run_one(job):
     sdoc["overrides"] = {k: overrides[k] for k in sorted(overrides)}
     tag = f"p{p_idx:03d}_s{config.seed}"
     out_path = Path(out_dir) / f"summary_{tag}.json"
-    out_path.write_text(json.dumps(sdoc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    out_path.write_text(_json_text(sdoc) + "\n", encoding="utf-8")
     if emit_trace:
         write_trace_csv(trace, Path(out_dir) / f"trace_{tag}.csv")
-    max_rel_err = None
-    if summary.abs_error is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = summary.abs_error / np.abs(optimum.x_star)
-        max_rel_err = float(np.nanmax(rel))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = summary.abs_error / np.abs(optimum.x_star)
     return {
         "tag": tag, "point": p_idx, "seed": config.seed,
         "overrides": json.dumps(sdoc["overrides"], sort_keys=True),
         "cost_ratio": summary.cost_ratio,
-        "max_rel_error": max_rel_err,
+        "max_rel_error": float(np.nanmax(rel)),
         "broadcast_bits_total": trace.broadcast_bits_total,
     }
 
@@ -355,7 +321,7 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _typed(raw, "object", "config root")
+        _check(raw, "object")
         if seed is not None:
             raw["seed"] = int(seed)
             if isinstance(raw.get("sweep"), dict):
@@ -399,14 +365,8 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     rows.sort(key=lambda r: (r["point"], r["seed"]))
-    table_path = out_dir / "sweep_summary.csv"
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["tag", "point", "seed", "overrides", "cost_ratio",
-                        "max_rel_error", "broadcast_bits_total"],
-            lineterminator="\n",
-        )
+    with open(out_dir / "sweep_summary.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     for row in rows:
@@ -468,10 +428,7 @@ def emit_reference_suite(out_dir) -> list[Path]:
     for name, noise in suite.items():
         config = reference_system_config(noise)
         path = out_dir / name
-        path.write_text(
-            json.dumps(serialize_config(config), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        path.write_text(_json_text(serialize_config(config)) + "\n", encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -485,14 +442,15 @@ def solve_command(config_path) -> int:
         return EXIT_CONFIG
     try:
         opt = baseline.solve_optimum(config.agents, config.resources)
+        text = _json_text({
+            "x_star": opt.x_star.tolist(),
+            "total_cost": opt.total_cost,
+            "kkt_residual": opt.kkt_residual,
+        })
     except RuntimeError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(json.dumps({
-        "x_star": opt.x_star.tolist(),
-        "total_cost": opt.total_cost,
-        "kkt_residual": opt.kkt_residual,
-    }, sort_keys=True, indent=2))
+    print(text)
     return EXIT_OK
 
 

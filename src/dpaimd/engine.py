@@ -147,10 +147,10 @@ def run(config: SystemConfig, scales: np.ndarray | None = None) -> Trace:
 def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
     n, m = config.n_agents, config.n_resources
     steps = config.steps
-    capacities = np.array([r.capacity for r in config.resources])
-    alpha = np.array([r.alpha for r in config.resources])
-    beta = np.array([r.beta for r in config.resources])
-    gamma = np.array([r.gamma for r in config.resources])
+    capacities = np.array([r.capacity for r in config.resources], dtype=float)
+    alpha = np.array([r.alpha for r in config.resources], dtype=float)
+    beta = np.array([r.beta for r in config.resources], dtype=float)
+    gamma = np.array([r.gamma for r in config.resources], dtype=float)
 
     batch = PolyBatch(config.agents)
     rngs = _agent_rngs(config)
@@ -163,13 +163,16 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
     xbar = np.zeros((n, m))
     x_sum = np.zeros((n, m))            # x(0) + x(1) + ... + x(nu + 1) after step nu
 
-    tr_x = np.empty((steps, n, m))
-    tr_xbar = np.empty((steps, n, m))
-    tr_bits = np.empty((steps, m), dtype=np.uint8)
-    tr_lam = np.full((steps, n, m), np.nan)
-    tr_nderiv = np.full((steps, n, m), np.nan)
-    tr_spread = np.full((steps, m), np.nan)
-    tr_dq = np.empty((steps, m))
+    try:
+        tr_x = np.empty((steps, n, m))
+        tr_xbar = np.empty((steps, n, m))
+        tr_bits = np.empty((steps, m), dtype=np.uint8)
+        tr_lam = np.full((steps, n, m), np.nan)
+        tr_nderiv = np.full((steps, n, m), np.nan)
+        tr_spread = np.full((steps, m), np.nan)
+        tr_dq = np.empty((steps, m))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"steps={steps} gives a trace numpy cannot allocate: {exc}") from exc
 
     for nu in range(steps):
         bits = server_step(capacities, x.sum(axis=0))

@@ -38,10 +38,10 @@ class CostFunction:
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
         exps = np.asarray(self.exponents, dtype=int)
-        if coeffs.ndim != 1 or exps.ndim != 2 or exps.shape[0] != coeffs.shape[0]:
-            raise ConfigurationError("cost terms malformed: need (T,) coeffs and (T, m) exponents")
         if coeffs.size == 0:
             raise ConfigurationError("cost function needs at least one term")
+        if coeffs.ndim != 1 or exps.ndim != 2 or exps.shape[0] != coeffs.shape[0]:
+            raise ConfigurationError("cost terms malformed: need (T,) coeffs and (T, m) exponents")
         if np.any(coeffs <= 0):
             raise ConfigurationError("every cost coefficient must be > 0")
         if np.any(exps < 0):

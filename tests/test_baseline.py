@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpaimd import baseline
 from dpaimd.baseline import (
     kkt_residual,
     project_simplex,
@@ -109,6 +110,25 @@ class TestSolver:
         assert np.allclose(optimum.x_star.sum(axis=0), caps, atol=1e-9)
         assert optimum.kkt_residual <= 1e-6
         assert (optimum.x_star >= 0).all()
+
+    @pytest.mark.parametrize("costs,capacity", [
+        ([power_cost(1e308, 2), power_cost(1.0, 2)], 1.0),     # curvature bound overflows
+        ([power_cost(1.0, 2), power_cost(2.0, 2)], 1e308),     # gradient step overflows
+    ], ids=["coefficient-1e308", "capacity-1e308"])
+    def test_overflow_raises(self, costs, capacity):
+        with pytest.raises(RuntimeError, match="finite"):
+            solve_optimum(costs, res(capacity))
+
+    def test_fixed_point_short_of_tolerance_fails_at_once(self, monkeypatch):
+        # at capacity 1e15 the partials' rounding error (~0.25) exceeds the
+        # tolerance, and the iterate stops moving within a few dozen steps
+        calls = []
+        project = baseline.project_simplex
+        monkeypatch.setattr(baseline, "project_simplex",
+                            lambda v, total: calls.append(1) or project(v, total))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            solve_optimum([power_cost(1.0, 2), power_cost(2.0, 2)], res(1e15))
+        assert len(calls) <= 101        # the full budget is 500,000 iterations
 
     def test_resources_decouple(self):
         # solving two resources jointly equals solving each alone

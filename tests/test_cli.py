@@ -1,7 +1,17 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpaimd import baseline, cli, engine, metrics
 from dpaimd.model import ConfigurationError, NumericError, ResourceConfig, SystemConfig
@@ -218,14 +228,51 @@ class TestRunCommand:
             "sweep-values-empty", "noise-scale-bool", "resource-beta-bool",
             "resource-capacity-bool"])
     def test_config_errors_exit_2(self, tmp_path, capsys, mutate, extra_args):
+        out_args = ["--out", str(tmp_path / "out"), *extra_args]
+        assert self.run_mutated_suite_config(tmp_path, mutate, out_args) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
+    def run_mutated_suite_config(self, tmp_path, mutate, args):
         suite = {p.name: p for p in cli.emit_reference_suite(tmp_path / "suite")}
         doc = json.loads(suite["laplace_base.json"].read_text())
         doc["steps"] = 50       # too short for any capacity event
         path = self.write(tmp_path, mutate(doc) or doc)
-        args = ["run", "--config", str(path), "--out", str(tmp_path / "out"), *extra_args]
-        assert cli.main(args) == 2
+        return cli.main(["run", "--config", str(path), *args])
+
+    # inputs that once ended in a traceback or silently ran another experiment
+    @pytest.mark.parametrize("mutate,code", [
+        (lambda d: d["resources"][0].update(capacity=math.inf), 2),
+        (lambda d: d["resources"][0].update(capacity=10**200), 3),
+        (lambda d: d["agents"][0]["terms"][0].__setitem__(0, math.inf), 2),
+        (lambda d: d["agents"][0]["terms"][0].__setitem__(0, math.nan), 2),
+        (lambda d: d["agents"][0]["terms"][0].__setitem__(0, 1e308), 3),
+        (lambda d: d.update(steps=10**30), 2),
+        (lambda d: d.update(steps=2**62), 2),
+        (lambda d: d.update(output_dir=3), 2),
+        (lambda d: d["agents"][0]["terms"][0].__setitem__(1, [2.5, 0]), 2),
+        (lambda d: d["agents"][0]["terms"][0].__setitem__(1, [True, 0]), 2),
+        (lambda d: d["agents"][0]["terms"][0].__setitem__(0, "1"), 2),
+        (lambda d: d["agents"][0]["terms"][0].append(5), 2),
+        (lambda d: d["noise"][0].update(scale=math.inf), 2),
+        (lambda d: d["resources"][0].update(gamma=math.inf), 2),
+        (lambda d: d["noise"][0].update(sensitivity=math.inf), 2),
+        (lambda d: d["noise"][0].update(epsilon=math.nan), 2),
+        (lambda d: d.update(sweep={"axes": [{"path": "output_dir", "values": ["a", "b"]}]}), 2),
+        (lambda d: d.update(sweep={"axes": [{"path": "sweep", "values": [{}]}]}), 2),
+        (lambda d: d.update(steps=300, noise=[{"kind": "laplace", "scale_mode": "calibrated",
+                                               "epsilon": 5e-324}] * 2), 3),
+    ], ids=["capacity-inf", "capacity-int-1e200", "coefficient-inf", "coefficient-nan",
+            "coefficient-1e308", "steps-1e30", "steps-2-62", "output-dir-number",
+            "exponent-fraction", "exponent-bool", "coefficient-string", "term-three-items",
+            "scale-inf", "gamma-inf", "sensitivity-inf", "epsilon-nan", "sweep-axis-output-dir",
+            "sweep-axis-sweep", "calibrated-scale-inf"])
+    def test_malformed_inputs_exit_2_or_3(self, tmp_path, capsys, monkeypatch, mutate, code):
+        monkeypatch.chdir(tmp_path)     # no --out: output_dir, if it were used, is relative
+        assert self.run_mutated_suite_config(tmp_path, mutate, []) == code
         err = capsys.readouterr().err
-        assert "config error:" in err and "Traceback" not in err
+        assert ("config error:" if code == 2 else "numeric abort") in err
+        assert "Traceback" not in err
 
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch):
         def boom(config, scales=None):
@@ -357,3 +404,110 @@ class TestSuiteAndSolve:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["solve", "--config", str(path)]) == 2
         assert "config error: steps must be a JSON integer" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed exit codes
+# ---------------------------------------------------------------------------
+
+# Extreme numbers only at sizes a run refuses at once: a step count of 10**30
+# or 2**62 fails its first allocation, and no other field sets a loop length.
+EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0, -1, 10**30, 2**62]
+OTHER_KINDS = [True, None, "1", 1, 1.5, [], [1], {}, {"a": 1}]
+
+
+# paths that name no job field, or nothing at all
+ODD_PATHS = [("output_dir",), ("sweep", "seeds"), ("schema_version",), ("noise", 9, "scale"),
+             ("steps", "x"), ("",)]
+
+
+@functools.cache
+def fuzz_bases():
+    """small_doc() and the four suite configs, each at 50 steps."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bases = {p.stem: json.loads(p.read_text()) for p in cli.emit_reference_suite(tmp)}
+    bases["small"] = small_doc()
+    for doc in bases.values():
+        doc["steps"] = 50
+    return bases
+
+
+def doc_paths(node, prefix=()):
+    """Every path into ``node``, as a tuple of keys and indices."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from doc_paths(child, prefix + (key,))
+
+
+def mutate(data, doc):
+    """Apply one random mutation to ``doc`` in place."""
+    paths = list(doc_paths(doc))
+    *parents, leaf = data.draw(st.sampled_from(paths))
+    node = doc
+    for key in parents:
+        node = node[key]
+    how = data.draw(st.sampled_from(["delete", "kind", "extreme", "wrap", "unwrap", "sweep"]))
+    if how == "delete":
+        del node[leaf]
+    elif how == "kind":
+        node[leaf] = copy.deepcopy(data.draw(st.sampled_from(OTHER_KINDS)))
+    elif how == "extreme":
+        node[leaf] = data.draw(st.sampled_from(EXTREMES))
+    elif how == "wrap":
+        node[leaf] = [node[leaf]]
+    elif how == "unwrap":
+        value = node[leaf]
+        node[leaf] = (value[0] if value else value) if isinstance(value, list) else value
+    else:
+        axis_path = data.draw(st.sampled_from(paths) | st.sampled_from(ODD_PATHS))
+        values = st.sampled_from([doc_value(doc, axis_path), *EXTREMES, *OTHER_KINDS])
+        axis_values = copy.deepcopy(data.draw(st.lists(values, min_size=1, max_size=2)))
+        doc["sweep"] = {"axes": [{"path": ".".join(map(str, axis_path)), "values": axis_values}],
+                        "seeds": data.draw(st.sampled_from([[1], [1, 2]]))}
+
+
+def doc_value(doc, path):
+    """The value at ``path`` in ``doc``; None where it is absent."""
+    for key in path:
+        try:
+            doc = doc[key]
+        except (IndexError, KeyError, TypeError):
+            return None
+    return doc
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# A cost that ignores a resource, or nearly so (a deleted term, a 5e-324
+# coefficient), leaves the optimum on a flat face where projected gradient
+# crawls: the full 500,000 iterations take about 35 s before the exit-3 abort.
+# The fuzz cases stop at 20,000, three times what an undamaged suite config needs.
+CAPPED_SOLVE = functools.partial(baseline.solve_optimum, max_iter=20_000)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_fuzzed_configs_exit_0_2_or_3(data):
+    bases = fuzz_bases()
+    doc = copy.deepcopy(bases[data.draw(st.sampled_from(sorted(bases)))])
+    for _ in range(data.draw(st.integers(1, 2))):
+        mutate(data, doc)
+    command = data.draw(st.sampled_from(["run", "solve"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["--out", str(out)] if command == "run" else []
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), \
+                mock.patch.object(baseline, "solve_optimum", CAPPED_SOLVE):
+            code = cli.main([command, "--config", str(path), *args])
+        assert code in (0, 2, 3)
+        if code == 0:
+            texts = [p.read_text() for p in out.glob("*.json")] if command == "run" \
+                else [stdout.getvalue()]
+            for text in texts:
+                json.loads(text, parse_constant=reject_constant)
