@@ -15,6 +15,8 @@ import numpy as np
 
 from .model import ConfigurationError, PolyBatch
 
+ACTIVE_TOL = 1e-6   # an agent at or below this share of a resource sits on its boundary
+
 
 @dataclass(frozen=True)
 class OptimalAllocation:
@@ -35,13 +37,12 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def kkt_residual(batch: PolyBatch, x: np.ndarray, capacities: np.ndarray,
-                 active_tol: float = 1e-6) -> float:
+def kkt_residual(batch: PolyBatch, x: np.ndarray, capacities: np.ndarray) -> float:
     """Max per-resource spread of partials over active agents plus feasibility gap."""
     grads = batch.gradient(x)
     residual = 0.0
     for j in range(x.shape[1]):
-        active = x[:, j] > active_tol
+        active = x[:, j] > ACTIVE_TOL
         if active.any():
             g = grads[active, j]
             residual = max(residual, float(g.max() - g.min()))
@@ -83,7 +84,7 @@ def solve_optimum(costs, resources, tol: float = 1e-7, max_iter: int = 500_000) 
             f"baseline solver did not converge: KKT residual {residual:.3e} > 1e-6"
         )
     boundary = tuple(
-        (i, j) for i in range(n) for j in range(m) if x[i, j] <= 1e-6
+        (i, j) for i in range(n) for j in range(m) if x[i, j] <= ACTIVE_TOL
     )
     return OptimalAllocation(
         x_star=x, total_cost=float(batch.value(x).sum()),

@@ -235,7 +235,8 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
 def write_trace_csv(trace: engine.Trace, path: Path):
     """Full per-step trace, one row per (step, agent, resource), 17 sig digits."""
     fmt = lambda v: "" if v is None or (isinstance(v, float) and np.isnan(v)) else f"{v:.17g}"
-    cum_bits = trace.cum_bits           # derived from the event bits on each read
+    # a derived view is recomputed on each read: read each once, lambda-hat first (lower peak)
+    lambda_hat, xbar, cum_bits = trace.lambda_hat, trace.xbar, trace.cum_bits
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "agent", "resource", "x", "xbar", "event_bit",
@@ -246,9 +247,9 @@ def write_trace_csv(trace: engine.Trace, path: Path):
                     writer.writerow([
                         nu, i, j,
                         fmt(float(trace.x[nu, i, j])),
-                        fmt(float(trace.xbar[nu, i, j])),
+                        fmt(float(xbar[nu, i, j])),
                         int(trace.event_bits[nu, j]),
-                        fmt(float(trace.lambda_hat[nu, i, j])),
+                        fmt(float(lambda_hat[nu, i, j])),
                         fmt(float(trace.noisy_derivative[nu, i, j])),
                         fmt(float(trace.sensitivity[nu, j])),
                         int(cum_bits[nu]),

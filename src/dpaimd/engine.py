@@ -50,16 +50,29 @@ def multiplicative_decrease(x, lam, beta):
 
 @dataclass
 class Trace:
-    """Struct-of-arrays record of a full run; every bit count derives from the event bits."""
+    """Struct-of-arrays record of a full run, each fact stored once.
+
+    x-bar, lambda-hat and the bit counts are derived on each read, bit for bit
+    the values the engine used.
+    """
 
     x: np.ndarray                   # (steps, n, m)
-    xbar: np.ndarray                # (steps, n, m), after the step's update
     event_bits: np.ndarray          # (steps, m) uint8
-    lambda_hat: np.ndarray          # (steps, n, m), NaN off-event
     noisy_derivative: np.ndarray    # (steps, n, m), NaN off-event
     partial_spread: np.ndarray      # (steps, m) max - min of noiseless partials, NaN off-event
     sensitivity: np.ndarray         # (steps, m) running max dq
     noise_scales: np.ndarray        # (m,) scales actually used (0 where none)
+    gamma: np.ndarray               # (m,) back-off normalization per resource
+
+    @property
+    def xbar(self) -> np.ndarray:               # (steps, n, m), after the step's update
+        xbar = np.cumsum(self.x, axis=0)
+        return np.divide(xbar, np.arange(2, self.steps + 2)[:, None, None], out=xbar)
+
+    @property
+    def lambda_hat(self) -> np.ndarray:         # (steps, n, m), NaN off-event
+        prev = np.concatenate([np.zeros_like(self.x[:1]), self.xbar[:-1]])   # x-bar used
+        return compute_lambda_hat(self.gamma, self.noisy_derivative, 0.0, prev)
 
     @property
     def event_counts(self) -> np.ndarray:       # (m,) events K_j per resource
@@ -165,9 +178,7 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
 
     try:
         tr_x = np.empty((steps, n, m))
-        tr_xbar = np.empty((steps, n, m))
         tr_bits = np.empty((steps, m), dtype=np.uint8)
-        tr_lam = np.full((steps, n, m), np.nan)
         tr_nderiv = np.full((steps, n, m), np.nan)
         tr_spread = np.full((steps, m), np.nan)
         tr_dq = np.empty((steps, m))
@@ -187,7 +198,6 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
                 d = sample_noise(config.noise[j].kind, scales[j], rngs)
                 tr_nderiv[nu, :, j] = grads[:, j] + d
                 lam = compute_lambda_hat(gamma[j], grads[:, j], d, xbar[:, j])
-                tr_lam[nu, :, j] = lam
                 x[:, j] = multiplicative_decrease(x[:, j], lam, beta[j])
         grow = bits == 0
         if grow.any():
@@ -198,12 +208,10 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
         x_sum += x
         np.divide(x_sum, nu + 2, out=xbar)
         tr_x[nu] = x
-        tr_xbar[nu] = xbar
         tr_bits[nu] = bits
         tr_dq[nu] = tracker.running_max.max(axis=0) if config.per_agent_sensitivity else tracker.running_max
 
     return Trace(
-        x=tr_x, xbar=tr_xbar, event_bits=tr_bits, lambda_hat=tr_lam,
-        noisy_derivative=tr_nderiv, partial_spread=tr_spread, sensitivity=tr_dq,
-        noise_scales=scales.copy(),
+        x=tr_x, event_bits=tr_bits, noisy_derivative=tr_nderiv, partial_spread=tr_spread,
+        sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
     )

@@ -55,35 +55,27 @@ class CostFunction:
     def n_resources(self) -> int:
         return self.exponents.shape[1]
 
-    def _check_point(self, x) -> np.ndarray:
+    def _evaluate(self, method: str, x, *j) -> float | np.ndarray:
+        """One ``PolyBatch`` method on this cost alone (last axis of x indexes resources)."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_resources:
-            raise ConfigurationError(
-                f"point has {x.shape[-1]} components, cost function expects {self.n_resources}"
-            )
-        return x
-
-    def _derivative(self, x, j: int, order: int) -> float | np.ndarray:
-        if not 0 <= j < self.n_resources:
-            raise ConfigurationError(f"resource index {j} out of range")
-        terms = _differentiate(self.coeffs, self.exponents, j, order)
-        return _scalar_or_array(_sum_terms(self._check_point(x), *terms))
+            raise ConfigurationError(f"point has {x.shape[-1]} components, not {self.n_resources}")
+        if j and not 0 <= j[0] < self.n_resources:
+            raise ConfigurationError(f"resource index {j[0]} out of range")
+        out = getattr(PolyBatch([self]), method)(x[..., None, :], *j)[..., 0]
+        return float(out) if out.ndim == 0 else out
 
     def value(self, x) -> float | np.ndarray:
         """Evaluate the cost at x (last axis indexes resources; batching allowed)."""
-        return _scalar_or_array(_sum_terms(self._check_point(x), self.coeffs, self.exponents))
+        return self._evaluate("value", x)
 
     def partial(self, x, j: int) -> float | np.ndarray:
         """Analytic partial derivative with respect to resource j."""
-        return self._derivative(x, j, 1)
+        return self._evaluate("partial", x, j)
 
     def second_partial(self, x, j: int) -> float | np.ndarray:
         """d^2 f / dx_j^2."""
-        return self._derivative(x, j, 2)
-
-
-def _scalar_or_array(out: np.ndarray) -> float | np.ndarray:
-    return float(out) if out.ndim == 0 else out
+        return self._evaluate("second_partial", x, j)
 
 
 def _differentiate(coeffs: np.ndarray, exponents: np.ndarray, j: int, order: int):

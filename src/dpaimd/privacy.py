@@ -106,7 +106,7 @@ class SensitivityTracker:
     events_seen: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.last_derivative = np.full((self.n_agents, self.n_resources), np.nan)
+        self.last_derivative = np.zeros((self.n_agents, self.n_resources))
         shape = (self.n_agents, self.n_resources) if self.per_agent else (self.n_resources,)
         self.running_max = np.zeros(shape)
         self.events_seen = np.zeros(self.n_resources, dtype=int)
@@ -124,15 +124,13 @@ class SensitivityTracker:
         if not np.isfinite(derivatives).all() or (derivatives < 0).any():
             raise NumericError(f"non-finite or negative derivative for resource {j}")
         self.events_seen[j] += 1
-        prev = self.last_derivative[:, j]
-        if self.events_seen[j] >= self.burn_in_events:
-            seen = ~np.isnan(prev)
-            if seen.any():
-                diffs = np.where(seen, np.abs(derivatives - prev), 0.0)
-                if self.per_agent:
-                    self.running_max[:, j] = np.maximum(self.running_max[:, j], diffs)
-                else:
-                    self.running_max[j] = max(self.running_max[j], float(diffs.max()))
+        # all agents are fed together, so a second event means every agent has a previous one
+        if self.events_seen[j] >= max(self.burn_in_events, 2):
+            diffs = np.abs(derivatives - self.last_derivative[:, j])
+            if self.per_agent:
+                self.running_max[:, j] = np.maximum(self.running_max[:, j], diffs)
+            else:
+                self.running_max[j] = max(self.running_max[j], float(diffs.max()))
         self.last_derivative[:, j] = derivatives
         return self.current(j)
 

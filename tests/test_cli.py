@@ -18,6 +18,8 @@ from dpaimd.model import ConfigurationError, NumericError, ResourceConfig, Syste
 from dpaimd.model import CostFunction, quad_quartic_cost, quadratic_cost, quartic_cost
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
 
+OVERFLOW_WARNING = "ignore:overflow encountered:RuntimeWarning"     # the exit-3 cases overflow
+
 
 def small_config(steps=60, seed=4):
     return SystemConfig(
@@ -243,10 +245,12 @@ class TestRunCommand:
     # inputs that once ended in a traceback or silently ran another experiment
     @pytest.mark.parametrize("mutate,code", [
         (lambda d: d["resources"][0].update(capacity=math.inf), 2),
-        (lambda d: d["resources"][0].update(capacity=10**200), 3),
+        pytest.param(lambda d: d["resources"][0].update(capacity=10**200), 3,
+                     marks=pytest.mark.filterwarnings(OVERFLOW_WARNING)),
         (lambda d: d["agents"][0]["terms"][0].__setitem__(0, math.inf), 2),
         (lambda d: d["agents"][0]["terms"][0].__setitem__(0, math.nan), 2),
-        (lambda d: d["agents"][0]["terms"][0].__setitem__(0, 1e308), 3),
+        pytest.param(lambda d: d["agents"][0]["terms"][0].__setitem__(0, 1e308), 3,
+                     marks=pytest.mark.filterwarnings(OVERFLOW_WARNING)),
         (lambda d: d.update(steps=10**30), 2),
         (lambda d: d.update(steps=2**62), 2),
         (lambda d: d.update(output_dir=3), 2),

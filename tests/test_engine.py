@@ -163,6 +163,13 @@ class TestRunBehaviour:
         assert np.array_equal(b.x[:, [1, 0], :], a.x)
         assert np.array_equal(b.xbar[:, [1, 0], :], a.xbar)
 
+    def test_trace_stores_only_x_and_noisy_derivative_per_agent(self, short_reference_run):
+        """x-bar and lambda-hat are views derived from these two, not stored copies."""
+        _, trace, _ = short_reference_run
+        stored = {name for name, value in vars(trace).items()
+                  if isinstance(value, np.ndarray) and value.shape == trace.x.shape}
+        assert stored == {"x", "noisy_derivative"}
+
     def test_aggregate_overshoot_bounded(self, short_reference_run):
         config, trace, _ = short_reference_run
         agg = trace.x.sum(axis=1)                       # (steps, m)

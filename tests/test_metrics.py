@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import dpaimd
 from dpaimd.cli import reference_system_config
+from dpaimd.engine import multiplicative_decrease
 from dpaimd.metrics import (
     cost_ratio,
     derivative_spread,
@@ -127,13 +128,26 @@ def wide_config(steps):
     )
 
 
+def assert_backoff_replays_lambda_hat(config, trace):
+    """At every event, the derived lambda-hat backs x off to the demand the engine reached."""
+    lambda_hat = trace.lambda_hat
+    for j, r in enumerate(config.resources):
+        steps_j = np.nonzero(trace.event_bits[:, j])[0]
+        replay = multiplicative_decrease(trace.x[steps_j - 1, :, j], lambda_hat[steps_j, :, j],
+                                         r.beta)
+        assert np.array_equal(replay, trace.x[steps_j, :, j])
+
+
+noisy_reference_runs = pytest.mark.parametrize("noise", [
+    noisy_pair(NoiseKind.GAUSSIAN, 20.50, 39.31),
+    noisy_pair(NoiseKind.LAPLACE, 59.0, 63.4),
+], ids=["gaussian", "laplace"])
+
+
 class TestRecordedSpreadMatchesKernel:
     """The spread the engine records equals a fresh kernel pass, bit for bit."""
 
-    @pytest.mark.parametrize("noise", [
-        noisy_pair(NoiseKind.GAUSSIAN, 20.50, 39.31),
-        noisy_pair(NoiseKind.LAPLACE, 59.0, 63.4),
-    ], ids=["gaussian", "laplace"])
+    @noisy_reference_runs
     def test_noisy_reference_runs(self, noise):
         config = reference_system_config(noise, seed=20230601, steps=3_000)
         assert_spread_matches_kernel(config, dpaimd.run(config))
@@ -174,6 +188,18 @@ def small_configs(draw):
 @settings(max_examples=40, deadline=None)
 def test_recorded_spread_matches_kernel_on_random_configs(config):
     assert_spread_matches_kernel(config, dpaimd.run(config))
+
+
+@noisy_reference_runs
+def test_recorded_backoff_replays_on_reference_runs(noise):
+    config = reference_system_config(noise, seed=20230601, steps=3_000)
+    assert_backoff_replays_lambda_hat(config, dpaimd.run(config))
+
+
+@given(small_configs())
+@settings(max_examples=40, deadline=None)
+def test_recorded_backoff_replays_on_random_configs(config):
+    assert_backoff_replays_lambda_hat(config, dpaimd.run(config))
 
 
 class TestCommCost:
