@@ -41,13 +41,14 @@ _JOB = {
     "steps": "integer",
     "seed": "integer",
     "burn_in_events": "integer",
-    "per_agent_sensitivity": "boolean",
     "agent_ids": ["integer"],
 }
 _SCHEMA = {
     **_JOB,
     "schema_version": "integer",
     "output_dir": "string",
+    # dropped: one noise scale per resource needs only the max over agents
+    "per_agent_sensitivity": "boolean",
     "sweep": {"axes": [{"path": "string", "values": "list"}], "seeds": ["integer"]},
 }
 _KINDS = {"integer": int, "number": (int, float), "boolean": bool, "string": str,
@@ -191,16 +192,16 @@ def expand_sweep(raw: dict):
 # Output emission
 # ---------------------------------------------------------------------------
 
-def _downsample(series: np.ndarray, limit: int = MAX_SERIES_POINTS):
-    if series.shape[0] <= limit:
+def _downsample(series: np.ndarray):
+    if series.shape[0] <= MAX_SERIES_POINTS:
         idx = np.arange(series.shape[0])
     else:
-        idx = np.unique(np.linspace(0, series.shape[0] - 1, limit).astype(int))
+        idx = np.unique(np.linspace(0, series.shape[0] - 1, MAX_SERIES_POINTS).astype(int))
     return idx, series[idx]
 
 
 def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
-                    optimum: baseline.OptimalAllocation | None) -> dict:
+                    optimum: baseline.OptimalAllocation) -> dict:
     trace = summary.trace
     bits_idx, bits = _downsample(trace.cum_bits)
     sens_idx, sens = _downsample(trace.sensitivity)
@@ -211,12 +212,12 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
             "event_steps": steps_j[s_idx].tolist(),
             "spread": s_val.tolist(),
         }
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "seed": config.seed,
         "steps": config.steps,
         "final_xbar": summary.final_xbar.tolist(),
-        "abs_error": summary.abs_error.tolist() if summary.abs_error is not None else None,
+        "abs_error": summary.abs_error.tolist(),
         "cost_ratio": summary.cost_ratio,
         "event_counts": trace.event_counts.tolist(),
         "broadcast_bits_total": trace.broadcast_bits_total,
@@ -224,17 +225,15 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
         "comm_bits": {"steps": bits_idx.tolist(), "values": bits.tolist()},
         "sensitivity": {"steps": sens_idx.tolist(), "values": sens.tolist()},
         "derivative_spread": spread,
+        "x_star": optimum.x_star.tolist(),
+        "optimal_total_cost": optimum.total_cost,
+        "kkt_residual": optimum.kkt_residual,
     }
-    if optimum is not None:
-        doc["x_star"] = optimum.x_star.tolist()
-        doc["optimal_total_cost"] = optimum.total_cost
-        doc["kkt_residual"] = optimum.kkt_residual
-    return doc
 
 
 def write_trace_csv(trace: engine.Trace, path: Path):
     """Full per-step trace, one row per (step, agent, resource), 17 sig digits."""
-    fmt = lambda v: "" if v is None or (isinstance(v, float) and np.isnan(v)) else f"{v:.17g}"
+    fmt = lambda v: "" if np.isnan(v) else f"{v:.17g}"
     # a derived view is recomputed on each read: read each once, lambda-hat first (lower peak)
     lambda_hat, xbar, cum_bits = trace.lambda_hat, trace.xbar, trace.cum_bits
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -313,30 +312,33 @@ def _run_one(job):
     }
 
 
+def _load(config_path) -> dict:
+    """The JSON document in the config file; undecodable text is a config error."""
+    try:
+        return json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
 def run_experiment(config_path, seed=None, steps=None, jobs=1,
                    emit_trace=False, out=None) -> int:
-    """Run the config (with optional sweep); returns a process exit code."""
-    try:
-        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        _check(raw, "object")
-        if seed is not None:
-            raw["seed"] = int(seed)
-            if isinstance(raw.get("sweep"), dict):
-                raw["sweep"].pop("seeds", None)
-        if steps is not None:
-            raw["steps"] = int(steps)
-        parse_config(raw)  # validate before expanding
-        work = expand_sweep(raw)
-        configs = [parse_config(doc) for _, _, doc, _ in work]   # before any job starts
-        out_dir = Path(out) if out else Path(raw.get("output_dir", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    """Run the config (with optional sweep) and return EXIT_OK; ``main`` maps
+    what it raises to an exit code."""
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+    raw = _load(config_path)
+    _check(raw, "object")
+    if seed is not None:
+        raw["seed"] = int(seed)
+        if isinstance(raw.get("sweep"), dict):
+            raw["sweep"].pop("seeds", None)
+    if steps is not None:
+        raw["steps"] = int(steps)
+    parse_config(raw)  # validate before expanding
+    work = expand_sweep(raw)
+    configs = [parse_config(doc) for _, _, doc, _ in work]   # before any job starts
+    out_dir = Path(out) if out else Path(raw.get("output_dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
     print(f"sweep cross-product: {len(work)} run(s)")
     # What jobs share is computed once: the optimum per distinct problem, and
     # the noise scales per sweep point (its jobs differ only in the seed, which
@@ -348,23 +350,13 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
         points.setdefault(p_idx, config)
     shared = [(baseline.solve_optimum, (c.agents, c.resources)) for c in problems.values()]
     shared += [(engine.resolve_noise_scales, (c,)) for c in points.values()]
-    try:
-        with _job_map(jobs, len(work)) as job_map:
-            results = job_map(_call, shared)
-            optima = dict(zip(problems, results))
-            scales = dict(zip(points, results[len(problems):]))
-            rows = job_map(_run_one, [
-                (p_idx, overrides, config, optima[key], scales[p_idx], emit_trace, str(out_dir))
-                for (p_idx, overrides, _, _), key, config in zip(work, keys, configs)])
-    except ConfigurationError as exc:     # e.g. calibration that saw no events
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"numeric abort at step {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RuntimeError as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    with _job_map(jobs, len(work)) as job_map:
+        results = job_map(_call, shared)
+        optima = dict(zip(problems, results))
+        scales = dict(zip(points, results[len(problems):]))
+        rows = job_map(_run_one, [
+            (p_idx, overrides, config, optima[key], scales[p_idx], emit_trace, str(out_dir))
+            for (p_idx, overrides, _, _), key, config in zip(work, keys, configs)])
     rows.sort(key=lambda r: (r["point"], r["seed"]))
     with open(out_dir / "sweep_summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
@@ -435,23 +427,13 @@ def emit_reference_suite(out_dir) -> list[Path]:
 
 
 def solve_command(config_path) -> int:
-    try:
-        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        config = parse_config(raw)
-    except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        opt = baseline.solve_optimum(config.agents, config.resources)
-        text = _json_text({
-            "x_star": opt.x_star.tolist(),
-            "total_cost": opt.total_cost,
-            "kkt_residual": opt.kkt_residual,
-        })
-    except RuntimeError as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    print(text)
+    config = parse_config(_load(config_path))
+    opt = baseline.solve_optimum(config.agents, config.resources)
+    print(_json_text({
+        "x_star": opt.x_star.tolist(),
+        "total_cost": opt.total_cost,
+        "kkt_residual": opt.kkt_residual,
+    }))
     return EXIT_OK
 
 
@@ -475,14 +457,25 @@ def main(argv=None) -> int:
     p_solve.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_experiment(args.config, seed=args.seed, steps=args.steps,
-                              jobs=args.jobs, emit_trace=args.emit_trace, out=args.out)
-    if args.command == "paper-suite":
-        for path in emit_reference_suite(args.out):
-            print(path)
-        return EXIT_OK
-    return solve_command(args.config)
+    try:
+        if args.command == "run":
+            return run_experiment(args.config, seed=args.seed, steps=args.steps,
+                                  jobs=args.jobs, emit_trace=args.emit_trace, out=args.out)
+        if args.command == "paper-suite":
+            for path in emit_reference_suite(args.out):
+                print(path)
+            return EXIT_OK
+        return solve_command(args.config)
+    # RecursionError (input nested too deep) is a RuntimeError, so it comes first
+    except (ConfigurationError, OSError, RecursionError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericError as exc:
+        print(f"numeric abort at step {exc.step}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except RuntimeError as exc:
+        print(f"numeric abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

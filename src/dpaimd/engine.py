@@ -167,10 +167,7 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
 
     batch = PolyBatch(config.agents)
     rngs = _agent_rngs(config)
-    tracker = SensitivityTracker(
-        n_agents=n, n_resources=m, burn_in_events=config.burn_in_events,
-        per_agent=config.per_agent_sensitivity,
-    )
+    tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
 
     x = np.zeros((n, m))
     xbar = np.zeros((n, m))
@@ -209,7 +206,7 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
         np.divide(x_sum, nu + 2, out=xbar)
         tr_x[nu] = x
         tr_bits[nu] = bits
-        tr_dq[nu] = tracker.running_max.max(axis=0) if config.per_agent_sensitivity else tracker.running_max
+        tr_dq[nu] = tracker.running_max
 
     return Trace(
         x=tr_x, event_bits=tr_bits, noisy_derivative=tr_nderiv, partial_spread=tr_spread,

@@ -21,7 +21,7 @@ from .model import PolyBatch
 class RunSummary:
     trace: Trace                            # bits, sensitivity and noise scales are read here
     final_xbar: np.ndarray                  # (n, m)
-    abs_error: np.ndarray | None            # (n, m) |xbar - x*|, None without a baseline
+    abs_error: np.ndarray                   # (n, m) |xbar - x*|
     cost_ratio: float | None                # None when some resource saw no event
     derivative_spread: dict                 # resource -> (event_steps, spread)
 
@@ -52,30 +52,12 @@ def derivative_spread(trace: Trace) -> dict:
     return out
 
 
-def linear_fit_r2(series: np.ndarray) -> float:
-    """R^2 of a straight-line fit of a series against its step index."""
-    steps = np.arange(series.shape[0], dtype=float)
-    y = series.astype(float)
-    if y.size < 2 or np.allclose(y, y[0]):
-        return 1.0
-    slope, intercept = np.polyfit(steps, y, 1)
-    resid = y - (slope * steps + intercept)
-    ss_res = float((resid ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    return 1.0 - ss_res / ss_tot
-
-
-def summarize(trace: Trace, costs: list, optimum: OptimalAllocation | None = None) -> RunSummary:
+def summarize(trace: Trace, costs: list, optimum: OptimalAllocation) -> RunSummary:
     final_xbar = trace.xbar[-1].copy() if trace.steps else np.zeros((trace.n_agents, trace.n_resources))
-    abs_error = None
-    ratio = None
-    if optimum is not None:
-        abs_error = np.abs(final_xbar - optimum.x_star)
-        ratio = cost_ratio(trace, costs, optimum)
     return RunSummary(
         trace=trace,
         final_xbar=final_xbar,
-        abs_error=abs_error,
-        cost_ratio=ratio,
+        abs_error=np.abs(final_xbar - optimum.x_star),
+        cost_ratio=cost_ratio(trace, costs, optimum),
         derivative_spread=derivative_spread(trace),
     )

@@ -168,7 +168,6 @@ class SystemConfig:
     steps: int
     seed: int
     burn_in_events: int = 5
-    per_agent_sensitivity: bool = False
     agent_ids: list | None = None
 
     def __post_init__(self):

@@ -3,8 +3,7 @@
 The scale of the additive noise is calibrated from the realized sensitivity of
 the partial derivatives: Laplace uses scale = dq / epsilon (pure epsilon-LDP),
 Gaussian uses sigma = (dq / epsilon) * sqrt(2 ln(1.25 / delta)) for
-(epsilon, delta)-LDP. ``empirical_dp_ratio`` provides a histogram-based check
-of the privacy bound against the mechanisms as actually implemented.
+(epsilon, delta)-LDP.
 """
 from __future__ import annotations
 
@@ -88,37 +87,32 @@ def sample_noise(kind: NoiseKind, scale: float, rngs) -> np.ndarray:
 
 @dataclass
 class SensitivityTracker:
-    """Running max of consecutive-event derivative differences.
+    """Running max per resource of consecutive-event derivative differences.
 
     For scalar per-event differences the l1 and l2 norms coincide with the
     absolute difference, so one value serves both calibration formulas. The
     first ``burn_in_events`` events per resource are excluded because early
-    derivatives reflect initialization, not dynamics. By default the max is
-    shared across agents per resource; ``per_agent`` keeps separate maxima.
+    derivatives reflect initialization, not dynamics. The max is shared across
+    agents, because each resource has one noise scale for every agent.
     """
 
     n_agents: int
     n_resources: int
-    burn_in_events: int = 5
-    per_agent: bool = False
+    burn_in_events: int
     last_derivative: np.ndarray = field(init=False)
     running_max: np.ndarray = field(init=False)
     events_seen: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.last_derivative = np.zeros((self.n_agents, self.n_resources))
-        shape = (self.n_agents, self.n_resources) if self.per_agent else (self.n_resources,)
-        self.running_max = np.zeros(shape)
+        self.running_max = np.zeros(self.n_resources)
         self.events_seen = np.zeros(self.n_resources, dtype=int)
 
-    def current(self, j: int):
-        return self.running_max[:, j].copy() if self.per_agent else float(self.running_max[j])
-
-    def update_all(self, j: int, derivatives: np.ndarray):
+    def update_all(self, j: int, derivatives: np.ndarray) -> float:
         """Feed every agent's noiseless partial for resource j at one event.
 
         Each call counts as one event of resource j. Returns the current max
-        for j (per agent with ``per_agent``).
+        for j.
         """
         derivatives = np.asarray(derivatives, dtype=float)
         if not np.isfinite(derivatives).all() or (derivatives < 0).any():
@@ -127,90 +121,6 @@ class SensitivityTracker:
         # all agents are fed together, so a second event means every agent has a previous one
         if self.events_seen[j] >= max(self.burn_in_events, 2):
             diffs = np.abs(derivatives - self.last_derivative[:, j])
-            if self.per_agent:
-                self.running_max[:, j] = np.maximum(self.running_max[:, j], diffs)
-            else:
-                self.running_max[j] = max(self.running_max[j], float(diffs.max()))
+            self.running_max[j] = max(self.running_max[j], float(diffs.max()))
         self.last_derivative[:, j] = derivatives
-        return self.current(j)
-
-
-# ---------------------------------------------------------------------------
-# Empirical privacy checks
-# ---------------------------------------------------------------------------
-
-def _mechanism_draws(kind: NoiseKind, scale: float, center: float, samples: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    if kind is NoiseKind.NONE:
-        return np.full(samples, center)
-    if kind is NoiseKind.LAPLACE:
-        return center + rng.laplace(0.0, scale, size=samples)
-    return center + rng.normal(0.0, scale, size=samples)
-
-
-def empirical_dp_ratio(kind: NoiseKind, scale: float, dq: float, bins: int,
-                       samples: int, rng: np.random.Generator | None = None,
-                       min_count: int = 50) -> float:
-    """Max binned |log density ratio| between mechanism outputs at v and v + dq.
-
-    Draws ``samples`` outputs at both inputs, histograms them on shared bins
-    spanning at least six scale-widths, and returns the max |log(count ratio)|
-    over bins where both counts reach ``min_count``. Deterministic mechanisms
-    (kind NONE with dq > 0) return inf. If no bin has enough samples the bin
-    count is halved and the histograms recomputed (documented fallback).
-    """
-    kind = NoiseKind(kind)
-    if samples < 10 ** 5:
-        raise ConfigurationError("empirical_dp_ratio needs at least 1e5 samples")
-    if dq == 0:
-        return 0.0
-    if kind is NoiseKind.NONE:
-        return math.inf
-    rng = rng if rng is not None else np.random.default_rng(0)
-    a = _mechanism_draws(kind, scale, 0.0, samples, rng)
-    b = _mechanism_draws(kind, scale, dq, samples, rng)
-    half = 3.0 * scale
-    lo, hi = -half, dq + half
-    while bins >= 4:
-        edges = np.linspace(lo, hi, bins + 1)
-        c1, _ = np.histogram(a, edges)
-        c2, _ = np.histogram(b, edges)
-        valid = (c1 >= min_count) & (c2 >= min_count)
-        if valid.any():
-            ratios = np.abs(np.log(c1[valid] / c2[valid]))
-            return float(ratios.max())
-        bins //= 2
-    raise ConfigurationError("no bin reached the minimum sample count")
-
-
-def empirical_dp_violation_fraction(kind: NoiseKind, scale: float, dq: float,
-                                    epsilon: float, bins: int, samples: int,
-                                    rng: np.random.Generator | None = None,
-                                    min_count: int = 50) -> float:
-    """Fraction of first-mechanism mass landing where the exp(epsilon) bound fails.
-
-    Bins outside the histogram range or with too few samples to estimate the
-    ratio are counted as violating, so the estimate is conservative. For a
-    properly calibrated Gaussian mechanism this should stay below delta plus
-    statistical slack.
-    """
-    kind = NoiseKind(kind)
-    if kind is NoiseKind.NONE:
-        return 1.0 if dq != 0 else 0.0
-    rng = rng if rng is not None else np.random.default_rng(0)
-    a = _mechanism_draws(kind, scale, 0.0, samples, rng)
-    b = _mechanism_draws(kind, scale, dq, samples, rng)
-    half = 5.0 * scale
-    edges = np.linspace(-half, dq + half, bins + 1)
-    c1, _ = np.histogram(a, edges)
-    c2, _ = np.histogram(b, edges)
-    out_of_range = samples - c1.sum()
-    violating = float(out_of_range)
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(np.maximum(c1, 1) / np.maximum(c2, 1))
-    for idx in range(bins):
-        if c1[idx] == 0:
-            continue
-        if c1[idx] < min_count or c2[idx] < min_count or abs(log_ratio[idx]) > epsilon:
-            violating += c1[idx]
-    return violating / samples
+        return float(self.running_max[j])

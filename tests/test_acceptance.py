@@ -6,17 +6,16 @@ import pytest
 
 import dpaimd
 from dpaimd import cli
-from dpaimd.baseline import solve_grid_oracle, solve_optimum
+from dpaimd.baseline import solve_optimum
 from dpaimd.engine import LAMBDA_MIN
-from dpaimd.metrics import cost_ratio, linear_fit_r2
+from dpaimd.metrics import cost_ratio
 from dpaimd.model import CostFunction, ResourceConfig
-from dpaimd.privacy import (
-    NoiseKind,
-    NoiseSpec,
-    ScaleMode,
+from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode, gaussian_sigma
+from oracles import (
     empirical_dp_ratio,
     empirical_dp_violation_fraction,
-    gaussian_sigma,
+    linear_fit_r2,
+    solve_grid_oracle,
 )
 
 

@@ -7,7 +7,6 @@ from dpaimd import baseline
 from dpaimd.baseline import (
     kkt_residual,
     project_simplex,
-    solve_grid_oracle,
     solve_optimum,
 )
 from dpaimd.model import (
@@ -18,6 +17,7 @@ from dpaimd.model import (
     quad_quartic_cost,
     quadratic_cost,
 )
+from oracles import solve_grid_oracle
 
 
 OVERFLOW_WARNING = "ignore:overflow encountered:RuntimeWarning"     # expected on the way to the error

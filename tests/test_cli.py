@@ -278,6 +278,34 @@ class TestRunCommand:
         assert ("config error:" if code == 2 else "numeric abort") in err
         assert "Traceback" not in err
 
+    # an unreadable config, an unwritable output directory, input nested past
+    # the recursion limit, and a pool of fewer than one process
+    @pytest.mark.parametrize("argv,content", [
+        ("run --config {config} --out {out}", b"\xff\xfe{}"),
+        ("solve --config {config}", b"\xff\xfe{}"),
+        ("run --config {config} --out {out}", b"[" * 100_000),
+        ("solve --config {config}", b"[" * 100_000),
+        ("run --config {config} --out {file}/x", None),
+        ("paper-suite --out {file}/x", None),
+        ("run --config {config} --out {out}", "sweep-value-nested"),
+        ("run --config {config} --out {out} --jobs 0", None),
+        ("run --config {config} --out {out} --jobs -4", None),
+    ], ids=["run-not-utf8", "solve-not-utf8", "run-json-too-deep", "solve-json-too-deep",
+            "run-out-under-file", "suite-out-under-file", "sweep-value-too-deep",
+            "jobs-0", "jobs-negative"])
+    def test_unreadable_or_unwritable_exits_2(self, tmp_path, capsys, argv, content):
+        doc = small_doc()
+        if content == "sweep-value-nested":
+            nested = json.loads("[" * 500 + "]" * 500)
+            doc["sweep"] = {"axes": [{"path": "noise.0.scale", "values": [nested]}]}
+        path = tmp_path / "config.json"
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(doc).encode())
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        args = argv.format(config=path, out=tmp_path / "out", file=tmp_path / "file").split()
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch):
         def boom(config, scales=None):
             raise NumericError("non-finite demand at step 7", step=7)

@@ -240,18 +240,16 @@ class TestCalibration:
            kind=st.sampled_from([NoiseKind.LAPLACE, NoiseKind.GAUSSIAN]),
            epsilon=st.floats(0.05, 0.95),
            coeffs=st.lists(st.floats(0.5, 20.0), min_size=2, max_size=2),
-           steps=st.integers(60, 300),
-           per_agent=st.booleans())
+           steps=st.integers(60, 300))
     @settings(max_examples=30, deadline=None)
-    def test_scales_do_not_depend_on_seed(self, seeds, kind, epsilon, coeffs, steps, per_agent):
+    def test_scales_do_not_depend_on_seed(self, seeds, kind, epsilon, coeffs, steps):
         # the invariant that lets a sweep calibrate each point once for all its seeds
         spec = NoiseSpec(kind=kind, epsilon=epsilon, delta=0.01, scale_mode=ScaleMode.CALIBRATED)
         scales = [
             resolve_noise_scales(SystemConfig(
                 agents=[square_cost(c) for c in coeffs],
                 resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5, gamma=1e-3)],
-                noise=[spec], steps=steps, seed=seed, burn_in_events=2,
-                per_agent_sensitivity=per_agent))
+                noise=[spec], steps=steps, seed=seed, burn_in_events=2))
             for seed in seeds
         ]
         assert np.array_equal(scales[0], scales[1])

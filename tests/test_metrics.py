@@ -1,19 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpaimd
+from dpaimd import cli
 from dpaimd.cli import reference_system_config
 from dpaimd.engine import multiplicative_decrease
 from dpaimd.metrics import (
     cost_ratio,
     derivative_spread,
-    linear_fit_r2,
     summarize,
 )
 from dpaimd.model import CostFunction, PolyBatch, ResourceConfig, SystemConfig
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
+from oracles import linear_fit_r2
 
 
 def tiny_run(steps):
@@ -108,7 +111,7 @@ def noisy_pair(kind, s1, s2):
 
 
 def wide_config(steps):
-    """16 agents, 3 resources, separable quadratic-plus-quartic costs, per-agent dq."""
+    """16 agents, 3 resources, separable quadratic-plus-quartic costs."""
     n, m = 16, 3
     agents = []
     for i in range(n):
@@ -124,7 +127,6 @@ def wide_config(steps):
         noise=[NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=40.0)] * m,
         steps=steps,
         seed=5,
-        per_agent_sensitivity=True,
     )
 
 
@@ -226,14 +228,23 @@ class TestSummarize:
         assert s.cost_ratio is not None
         assert s.trace is trace
 
-    def test_without_baseline(self, short_reference_run):
-        config, trace, _ = short_reference_run
-        s = summarize(trace, config.agents)
-        assert s.abs_error is None and s.cost_ratio is None
-        assert np.array_equal(s.final_xbar, trace.xbar[-1])
+    def test_per_agent_sensitivity_changes_no_summary(self):
+        # config files written before the flag was dropped still carry it
+        config = wide_config(steps=1_000)
+        optimum = dpaimd.solve_optimum(config.agents, config.resources)
+        texts = []
+        for flag in (True, False, None):
+            doc = cli.serialize_config(config)
+            if flag is not None:
+                doc["per_agent_sensitivity"] = flag
+            parsed = cli.parse_config(doc)
+            summary = summarize(dpaimd.run(parsed), parsed.agents, optimum)
+            texts.append(cli._json_text(cli.summary_to_dict(summary, parsed, optimum)))
+        assert texts[0] == texts[1] == texts[2]
+        assert min(json.loads(texts[0])["sensitivity"]["values"][-1]) > 0
 
     def test_zero_step_trace(self):
         cfg, trace = tiny_run(0)
-        s = summarize(trace, cfg.agents)
+        s = summarize(trace, cfg.agents, dpaimd.solve_optimum(cfg.agents, cfg.resources))
         assert s.final_xbar.shape == (2, 1)
         assert (s.final_xbar == 0).all()

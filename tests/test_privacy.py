@@ -9,12 +9,11 @@ from dpaimd.privacy import (
     NoiseSpec,
     ScaleMode,
     SensitivityTracker,
-    empirical_dp_ratio,
-    empirical_dp_violation_fraction,
     gaussian_sigma,
     laplace_scale,
     sample_noise,
 )
+from oracles import empirical_dp_ratio, empirical_dp_violation_fraction
 
 
 class TestCalibration:
@@ -95,8 +94,8 @@ class TestNoiseSpecValidation:
 class TestSensitivityTracker:
     """Each ``update_all`` call is one event, fed one noiseless partial per agent."""
 
-    def make(self, burn_in=0, **kw):
-        return SensitivityTracker(n_agents=2, n_resources=2, burn_in_events=burn_in, **kw)
+    def make(self, burn_in=0):
+        return SensitivityTracker(n_agents=2, n_resources=2, burn_in_events=burn_in)
 
     def test_consecutive_difference(self):
         t = self.make()
@@ -116,7 +115,7 @@ class TestSensitivityTracker:
         t = self.make(burn_in=3)
         for event, deriv in enumerate([10.0, 2.0, 9.0], start=1):
             t.update_all(0, [deriv, deriv])
-        assert t.current(0) == pytest.approx(7.0)  # only the event-3 diff counted
+        assert t.running_max[0] == pytest.approx(7.0)  # only the event-3 diff counted
 
     def test_monotone_non_decreasing(self):
         t = self.make()
@@ -131,13 +130,6 @@ class TestSensitivityTracker:
         t = self.make()
         t.update_all(0, [10.0, 3.0])
         assert t.update_all(0, [9.5, 8.0]) == pytest.approx(5.0)
-
-    def test_per_agent_mode(self):
-        t = self.make(per_agent=True)
-        t.update_all(0, [10.0, 3.0])
-        t.update_all(0, [9.0, 8.0])
-        assert t.running_max[0, 0] == pytest.approx(1.0)
-        assert t.running_max[1, 0] == pytest.approx(5.0)
 
     def test_non_finite_rejected(self):
         t = self.make()
