@@ -33,10 +33,17 @@ def cost_ratio(trace: Trace, costs: list, optimum: OptimalAllocation) -> float |
     recorded average vector is each agent's mean allocation over the whole run.
     Returns None if any resource never fired.
     """
-    if trace.steps == 0 or (trace.event_counts == 0).any():
+    if trace.steps == 0:
         return None
-    total = float(PolyBatch(costs).value(trace.xbar[-1]).sum())
-    return total / optimum.total_cost
+    return _cost_ratio(trace, trace.xbar[-1], costs, optimum)
+
+
+def _cost_ratio(trace: Trace, final_xbar: np.ndarray, costs: list,
+                optimum: OptimalAllocation) -> float | None:
+    """``cost_ratio`` with the final averages already derived from the trace."""
+    if (trace.event_counts == 0).any():
+        return None
+    return float(PolyBatch(costs).value(final_xbar).sum()) / optimum.total_cost
 
 
 def derivative_spread(trace: Trace) -> dict:
@@ -58,6 +65,6 @@ def summarize(trace: Trace, costs: list, optimum: OptimalAllocation) -> RunSumma
         trace=trace,
         final_xbar=final_xbar,
         abs_error=np.abs(final_xbar - optimum.x_star),
-        cost_ratio=cost_ratio(trace, costs, optimum),
+        cost_ratio=_cost_ratio(trace, final_xbar, costs, optimum),
         derivative_spread=derivative_spread(trace),
     )

@@ -2,6 +2,8 @@
 
 - ``solve_grid_oracle``: brute-force search over a grid of the feasible set,
   for the baseline solver on tiny instances.
+- ``solve_pgd_oracle``: projected gradient descent, the baseline solver that
+  water-filling replaced, for differential tests on small instances.
 - ``empirical_dp_ratio`` and ``empirical_dp_violation_fraction``: histogram
   checks of the privacy bound against the mechanisms' own draws.
 - ``linear_fit_r2``: how close the cumulative broadcast bits are to a line.
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from dpaimd.baseline import OptimalAllocation, kkt_residual
+from dpaimd.baseline import ACTIVE_TOL, OptimalAllocation, kkt_residual, project_simplex
 from dpaimd.model import ConfigurationError, PolyBatch
 from dpaimd.privacy import NoiseKind
 
@@ -88,6 +90,55 @@ def solve_grid_oracle(costs, resources, resolution: float) -> OptimalAllocation:
     residual = kkt_residual(batch, best, capacities)
     return OptimalAllocation(x_star=np.asarray(best, dtype=float),
                              total_cost=best_cost, kkt_residual=residual)
+
+
+# ---------------------------------------------------------------------------
+# Baseline by projected gradient
+# ---------------------------------------------------------------------------
+
+PGD_TOL = 1e-7      # projected gradient stops once its KKT residual is this small
+
+
+def solve_pgd_oracle(costs, resources, max_iter: int = 500_000) -> OptimalAllocation:
+    """Projected gradient descent with a 1/L step; fails loudly on non-convergence."""
+    n, m = len(costs), len(resources)
+    capacities = np.array([r.capacity for r in resources], dtype=float)
+    batch = PolyBatch(costs)
+    x = np.tile(capacities / n, (n, 1))   # feasible symmetric start
+
+    # Lipschitz bound: curvature is monotone in each coordinate for positive
+    # polynomials, so the max over the feasible box sits at the capacity corner.
+    lip = max(float(batch.second_partial(capacities, j).max()) for j in range(m))
+    if not math.isfinite(lip):
+        raise RuntimeError(f"baseline solver: curvature bound {lip} is not finite")
+    step = 1.0 / max(lip, 1e-12)
+
+    residual = math.inf
+    for it in range(max_iter):
+        moved = x - step * batch.gradient(x)
+        if not np.isfinite(moved).all():
+            raise RuntimeError(f"baseline solver: non-finite gradient step at iteration {it}")
+        before = x.copy() if it % 50 == 0 else None
+        for j in range(m):
+            x[:, j] = project_simplex(moved[:, j], capacities[j])
+        if it % 50 == 0:
+            residual = kkt_residual(batch, x, capacities)
+            # a fixed point of the iteration keeps this residual for good
+            if residual <= PGD_TOL or np.array_equal(x, before):
+                break
+    else:
+        residual = kkt_residual(batch, x, capacities)
+    if residual > 1e-6:
+        raise RuntimeError(
+            f"baseline solver did not converge: KKT residual {residual:.3e} > 1e-6"
+        )
+    boundary = tuple(
+        (i, j) for i in range(n) for j in range(m) if x[i, j] <= ACTIVE_TOL
+    )
+    return OptimalAllocation(
+        x_star=x, total_cost=float(batch.value(x).sum()),
+        kkt_residual=residual, boundary_agents=boundary,
+    )
 
 
 # ---------------------------------------------------------------------------

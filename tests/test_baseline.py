@@ -17,7 +17,7 @@ from dpaimd.model import (
     quad_quartic_cost,
     quadratic_cost,
 )
-from oracles import solve_grid_oracle
+from oracles import solve_grid_oracle, solve_pgd_oracle
 
 
 OVERFLOW_WARNING = "ignore:overflow encountered:RuntimeWarning"     # expected on the way to the error
@@ -76,6 +76,15 @@ class TestKktResidual:
         x = np.array([[2.5]])
         assert kkt_residual(PolyBatch(costs), x, np.array([3.0])) >= 0.5
 
+    def test_agent_at_zero_must_not_be_cheaper(self):
+        # x^2 and 10 x on capacity 2: the optimum gives agent 0 everything
+        # (cost 4); the other corner costs 20, and agent 0's partial there
+        # (0) sits below the active agent's (10)
+        costs = [power_cost(1.0, 2), CostFunction(np.array([10.0]), np.array([[1]]))]
+        batch, caps = PolyBatch(costs), np.array([2.0])
+        assert kkt_residual(batch, np.array([[2.0], [0.0]]), caps) == 0.0
+        assert kkt_residual(batch, np.array([[0.0], [2.0]]), caps) == pytest.approx(10.0)
+
 
 class TestSolver:
     def test_two_agent_quadratic_closed_form(self):
@@ -124,15 +133,15 @@ class TestSolver:
             solve_optimum(costs, res(capacity))
 
     def test_fixed_point_short_of_tolerance_fails_at_once(self, monkeypatch):
-        # at capacity 1e15 the partials' rounding error (~0.25) exceeds the
-        # tolerance, and the iterate stops moving within a few dozen steps
+        # at capacity 1e15 the partials' rounding error (0.5) exceeds the
+        # tolerance, and a second pass over the one resource repeats the first
         calls = []
         project = baseline.project_simplex
         monkeypatch.setattr(baseline, "project_simplex",
                             lambda v, total: calls.append(1) or project(v, total))
         with pytest.raises(RuntimeError, match="did not converge"):
-            solve_optimum([power_cost(1.0, 2), power_cost(2.0, 2)], res(1e15))
-        assert len(calls) <= 101        # the full budget is 500,000 iterations
+            solve_optimum([power_cost(1.0, 2), power_cost(3.0, 2)], res(1e15))
+        assert len(calls) == 2          # the budget is MAX_PASSES passes
 
     def test_resources_decouple(self):
         # solving two resources jointly equals solving each alone
@@ -146,6 +155,68 @@ class TestSolver:
             ]
             alone = solve_optimum(single, res(cap))
             assert np.allclose(joint.x_star[:, j], alone.x_star[:, 0], atol=1e-5)
+
+    def test_flat_agent_takes_what_the_others_leave(self):
+        # agent 1 ignores resource 0, so it takes all of it at price 0
+        costs = [CostFunction(np.array([1.0, 1.0]), np.array([[2, 0], [0, 2]])),
+                 CostFunction(np.array([2.0]), np.array([[0, 2]]))]
+        opt = solve_optimum(costs, res(1.5, 3.0))
+        assert np.allclose(opt.x_star, [[0.0, 2.0], [1.5, 1.0]], atol=1e-12)
+        assert opt.kkt_residual <= 1e-12
+
+    def test_tied_flat_agents_share_the_rest(self):
+        # two equal linear costs share what the quadratic agent leaves at price 1
+        linear = CostFunction(np.array([1.0]), np.array([[1]]))
+        opt = solve_optimum([power_cost(1.0, 2), linear, linear], res(2.0))
+        assert np.allclose(opt.x_star, [[0.5], [0.75], [0.75]], atol=1e-12)
+
+
+def small_problems(coupled):
+    """Random strictly convex problems, n <= 4 agents and m <= 2 resources.
+
+    With ``coupled``, agents get ``[1, 1]`` and ``[2, 1]`` monomials, kept
+    small enough next to the quadratic terms that each cost stays convex on
+    the capacity box.
+    """
+    coefficient = st.floats(0.5, 4.0)
+
+    @st.composite
+    def build(draw):
+        m = 2 if coupled else draw(st.integers(1, 2))
+        n = draw(st.integers(1, 4))
+        caps = draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m))
+        costs = []
+        for _ in range(n):
+            quad = draw(st.lists(coefficient, min_size=m, max_size=m))
+            terms = [(q, [2 if k == j else 0 for k in range(m)]) for j, q in enumerate(quad)]
+            for j in range(m):
+                for exps in ([4 if k == j else 0 for k in range(m)],
+                             [1 if k == j else 0 for k in range(m)]):
+                    c = draw(st.floats(0.0, 1.0))
+                    if c > 0.05:
+                        terms.append((c, exps))
+            if coupled:
+                # Hessian [[2q0 + 2d x1, c + 2d x0], [c + 2d x0, 2q1]] stays PSD
+                room = (quad[0] * quad[1]) ** 0.5
+                share = draw(st.floats(0.05, 0.95))
+                terms.append((share * room, [1, 1]))
+                terms.append(((1 - share) * room / (2 * caps[0]), [2, 1]))
+            costs.append(CostFunction(np.array([c for c, _ in terms]),
+                                      np.array([e for _, e in terms])))
+        return costs, res(*caps)
+    return build()
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["separable", "coupled"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_water_filling_matches_projected_gradient(coupled, data):
+    costs, resources = data.draw(small_problems(coupled))
+    opt = solve_optimum(costs, resources)
+    pgd = solve_pgd_oracle(costs, resources)
+    assert np.abs(opt.x_star - pgd.x_star).max() <= 1e-6
+    assert opt.total_cost <= pgd.total_cost + 1e-9
+    assert opt.kkt_residual <= 1e-9
 
 
 class TestGridOracle:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import dpaimd
 from dpaimd import cli
 from dpaimd.cli import reference_system_config
-from dpaimd.engine import multiplicative_decrease
+from dpaimd.engine import Trace, multiplicative_decrease
 from dpaimd.metrics import (
     cost_ratio,
     derivative_spread,
@@ -248,3 +248,13 @@ class TestSummarize:
         s = summarize(trace, cfg.agents, dpaimd.solve_optimum(cfg.agents, cfg.resources))
         assert s.final_xbar.shape == (2, 1)
         assert (s.final_xbar == 0).all()
+
+    def test_derives_xbar_once(self, short_reference_run, monkeypatch):
+        # x-bar is a cumsum over the whole trace; the summary needs its last row once
+        config, trace, optimum = short_reference_run
+        derived = []
+        xbar = Trace.xbar
+        monkeypatch.setattr(Trace, "xbar", property(lambda t: derived.append(1) or xbar.fget(t)))
+        s = summarize(trace, config.agents, optimum)
+        assert len(derived) == 1
+        assert s.cost_ratio == cost_ratio(trace, config.agents, optimum)
