@@ -10,6 +10,8 @@ price mu is a Newton root-find that falls monotonically from above, and mu_j
 is the price at which the demands fill the capacity. Costs without
 cross-resource monomials are solved in one pass over the resources; coupled
 costs take Gauss-Seidel passes until the KKT residual certifies the point.
+That certificate is for a stationary point, which is the optimum only for
+convex costs: a cross term such as x1*x2 can break convexity.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ class OptimalAllocation:
     x_star: np.ndarray      # (n, m)
     total_cost: float
     kkt_residual: float
-    boundary_agents: tuple = ()   # (i, j) pairs pinned at zero, if any
 
 
 def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -160,10 +161,6 @@ def solve_optimum(costs, resources) -> OptimalAllocation:
         raise RuntimeError(
             f"baseline solver did not converge: KKT residual {residual:.3e} > {KKT_LIMIT:g}"
         )
-    boundary = tuple(
-        (i, j) for i in range(n) for j in range(m) if x[i, j] <= ACTIVE_TOL
-    )
     return OptimalAllocation(
-        x_star=x, total_cost=float(batch.value(x).sum()),
-        kkt_residual=residual, boundary_agents=boundary,
+        x_star=x, total_cost=float(batch.value(x).sum()), kkt_residual=residual,
     )

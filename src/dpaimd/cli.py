@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     p_suite = sub.add_parser("paper-suite", help="emit the canonical experiment configs")
     p_suite.add_argument("--out", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve the convex baseline only")
+    p_solve = sub.add_parser("solve", help="solve the baseline only")
     p_solve.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)

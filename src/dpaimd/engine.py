@@ -14,15 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ConfigurationError, NumericError, PolyBatch, SystemConfig, NOISE_STREAM
-from .privacy import (
-    NoiseKind,
-    NoiseSpec,
-    ScaleMode,
-    SensitivityTracker,
-    gaussian_sigma,
-    laplace_scale,
-    sample_noise,
-)
+from .privacy import NoiseSpec, SensitivityTracker, sample_noise
 
 LAMBDA_MIN = 1e-9
 
@@ -107,45 +99,15 @@ def _agent_rngs(config: SystemConfig) -> list:
 
 
 def resolve_noise_scales(config: SystemConfig) -> np.ndarray:
-    """Per-resource noise scales; calibrated specs run a noiseless pilot first.
-
-    The pilot reuses the config's seed and step count, measures the realized
-    sensitivity with burn-in, then the calibration formula converts it to a
-    scale. A per-spec sensitivity override skips the pilot for that resource.
-    """
+    """Per-resource noise scales, each from its spec; if a spec needs it, a
+    noiseless pilot with the config's seed and steps first measures dq."""
     m = config.n_resources
-    scales = np.zeros(m)
-    needs_pilot = [
-        j for j, spec in enumerate(config.noise)
-        if spec.kind is not NoiseKind.NONE
-        and spec.scale_mode is ScaleMode.CALIBRATED
-        and spec.sensitivity is None
-    ]
-    pilot_dq = None
-    if needs_pilot:
-        pilot_cfg = replace(
-            config,
-            noise=[NoiseSpec(kind=NoiseKind.NONE) for _ in range(m)],
-            agent_ids=list(config.agent_ids),
-        )
-        pilot = _simulate(pilot_cfg, np.zeros(m))
-        pilot_dq = pilot.sensitivity[-1] if pilot.steps else np.zeros(m)
-    for j, spec in enumerate(config.noise):
-        if spec.kind is NoiseKind.NONE:
-            continue
-        if spec.scale_mode is ScaleMode.FIXED:
-            scales[j] = spec.scale
-            continue
-        dq = spec.sensitivity if spec.sensitivity is not None else float(pilot_dq[j])
-        if not dq > 0:
-            raise ConfigurationError(
-                f"calibration found no positive sensitivity for resource {j}"
-            )
-        if spec.kind is NoiseKind.LAPLACE:
-            scales[j] = laplace_scale(dq, spec.epsilon)
-        else:
-            scales[j] = gaussian_sigma(dq, spec.epsilon, spec.delta)
-    return scales
+    dq = np.zeros(m)
+    if any(spec.needs_pilot for spec in config.noise):
+        pilot = _simulate(replace(config, noise=[NoiseSpec()] * m), np.zeros(m))
+        if pilot.steps:
+            dq = pilot.sensitivity[-1]
+    return np.array([spec.noise_scale(float(dq[j]), j) for j, spec in enumerate(config.noise)])
 
 
 def run(config: SystemConfig, scales: np.ndarray | None = None) -> Trace:

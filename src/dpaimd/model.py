@@ -1,8 +1,8 @@
 """Domain types: polynomial costs and their stacked evaluator, resources, run configuration.
 
-Cost functions are positive-coefficient multivariate polynomials, which keeps
-them strictly convex and increasing on the non-negative orthant and makes the
-partial derivatives exact (no numeric differentiation in the simulation loop).
+Cost functions are positive-coefficient multivariate polynomials: increasing on
+the non-negative orthant, convex unless a monomial mixes resources (x1*x2 is not),
+and with exact partial derivatives (no numeric differentiation in the loop).
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ class CostFunction:
     """Sum of monomials: cost(x) = sum_t coeffs[t] * prod_j x_j ** exponents[t, j].
 
     Every coefficient must be positive and every term must contain at least one
-    positive exponent, so the function is finite, non-negative, convex and
-    increasing on x >= 0.
+    positive exponent, so the function is finite, non-negative and increasing on
+    x >= 0; it is convex too unless a term mixes resources, as x1*x2 does.
     """
 
     coeffs: np.ndarray      # shape (T,)
@@ -121,8 +121,10 @@ class PolyBatch:
             self.coeffs[i, :t] = f.coeffs
             self.exps[i, :t] = f.exponents
         self.m = m
-        self._terms = {(j, order): _differentiate(self.coeffs, self.exps, j, order)
-                       for j in range(m) for order in (1, 2)}
+        # a huge coefficient times its exponent overflows to inf; callers check finiteness
+        with np.errstate(over="ignore"):
+            self._terms = {(j, order): _differentiate(self.coeffs, self.exps, j, order)
+                           for j in range(m) for order in (1, 2)}
 
     def value(self, x) -> np.ndarray:
         return _sum_terms(x, self.coeffs, self.exps)

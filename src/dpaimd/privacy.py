@@ -1,7 +1,7 @@
 """Sensitivity tracking, noise calibration, and the Laplace/Gaussian mechanisms.
 
-The scale of the additive noise is calibrated from the realized sensitivity of
-the partial derivatives: Laplace uses scale = dq / epsilon (pure epsilon-LDP),
+Each resource's NoiseSpec turns the sensitivity dq of the partial derivatives
+into its noise scale: Laplace uses scale = dq / epsilon (pure epsilon-LDP),
 Gaussian uses sigma = (dq / epsilon) * sqrt(2 ln(1.25 / delta)) for
 (epsilon, delta)-LDP.
 """
@@ -58,6 +58,26 @@ class NoiseSpec:
                 raise ConfigurationError("Gaussian calibration needs epsilon < 1")
         if self.sensitivity is not None and not self.sensitivity > 0:
             raise ConfigurationError("sensitivity override must be > 0")
+
+    @property
+    def needs_pilot(self) -> bool:
+        """Calibrated without a sensitivity override, so a noiseless pilot must measure dq."""
+        return (self.kind is not NoiseKind.NONE and self.scale_mode is ScaleMode.CALIBRATED
+                and self.sensitivity is None)
+
+    def noise_scale(self, pilot_dq: float, resource: int) -> float:
+        """The scale to draw with on ``resource``: 0 without noise, the fixed scale,
+        or the calibration formula on the sensitivity override, else on ``pilot_dq``."""
+        if self.kind is NoiseKind.NONE:
+            return 0.0
+        if self.scale_mode is ScaleMode.FIXED:
+            return float(self.scale)
+        dq = pilot_dq if self.sensitivity is None else self.sensitivity
+        if not dq > 0:
+            raise ConfigurationError(f"calibration found no positive sensitivity for resource {resource}")
+        if self.kind is NoiseKind.LAPLACE:
+            return laplace_scale(dq, self.epsilon)
+        return gaussian_sigma(dq, self.epsilon, self.delta)
 
 
 def laplace_scale(dq: float, epsilon: float) -> float:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from dpaimd.baseline import ACTIVE_TOL, OptimalAllocation, kkt_residual, project_simplex
+from dpaimd.baseline import OptimalAllocation, kkt_residual, project_simplex
 from dpaimd.model import ConfigurationError, PolyBatch
 from dpaimd.privacy import NoiseKind
 
@@ -132,12 +132,8 @@ def solve_pgd_oracle(costs, resources, max_iter: int = 500_000) -> OptimalAlloca
         raise RuntimeError(
             f"baseline solver did not converge: KKT residual {residual:.3e} > 1e-6"
         )
-    boundary = tuple(
-        (i, j) for i in range(n) for j in range(m) if x[i, j] <= ACTIVE_TOL
-    )
     return OptimalAllocation(
-        x_star=x, total_cost=float(batch.value(x).sum()),
-        kkt_residual=residual, boundary_agents=boundary,
+        x_star=x, total_cost=float(batch.value(x).sum()), kkt_residual=residual,
     )
 
 

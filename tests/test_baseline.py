@@ -20,9 +20,6 @@ from dpaimd.model import (
 from oracles import solve_grid_oracle, solve_pgd_oracle
 
 
-OVERFLOW_WARNING = "ignore:overflow encountered:RuntimeWarning"     # expected on the way to the error
-
-
 def res(*capacities):
     return [ResourceConfig(capacity=c, alpha=0.01, beta=0.5, gamma=1e-3) for c in capacities]
 
@@ -93,7 +90,7 @@ class TestSolver:
         assert np.allclose(opt.x_star, [[2.0], [1.0]], atol=1e-5)
         assert opt.total_cost == pytest.approx(6.0, rel=1e-6)
         assert opt.kkt_residual <= 1e-6
-        assert opt.boundary_agents == ()
+        assert (opt.x_star > baseline.ACTIVE_TOL).all()
 
     def test_two_agent_quartic_closed_form(self):
         # x1^4 + 2 x2^4 on sum = 3: gradients match at x1 = 2^(1/3) x2
@@ -114,7 +111,7 @@ class TestSolver:
         costs = [power_cost(1.0, 2), steep]
         opt = solve_optimum(costs, res(2.0))
         assert np.allclose(opt.x_star, [[2.0], [0.0]], atol=1e-6)
-        assert (1, 0) in opt.boundary_agents
+        assert opt.x_star[1, 0] <= baseline.ACTIVE_TOL
 
     def test_column_sums_match_capacities(self, short_reference_run):
         config, _, optimum = short_reference_run
@@ -124,8 +121,7 @@ class TestSolver:
         assert (optimum.x_star >= 0).all()
 
     @pytest.mark.parametrize("costs,capacity", [
-        pytest.param([power_cost(1e308, 2), power_cost(1.0, 2)], 1.0,   # curvature bound overflows
-                     marks=pytest.mark.filterwarnings(OVERFLOW_WARNING)),
+        ([power_cost(1e308, 2), power_cost(1.0, 2)], 1.0),      # partials overflow
         ([power_cost(1.0, 2), power_cost(2.0, 2)], 1e308),     # gradient step overflows
     ], ids=["coefficient-1e308", "capacity-1e308"])
     def test_overflow_raises(self, costs, capacity):
@@ -163,6 +159,20 @@ class TestSolver:
         opt = solve_optimum(costs, res(1.5, 3.0))
         assert np.allclose(opt.x_star, [[0.0, 2.0], [1.5, 1.0]], atol=1e-12)
         assert opt.kkt_residual <= 1e-12
+
+    def test_kkt_residual_certifies_a_stationary_point_only(self):
+        # 3 x1 x2 is not convex: the KKT conditions hold exactly at a point
+        # costing 1.2, while the optimum, found by the solver and the grid, costs 1.0
+        costs = [CostFunction(np.array([3.0]), np.array([[1, 1]])),
+                 CostFunction(np.array([1.0, 1.0]), np.array([[2, 0], [0, 2]]))]
+        batch, caps = PolyBatch(costs), np.array([1.0, 1.0])
+        stationary = np.array([[0.4, 0.4], [0.6, 0.6]])
+        assert kkt_residual(batch, stationary, caps) <= 1e-12
+        assert batch.value(stationary).sum() == pytest.approx(1.2)
+        opt = solve_optimum(costs, res(1.0, 1.0))
+        grid = solve_grid_oracle(costs, res(1.0, 1.0), resolution=0.05)
+        assert opt.total_cost == pytest.approx(1.0)
+        assert opt.total_cost == pytest.approx(grid.total_cost)
 
     def test_tied_flat_agents_share_the_rest(self):
         # two equal linear costs share what the quadratic agent leaves at price 1

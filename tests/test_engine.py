@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpaimd
+from dpaimd import engine
 from dpaimd.engine import (
     LAMBDA_MIN,
     compute_lambda_hat,
@@ -18,7 +19,7 @@ from dpaimd.model import (
     ResourceConfig,
     SystemConfig,
 )
-from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode, laplace_scale
+from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode, gaussian_sigma, laplace_scale
 
 
 def one_resource_config(costs, steps, seed=0, noise=None, **kw):
@@ -212,6 +213,33 @@ class TestCalibration:
             **kw,
         )
 
+    def two_resources(self, noise, steps=400):
+        return SystemConfig(
+            agents=[CostFunction(np.array([c, 2.0 * c]), np.array([[2, 0], [0, 2]]))
+                    for c in (1.0, 3.0)],
+            resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5, gamma=1e-3),
+                       ResourceConfig(capacity=1.5, alpha=0.05, beta=0.6, gamma=1e-3)],
+            noise=noise, steps=steps, seed=3, burn_in_events=2,
+        )
+
+    # each spec with the scale it must give for the pilot's dq on its resource
+    SPECS = {
+        "none": (NoiseSpec(), lambda dq: 0.0),
+        "none-calibrated": (NoiseSpec(kind=NoiseKind.NONE, scale_mode=ScaleMode.CALIBRATED),
+                            lambda dq: 0.0),
+        "fixed": (NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=2.5),
+                  lambda dq: 2.5),
+        "laplace": (NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
+                              scale_mode=ScaleMode.CALIBRATED),
+                    lambda dq: laplace_scale(dq, 0.5)),
+        "gaussian": (NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.3, delta=0.01,
+                               scale_mode=ScaleMode.CALIBRATED),
+                     lambda dq: gaussian_sigma(dq, 0.3, 0.01)),
+        "override": (NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.3, delta=0.01,
+                               scale_mode=ScaleMode.CALIBRATED, sensitivity=0.7),
+                     lambda dq: gaussian_sigma(0.7, 0.3, 0.01)),
+    }
+
     def test_pilot_calibration_matches_noiseless_sensitivity(self):
         pilot = dpaimd.run(self.base([NoiseSpec(kind=NoiseKind.NONE)]))
         dq = float(pilot.sensitivity[-1, 0])
@@ -231,10 +259,25 @@ class TestCalibration:
         assert resolve_noise_scales(cfg)[0] == 7.5
 
     def test_calibration_fails_without_events(self):
-        cfg = self.base([NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
-                                   scale_mode=ScaleMode.CALIBRATED)], steps=3)
-        with pytest.raises(ConfigurationError):
+        cfg = self.two_resources([self.SPECS["fixed"][0], self.SPECS["laplace"][0]], steps=3)
+        with pytest.raises(ConfigurationError, match="sensitivity for resource 1"):
             resolve_noise_scales(cfg)
+
+    @pytest.mark.parametrize("names,pilots", [
+        (("none", "fixed"), 0), (("fixed", "override"), 0), (("override", "none-calibrated"), 0),
+        (("laplace", "gaussian"), 1), (("gaussian", "none"), 1), (("fixed", "laplace"), 1),
+        (("override", "laplace"), 1),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+    def test_each_spec_scales_the_pilot_sensitivity(self, monkeypatch, names, pilots):
+        specs = [self.SPECS[name] for name in names]
+        dq = dpaimd.run(self.two_resources([NoiseSpec()] * 2)).sensitivity[-1]
+        assert (dq > 0).all() and dq[0] != dq[1]
+        runs = []
+        simulate = engine._simulate
+        monkeypatch.setattr(engine, "_simulate", lambda *a: runs.append(1) or simulate(*a))
+        scales = resolve_noise_scales(self.two_resources([spec for spec, _ in specs]))
+        assert scales.tolist() == [expected(float(dq[j])) for j, (_, expected) in enumerate(specs)]
+        assert len(runs) == pilots
 
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
            kind=st.sampled_from([NoiseKind.LAPLACE, NoiseKind.GAUSSIAN]),
