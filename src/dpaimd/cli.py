@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 MAX_SERIES_POINTS = 512
+# A sweep value may nest lists and objects this deep: far more than any job
+# field takes (an agents list, the deepest, nests 5) and far less than the
+# recursion limit that copying a value runs into.
+MAX_SWEEP_NESTING = 32
 
 # The config schema. A dict is an object with only those keys, [kind] a list of
 # kind, a tuple a list with exactly one item per entry, and a string names a
@@ -83,6 +87,15 @@ def _check(value, kind, where: str = ""):
         raise ConfigurationError(f"{name} must be a {finite}JSON {kind}, got {value!r}")
 
 
+def _nesting(value) -> int:
+    """How many levels of lists and objects ``value`` nests, found without recursion."""
+    depth, level = 0, [value]
+    while containers := [item for item in level if isinstance(item, (list, dict))]:
+        depth += 1
+        level = [v for item in containers for v in (item.values() if isinstance(item, dict) else item)]
+    return depth
+
+
 def _checked_sweep(raw: dict):
     """The validated sweep block: (axis paths, axis value lists, seeds)."""
     sweep = raw.get("sweep", {})
@@ -91,6 +104,10 @@ def _checked_sweep(raw: dict):
     for idx, axis in enumerate(axes):
         if "path" not in axis or not axis.get("values"):
             raise ConfigurationError(f"sweep.axes[{idx}] needs a path and a non-empty list of values")
+        for k, value in enumerate(axis["values"]):
+            if _nesting(value) > MAX_SWEEP_NESTING:
+                raise ConfigurationError(f"sweep.axes[{idx}].values[{k}] nests more than "
+                                         f"{MAX_SWEEP_NESTING} levels of lists and objects")
     seeds = sweep.get("seeds", [raw.get("seed")])
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigurationError(f"sweep.seeds must name one or more distinct seeds, got {seeds}")
@@ -318,6 +335,8 @@ def _load(config_path) -> dict:
         return json.loads(Path(config_path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ConfigurationError(f"config file {config_path} is nested too deeply to decode") from exc
 
 
 def run_experiment(config_path, seed=None, steps=None, jobs=1,

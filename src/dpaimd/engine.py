@@ -5,7 +5,9 @@ resource against capacity and broadcasts one event bit per saturated resource;
 agents holding a 1-bit back off multiplicatively using a noisy scaling factor
 computed from their average allocation (the running mean of their demand over
 every step so far), all other demands grow additively.
-Runs are deterministic given the config and seed.
+Runs are deterministic given the config and seed. Each agent's noise comes
+from its own stream, one per noise kind, drawn ahead in blocks of scale-1
+draws; an event takes the next column, times the resource's scale.
 """
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ConfigurationError, NumericError, PolyBatch, SystemConfig, NOISE_STREAM
-from .privacy import NoiseSpec, SensitivityTracker, sample_noise
+from .privacy import NoiseKind, NoiseSpec, SensitivityTracker, unit_noise
 
 LAMBDA_MIN = 1e-9
+NOISE_BLOCK = 1024      # draws per agent stream taken ahead at a time
 
 
 def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
@@ -29,10 +32,11 @@ def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
 def compute_lambda_hat(gamma, derivative, noise, xbar):
     """Noisy back-off factor gamma * |f' + d| / xbar, clamped into [LAMBDA_MIN, 1].
 
-    Elementwise over agents. Needs xbar > 0, which holds at every event: no
-    event fires at step 0, so xbar >= alpha / (nu + 1) by then.
+    Elementwise over agents; a NaN derivative (off-event in a trace) stays NaN.
+    Needs xbar > 0, which holds at every event: no event fires at step 0, so
+    xbar >= alpha / (nu + 1) by then.
     """
-    return np.clip(gamma * np.abs(derivative + noise) / xbar, LAMBDA_MIN, 1.0)
+    return np.minimum(np.maximum(gamma * np.abs(derivative + noise) / xbar, LAMBDA_MIN), 1.0)
 
 
 def multiplicative_decrease(x, lam, beta):
@@ -91,11 +95,34 @@ class Trace:
         return self.x.shape[2]
 
 
-def _agent_rngs(config: SystemConfig) -> list:
-    return [
-        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(NOISE_STREAM, aid)))
-        for aid in config.agent_ids
-    ]
+def _noise_columns(kind: NoiseKind, rngs: list, limit: int):
+    """Yield each agent stream's next scale-1 draw of ``kind``, one (n,) column at a time.
+
+    Blocks of up to NOISE_BLOCK draws per stream are taken ahead, lazily and
+    at most ``limit`` per stream in all.
+    """
+    while limit > 0:
+        size = min(NOISE_BLOCK, limit)
+        limit -= size
+        yield from np.stack([unit_noise(kind, rng, size) for rng in rngs], axis=1)
+
+
+def _noise_sources(config: SystemConfig) -> list:
+    """Per resource, the iterator of its scale-1 noise columns, or None without noise.
+
+    Each agent has one stream per noise kind, which the resources of that kind
+    share in event order. The first noisy resource's kind keeps the agent's
+    original stream, so a config with one kind draws as per-event draws would.
+    """
+    kinds = [spec.kind for spec in config.noise]
+    noisy = dict.fromkeys(kind for kind in kinds if kind is not NoiseKind.NONE)   # first seen first
+    sources = {}
+    for stream, kind in enumerate(noisy):
+        tag = (stream,) if stream else ()
+        rngs = [np.random.default_rng(np.random.SeedSequence(
+                    config.seed, spawn_key=(NOISE_STREAM, aid) + tag)) for aid in config.agent_ids]
+        sources[kind] = _noise_columns(kind, rngs, config.steps * kinds.count(kind))
+    return [sources.get(kind) for kind in kinds]
 
 
 def resolve_noise_scales(config: SystemConfig) -> np.ndarray:
@@ -128,7 +155,7 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
     gamma = np.array([r.gamma for r in config.resources], dtype=float)
 
     batch = PolyBatch(config.agents)
-    rngs = _agent_rngs(config)
+    noise = _noise_sources(config)
     tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
 
     x = np.zeros((n, m))
@@ -152,15 +179,18 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
             if not np.isfinite(grads).all():
                 raise NumericError(f"non-finite derivative at step {nu}", step=nu)
             for j in fired:
-                tracker.update_all(j, grads[:, j])
-                tr_spread[nu, j] = grads[:, j].max() - grads[:, j].min()
-                d = sample_noise(config.noise[j].kind, scales[j], rngs)
-                tr_nderiv[nu, :, j] = grads[:, j] + d
-                lam = compute_lambda_hat(gamma[j], grads[:, j], d, xbar[:, j])
+                g = grads[:, j]
+                tracker.update_all(j, g)
+                tr_spread[nu, j] = g.max() - g.min()
+                d = 0.0 if noise[j] is None else scales[j] * next(noise[j])
+                tr_nderiv[nu, :, j] = g + d
+                lam = compute_lambda_hat(gamma[j], g, d, xbar[:, j])
                 x[:, j] = multiplicative_decrease(x[:, j], lam, beta[j])
-        grow = bits == 0
-        if grow.any():
-            x[:, grow] += alpha[grow]
+            grow = bits == 0
+            if grow.any():
+                x[:, grow] += alpha[grow]
+        else:
+            x += alpha
         if not np.isfinite(x).all():
             raise NumericError(f"non-finite demand at step {nu}", step=nu)
         # running mean of the demand over every step, x(0) = 0 included

@@ -99,16 +99,34 @@ def _sum_terms(x: np.ndarray, weights: np.ndarray, exponents: np.ndarray) -> np.
     The one polynomial evaluator: ``x`` (..., m) broadcasts against
     ``exponents`` (..., T, m), and the term axis is reduced with ``einsum``.
     """
-    mono = np.prod(x[..., None, :] ** exponents, axis=-1)
+    mono = (x[..., None, :] ** exponents).prod(axis=-1)
     return np.einsum("...t,...t->...", weights, mono)
 
 
+def _compact(weights: np.ndarray, exponents: np.ndarray):
+    """Drop the zero-weight terms of (..., T) weights and (..., T, m) exponents.
+
+    Kept terms stay in their order; each row is padded to T', the largest kept
+    count, with weight-0 terms of exponent 0, which add exactly 0 at any point.
+    """
+    keep = weights != 0
+    order = np.argsort(~keep, axis=-1, kind="stable")[..., :int(keep.sum(axis=-1).max())]
+    pad = ~np.take_along_axis(keep, order, axis=-1)
+    weights = np.where(pad, 0.0, np.take_along_axis(weights, order, axis=-1))
+    exponents = np.where(pad[..., None], 0, np.take_along_axis(exponents, order[..., None], axis=-2))
+    return weights, exponents
+
+
 class PolyBatch:
-    """All agents' cost functions stacked into padded (n, T, m) term tensors.
+    """All agents' cost functions stacked into term tables.
 
     Evaluates every agent at once: a point array (..., n, m) gives (..., n)
-    values or partials, one per agent. Agents with fewer than T terms are
-    padded with zero-weight terms of exponent 1, so powers stay finite.
+    values or partials, one per agent, or an (..., n, m) gradient. ``value``
+    reads (n, T, m) tables, in which agents with fewer than T terms are padded
+    with zero-weight terms of exponent 1. The derivatives read compacted tables
+    built once, one stacked (m, n, T', m) table per order: row j holds only
+    the terms of d f / dx_j whose weight is not 0, so T' is the largest such
+    count. The gradient is then one kernel call over all m partials.
     """
 
     def __init__(self, costs):
@@ -120,24 +138,29 @@ class PolyBatch:
             t = f.coeffs.shape[0]
             self.coeffs[i, :t] = f.coeffs
             self.exps[i, :t] = f.exponents
-        self.m = m
         # a huge coefficient times its exponent overflows to inf; callers check finiteness
+        tables = []
         with np.errstate(over="ignore"):
-            self._terms = {(j, order): _differentiate(self.coeffs, self.exps, j, order)
-                           for j in range(m) for order in (1, 2)}
+            for order in (1, 2):
+                weights, exponents = zip(*(_differentiate(self.coeffs, self.exps, j, order)
+                                           for j in range(m)))
+                tables.append(_compact(np.stack(weights), np.stack(exponents)))
+        self._first, self._second = tables
 
     def value(self, x) -> np.ndarray:
         return _sum_terms(x, self.coeffs, self.exps)
 
     def partial(self, x, j: int) -> np.ndarray:
-        return _sum_terms(x, *self._terms[j, 1])
+        weights, exponents = self._first
+        return _sum_terms(x, weights[j], exponents[j])
 
     def second_partial(self, x, j: int) -> np.ndarray:
-        return _sum_terms(x, *self._terms[j, 2])
+        weights, exponents = self._second
+        return _sum_terms(x, weights[j], exponents[j])
 
     def gradient(self, x) -> np.ndarray:
         """(..., n, m) points -> (..., n, m) partial derivatives."""
-        return np.stack([self.partial(x, j) for j in range(self.m)], axis=-1)
+        return _sum_terms(x[..., None, :, :], *self._first).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -96,13 +96,16 @@ def gaussian_sigma(dq: float, epsilon: float, delta: float) -> float:
     return (dq / epsilon) * math.sqrt(2.0 * math.log(1.25 / delta))
 
 
-def sample_noise(kind: NoiseKind, scale: float, rngs) -> np.ndarray:
-    """One draw per agent stream, in stream order; zeros for ``NoiseKind.NONE``."""
-    if kind is NoiseKind.NONE:
-        return np.zeros(len(rngs))
+def unit_noise(kind: NoiseKind, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` scale-1 Laplace or Gaussian draws from ``rng``.
+
+    Times s, they equal ``size`` successive ``rng.laplace(0, s)`` or
+    ``rng.normal(0, s)`` draws bit for bit: numpy computes those as
+    ``0 - s * log(...)`` and ``0 + s * z`` from the same uniform or normal.
+    """
     if kind is NoiseKind.LAPLACE:
-        return np.array([rng.laplace(0.0, scale) for rng in rngs])
-    return np.array([rng.normal(0.0, scale) for rng in rngs])
+        return rng.laplace(0.0, 1.0, size)
+    return rng.standard_normal(size)
 
 
 @dataclass
@@ -135,7 +138,8 @@ class SensitivityTracker:
         for j.
         """
         derivatives = np.asarray(derivatives, dtype=float)
-        if not np.isfinite(derivatives).all() or (derivatives < 0).any():
+        # one comparison each way rejects NaN, infinities and negatives
+        if not (0 <= derivatives.min() and derivatives.max() < math.inf):
             raise NumericError(f"non-finite or negative derivative for resource {j}")
         self.events_seen[j] += 1
         # all agents are fed together, so a second event means every agent has a previous one

@@ -7,6 +7,10 @@
 - ``empirical_dp_ratio`` and ``empirical_dp_violation_fraction``: histogram
   checks of the privacy bound against the mechanisms' own draws.
 - ``linear_fit_r2``: how close the cumulative broadcast bits are to a line.
+- ``DensePolyBatch``: the padded polynomial kernel that the compacted
+  ``PolyBatch`` replaced, every partial evaluated over all T terms.
+- ``simulate_oracle``: the engine loop as it was before noise was drawn in
+  blocks, one draw per agent at each noisy event, on the dense kernel.
 """
 from __future__ import annotations
 
@@ -16,8 +20,9 @@ import math
 import numpy as np
 
 from dpaimd.baseline import OptimalAllocation, kkt_residual, project_simplex
-from dpaimd.model import ConfigurationError, PolyBatch
-from dpaimd.privacy import NoiseKind
+from dpaimd.engine import LAMBDA_MIN, Trace, multiplicative_decrease, server_step
+from dpaimd.model import NOISE_STREAM, ConfigurationError, NumericError, PolyBatch
+from dpaimd.privacy import NoiseKind, SensitivityTracker
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +238,109 @@ def linear_fit_r2(series: np.ndarray) -> float:
     ss_res = float((resid ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     return 1.0 - ss_res / ss_tot
+
+
+# ---------------------------------------------------------------------------
+# Dense polynomial kernel and per-event-draw engine loop
+# ---------------------------------------------------------------------------
+
+def _dense_sum_terms(x, weights, exponents):
+    mono = np.prod(x[..., None, :] ** exponents, axis=-1)
+    return np.einsum("...t,...t->...", weights, mono)
+
+
+class DensePolyBatch:
+    """Every agent padded to (n, T, m) terms; each partial sums all T of them."""
+
+    def __init__(self, costs):
+        n, m = len(costs), costs[0].n_resources
+        t_max = max(f.coeffs.shape[0] for f in costs)
+        self.coeffs = np.zeros((n, t_max))
+        self.exps = np.ones((n, t_max, m), dtype=int)
+        for i, f in enumerate(costs):
+            t = f.coeffs.shape[0]
+            self.coeffs[i, :t] = f.coeffs
+            self.exps[i, :t] = f.exponents
+        self.m = m
+
+    def _terms(self, j, order):
+        ej = self.exps[..., j]
+        weights = self.coeffs
+        for k in range(order):
+            weights = weights * np.maximum(ej - k, 0)
+        reduced = self.exps.copy()
+        reduced[..., j] = np.maximum(ej - order, 0)
+        return weights, reduced
+
+    def value(self, x):
+        return _dense_sum_terms(x, self.coeffs, self.exps)
+
+    def partial(self, x, j):
+        return _dense_sum_terms(x, *self._terms(j, 1))
+
+    def second_partial(self, x, j):
+        return _dense_sum_terms(x, *self._terms(j, 2))
+
+    def gradient(self, x):
+        return np.stack([self.partial(x, j) for j in range(self.m)], axis=-1)
+
+
+def simulate_oracle(config, scales) -> Trace:
+    """``engine._simulate`` with one ``rng.laplace(0, s)`` or ``rng.normal(0, s)``
+    per agent stream at each noisy event, on the dense kernel."""
+    n, m = config.n_agents, config.n_resources
+    steps = config.steps
+    capacities = np.array([r.capacity for r in config.resources], dtype=float)
+    alpha = np.array([r.alpha for r in config.resources], dtype=float)
+    beta = np.array([r.beta for r in config.resources], dtype=float)
+    gamma = np.array([r.gamma for r in config.resources], dtype=float)
+
+    batch = DensePolyBatch(config.agents)
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(NOISE_STREAM, aid)))
+            for aid in config.agent_ids]
+    tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
+
+    x = np.zeros((n, m))
+    xbar = np.zeros((n, m))
+    x_sum = np.zeros((n, m))
+    tr_x = np.empty((steps, n, m))
+    tr_bits = np.empty((steps, m), dtype=np.uint8)
+    tr_nderiv = np.full((steps, n, m), np.nan)
+    tr_spread = np.full((steps, m), np.nan)
+    tr_dq = np.empty((steps, m))
+
+    for nu in range(steps):
+        bits = server_step(capacities, x.sum(axis=0))
+        fired = np.nonzero(bits)[0]
+        if fired.size:
+            grads = batch.gradient(xbar)
+            if not np.isfinite(grads).all():
+                raise NumericError(f"non-finite derivative at step {nu}", step=nu)
+            for j in fired:
+                tracker.update_all(j, grads[:, j])
+                tr_spread[nu, j] = grads[:, j].max() - grads[:, j].min()
+                kind = config.noise[j].kind
+                if kind is NoiseKind.NONE:
+                    d = np.zeros(n)
+                elif kind is NoiseKind.LAPLACE:
+                    d = np.array([rng.laplace(0.0, scales[j]) for rng in rngs])
+                else:
+                    d = np.array([rng.normal(0.0, scales[j]) for rng in rngs])
+                tr_nderiv[nu, :, j] = grads[:, j] + d
+                lam = np.clip(gamma[j] * np.abs(grads[:, j] + d) / xbar[:, j], LAMBDA_MIN, 1.0)
+                x[:, j] = multiplicative_decrease(x[:, j], lam, beta[j])
+        grow = bits == 0
+        if grow.any():
+            x[:, grow] += alpha[grow]
+        if not np.isfinite(x).all():
+            raise NumericError(f"non-finite demand at step {nu}", step=nu)
+        x_sum += x
+        np.divide(x_sum, nu + 2, out=xbar)
+        tr_x[nu] = x
+        tr_bits[nu] = bits
+        tr_dq[nu] = tracker.running_max
+
+    return Trace(
+        x=tr_x, event_bits=tr_bits, noisy_derivative=tr_nderiv, partial_spread=tr_spread,
+        sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
+    )

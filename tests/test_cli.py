@@ -183,6 +183,21 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_deeply_nested_sweep_value_exits_2_naming_it(self, tmp_path, capsys):
+        deep = 1.0
+        for _ in range(500):
+            deep = [deep]
+        doc = small_doc()
+        doc["sweep"] = {"axes": [{"path": "steps", "values": [10, deep]}]}
+        assert cli.main(["run", "--config", str(self.write(tmp_path, doc))]) == 2
+        assert "sweep.axes[0].values[1]" in capsys.readouterr().err
+
+    def test_config_file_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "config file" in (err := capsys.readouterr().err) and "nested too deeply" in err
+
     def test_unknown_key_exits_2(self, tmp_path):
         doc = small_doc()
         doc["typo"] = True

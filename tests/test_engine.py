@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,16 @@ from dpaimd.engine import (
     server_step,
 )
 from dpaimd.model import (
+    NOISE_STREAM,
     ConfigurationError,
     CostFunction,
     NumericError,
+    PolyBatch,
     ResourceConfig,
     SystemConfig,
 )
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode, gaussian_sigma, laplace_scale
+from oracles import simulate_oracle
 
 
 def one_resource_config(costs, steps, seed=0, noise=None, **kw):
@@ -300,3 +305,109 @@ class TestCalibration:
     def test_sensitivity_series_monotone(self, short_reference_run):
         _, trace, _ = short_reference_run
         assert (np.diff(trace.sensitivity, axis=0) >= 0).all()
+
+
+NOISE_CHOICES = {
+    "none": NoiseSpec(),
+    "laplace": NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=4.0),
+    "gaussian": NoiseSpec(kind=NoiseKind.GAUSSIAN, scale_mode=ScaleMode.FIXED, scale=3.0),
+    "laplace-calibrated": NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
+                                    scale_mode=ScaleMode.CALIBRATED),
+    "gaussian-calibrated": NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.5, delta=0.01,
+                                     scale_mode=ScaleMode.CALIBRATED),
+}
+
+
+@st.composite
+def small_configs(draw):
+    """1-4 agents, 1-3 resources; every partial keeps at most 2 terms, and every
+    noisy resource draws one kind of noise, mixed only with none."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
+    terms = st.lists(row, min_size=1, max_size=4).filter(
+        lambda rows: (np.count_nonzero(rows, axis=0) <= 2).all())
+    agents = [CostFunction(np.array(draw(st.lists(st.floats(0.5, 20.0), min_size=len(t),
+                                                  max_size=len(t)))), np.array(t))
+              for t in (draw(terms) for _ in range(n))]
+    resources = [ResourceConfig(capacity=draw(st.floats(0.5, 3.0)), alpha=0.05,
+                                beta=draw(st.floats(0.3, 0.9)), gamma=draw(st.floats(1e-3, 1.0)))
+                 for _ in range(m)]
+    kind = draw(st.sampled_from(["laplace", "gaussian", "laplace-calibrated",
+                                 "gaussian-calibrated"]))
+    noise = [NOISE_CHOICES[draw(st.sampled_from(["none", kind]))] for _ in range(m)]
+    return SystemConfig(agents=agents, resources=resources, noise=noise,
+                        steps=draw(st.integers(0, 300)), seed=draw(st.integers(0, 2**32 - 1)),
+                        burn_in_events=draw(st.integers(0, 3)),
+                        agent_ids=draw(st.permutations(range(n))))
+
+
+def noise_stream(seed, agent_id, *tag):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_STREAM, agent_id) + tag))
+
+
+class TestNoiseBlocks:
+    """Noise is drawn ahead in blocks per agent stream, sliced one column per event."""
+
+    @given(small_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_trace_is_byte_equal_to_per_event_draws(self, config):
+        try:
+            scales = resolve_noise_scales(config)
+        except ConfigurationError:          # a short pilot may see no sensitivity
+            scales = np.array([0.0 if spec.kind is NoiseKind.NONE else 1.5 for spec in config.noise])
+        got, expected = engine.run(config, scales), simulate_oracle(config, scales)
+        for name, value in vars(expected).items():
+            assert getattr(got, name).dtype == value.dtype, name
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+
+    def mixed(self, steps=400, seed=4):
+        return SystemConfig(
+            agents=[CostFunction(np.array([c, 2.0 * c]), np.array([[2, 0], [0, 2]]))
+                    for c in (1.0, 3.0, 2.0)],
+            resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5, gamma=1e-3),
+                       ResourceConfig(capacity=1.5, alpha=0.05, beta=0.6, gamma=1e-3)],
+            noise=[NOISE_CHOICES["laplace"], NOISE_CHOICES["gaussian"]],
+            steps=steps, seed=seed, agent_ids=[7, 2, 5])
+
+    def test_mixed_kinds_are_deterministic(self):
+        a, b = dpaimd.run(self.mixed()), dpaimd.run(self.mixed())
+        for name, value in vars(a).items():
+            assert getattr(b, name).tobytes() == value.tobytes(), name
+        assert not np.array_equal(a.x, dpaimd.run(self.mixed(seed=5)).x)
+
+    def test_mixed_kinds_draw_from_one_stream_per_agent_and_kind(self):
+        """The first noisy resource's kind keeps the agent's stream, the other gets its own."""
+        config = self.mixed()
+        trace = dpaimd.run(config)
+        batch = PolyBatch(config.agents)
+        prev_xbar = np.concatenate([np.zeros_like(trace.x[:1]), trace.xbar[:-1]])
+        draws = [lambda rng, k: rng.laplace(0.0, 4.0, k), lambda rng, k: rng.normal(0.0, 3.0, k)]
+        for j, tag in ((0, ()), (1, (1,))):
+            events = np.nonzero(trace.event_bits[:, j])[0]
+            assert events.size > 10
+            noise = np.stack([draws[j](noise_stream(config.seed, aid, *tag), events.size)
+                              for aid in config.agent_ids], axis=1)
+            partials = batch.partial(prev_xbar[events], j)
+            assert np.array_equal(trace.noisy_derivative[events, :, j], partials + noise)
+
+    def test_blocks_are_drawn_lazily_and_capped(self, monkeypatch):
+        blocks = []
+        draw = engine.unit_noise
+        monkeypatch.setattr(engine, "unit_noise",
+                            lambda kind, rng, size: blocks.append((kind, size)) or draw(kind, rng, size))
+        config = self.mixed(steps=3000)
+        dpaimd.run(replace(config, noise=[NoiseSpec()] * 2))
+        assert blocks == []                 # a noiseless run, such as a pilot, draws nothing
+        trace = dpaimd.run(config)
+        n, block = config.n_agents, engine.NOISE_BLOCK
+        for j, spec in enumerate(config.noise):
+            sizes = [size for kind, size in blocks if kind is spec.kind]
+            # whole blocks as events need them, the last one cut at steps draws per stream
+            needed = -(-int(trace.event_counts[j]) // block)
+            expected = [min(block, config.steps - b * block) for b in range(needed)]
+            assert sorted(sizes, reverse=True) == sorted(expected * n, reverse=True)
+            assert needed > 1
+        blocks.clear()
+        dpaimd.run(replace(config, steps=40))
+        assert [size for _, size in blocks] == [40] * (2 * n)

@@ -15,6 +15,7 @@ from dpaimd.model import (
     quartic_cost,
     reference_agent_costs,
 )
+from oracles import DensePolyBatch
 
 
 def test_eval_cost_mixed_form():
@@ -112,11 +113,18 @@ def naive_derivative(f, x, j, order):
 
 
 @st.composite
-def agents_and_point(draw):
-    """2-4 agents with distinct term counts, so every batch pads some agent."""
+def agents_and_point(draw, separable=st.booleans()):
+    """2-4 agents with distinct term counts, so every batch pads some agent.
+
+    A separable cost has one positive exponent per term; a coupled one may
+    mix resources in a term.
+    """
     m = draw(st.integers(1, 3))
     counts = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4, unique=True))
     exponent_row = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
+    if draw(separable):
+        exponent_row = st.tuples(st.integers(0, m - 1), st.integers(1, 4)).map(
+            lambda pair: [pair[1] if k == pair[0] else 0 for k in range(m)])
     agents = [
         CostFunction(np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=t, max_size=t))),
                      np.array(draw(st.lists(exponent_row, min_size=t, max_size=t))))
@@ -138,6 +146,39 @@ def test_poly_batch_matches_naive_terms(case):
             expected = [naive_derivative(f, x[i], j, order) for i, f in enumerate(agents)]
             assert got.tolist() == pytest.approx(expected, rel=1e-12, abs=0)
     assert np.array_equal(batch.gradient(x)[:, 0], batch.partial(x, 0))
+
+
+@given(agents_and_point())
+@settings(max_examples=200, deadline=None)
+def test_poly_batch_matches_dense_kernel(case):
+    """The compacted kernel against the padded one it replaced.
+
+    Bit for bit where a derivative of an agent keeps at most 2 terms; with 3 or
+    more, einsum may group the shorter term axis differently.
+    """
+    agents, x = case
+    batch, dense = PolyBatch(agents), DensePolyBatch(agents)
+    assert np.array_equal(batch.value(x), dense.value(x))
+
+    def agrees(got, expected, order, j):
+        terms = np.array([np.count_nonzero(f.exponents[:, j] >= order) for f in agents])
+        exact = terms <= 2
+        assert np.array_equal(got[exact], expected[exact])
+        assert (np.abs(got - expected) <= 1e-15 * np.abs(expected)).all()
+
+    grad = batch.gradient(x)
+    for j in range(x.shape[1]):
+        agrees(batch.partial(x, j), dense.partial(x, j), 1, j)
+        agrees(batch.second_partial(x, j), dense.second_partial(x, j), 2, j)
+        agrees(grad[:, j], dense.gradient(x)[:, j], 1, j)
+    points = np.stack([x, 0.5 * x])         # a leading batch axis
+    assert np.array_equal(batch.gradient(points)[1], batch.gradient(0.5 * x))
+
+
+def test_zero_weight_term_that_overflows_leaves_the_partial_finite():
+    # d/dx2 of x1^400 is 0, so the term is dropped rather than evaluated as 0 * inf
+    f = CostFunction(np.array([1.0, 1.0]), np.array([[400, 0], [0, 2]]))
+    assert PolyBatch([f]).partial(np.array([[10.0, 1.5]]), 1).tolist() == [3.0]
 
 
 def test_resource_config_validation():

@@ -11,7 +11,7 @@ from dpaimd.privacy import (
     SensitivityTracker,
     gaussian_sigma,
     laplace_scale,
-    sample_noise,
+    unit_noise,
 )
 from oracles import empirical_dp_ratio, empirical_dp_violation_fraction
 
@@ -44,28 +44,33 @@ class TestCalibration:
 
 
 class TestSampling:
-    def test_none_kind_is_zero(self):
-        rng = np.random.default_rng(0)
-        draws = sample_noise(NoiseKind.NONE, 0.0, [rng] * 10)
-        assert draws.shape == (10,) and (draws == 0.0).all()
-
     def test_laplace_variance(self):
         rng = np.random.default_rng(123)
-        draws = sample_noise(NoiseKind.LAPLACE, 59.0, [rng] * 200_000)
+        draws = 59.0 * unit_noise(NoiseKind.LAPLACE, rng, 200_000)
         # thin the Monte Carlo a bit vs. the full check in acceptance; 2 b^2 variance
         assert draws.var() == pytest.approx(2 * 59.0 ** 2, rel=0.03)
         assert abs(draws.mean()) < 3 * math.sqrt(2) * 59.0 / math.sqrt(200_000)
 
     def test_gaussian_moments(self):
         rng = np.random.default_rng(321)
-        draws = sample_noise(NoiseKind.GAUSSIAN, 20.5, [rng] * 200_000)
+        draws = 20.5 * unit_noise(NoiseKind.GAUSSIAN, rng, 200_000)
         assert abs(draws.mean()) <= 3 * 20.5 / math.sqrt(200_000)
         assert draws.std() == pytest.approx(20.5, rel=0.02)
 
     def test_reproducible_given_stream(self):
-        a = sample_noise(NoiseKind.LAPLACE, 2.0, [np.random.default_rng(5)])
-        b = sample_noise(NoiseKind.LAPLACE, 2.0, [np.random.default_rng(5)])
+        a = 2.0 * unit_noise(NoiseKind.LAPLACE, np.random.default_rng(5), 1)
+        b = 2.0 * unit_noise(NoiseKind.LAPLACE, np.random.default_rng(5), 1)
         assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("kind, draw", [
+        (NoiseKind.LAPLACE, lambda rng, s: rng.laplace(0.0, s)),
+        (NoiseKind.GAUSSIAN, lambda rng, s: rng.normal(0.0, s)),
+    ])
+    def test_scaled_block_equals_one_draw_at_a_time(self, kind, draw):
+        scale = 3.7
+        block = scale * unit_noise(kind, np.random.default_rng(8), 5_000)
+        rng = np.random.default_rng(8)
+        assert block.tolist() == [draw(rng, scale) for _ in range(5_000)]
 
 
 class TestNoiseSpecValidation:
