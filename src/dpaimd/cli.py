@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
@@ -57,6 +58,8 @@ _SCHEMA = {
 }
 _KINDS = {"integer": int, "number": (int, float), "boolean": bool, "string": str,
           "object": dict, "list": list}
+_BRIEF = reprlib.Repr()     # how a message shows a value: long ones cut, nested as [...]
+_BRIEF.maxlevel = 1
 
 
 def _check(value, kind, where: str = ""):
@@ -70,21 +73,22 @@ def _check(value, kind, where: str = ""):
         _check(value, "object", where)
         unknown = set(value) - set(kind)
         if unknown:
-            raise ConfigurationError(f"unknown key(s) {sorted(unknown)} in {name}")
+            raise ConfigurationError(f"unknown key(s) {_BRIEF.repr(sorted(unknown))} in {name}")
         for key, item in value.items():
             _check(item, kind[key], f"{where}.{key}" if where else key)
     elif isinstance(kind, (list, tuple)):
         _check(value, "list", where)
         kinds = kind if isinstance(kind, tuple) else kind * len(value)
         if len(kinds) != len(value):
-            raise ConfigurationError(f"{name} must be a list of {len(kinds)} items, got {value!r}")
+            raise ConfigurationError(f"{name} must be a list of {len(kinds)} items, "
+                                     f"got {_BRIEF.repr(value)}")
         for idx, (item_kind, item) in enumerate(zip(kinds, value)):
             _check(item, item_kind, f"{where}[{idx}]")
     elif (not isinstance(value, _KINDS[kind])
           or kind in ("integer", "number") and isinstance(value, bool)
           or kind == "number" and not abs(value) <= sys.float_info.max):
         finite = "finite " if kind == "number" else ""
-        raise ConfigurationError(f"{name} must be a {finite}JSON {kind}, got {value!r}")
+        raise ConfigurationError(f"{name} must be a {finite}JSON {kind}, got {_BRIEF.repr(value)}")
 
 
 def _nesting(value) -> int:
@@ -104,13 +108,16 @@ def _checked_sweep(raw: dict):
     for idx, axis in enumerate(axes):
         if "path" not in axis or not axis.get("values"):
             raise ConfigurationError(f"sweep.axes[{idx}] needs a path and a non-empty list of values")
+        if axis["path"] == "seed":      # a job's seed comes from sweep.seeds or seed alone
+            raise ConfigurationError(f"sweep.axes[{idx}] sweeps seed; list seeds in sweep.seeds")
         for k, value in enumerate(axis["values"]):
             if _nesting(value) > MAX_SWEEP_NESTING:
                 raise ConfigurationError(f"sweep.axes[{idx}].values[{k}] nests more than "
                                          f"{MAX_SWEEP_NESTING} levels of lists and objects")
     seeds = sweep.get("seeds", [raw.get("seed")])
     if not seeds or len(set(seeds)) != len(seeds):
-        raise ConfigurationError(f"sweep.seeds must name one or more distinct seeds, got {seeds}")
+        raise ConfigurationError(f"sweep.seeds must name one or more distinct seeds, "
+                                 f"got {_BRIEF.repr(seeds)}")
     return [a["path"] for a in axes], [a["values"] for a in axes], seeds
 
 
@@ -124,9 +131,8 @@ def parse_config(raw: dict) -> SystemConfig:
     """Build a SystemConfig from a parsed JSON document (sweep block checked, not expanded)."""
     _check(raw, _SCHEMA)
     if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
-        )
+        raise ConfigurationError(f"schema_version must be {SCHEMA_VERSION}, "
+                                 f"got {_BRIEF.repr(raw.get('schema_version'))}")
     for req in ("agents", "resources", "noise", "steps", "seed"):
         if req not in raw:
             raise ConfigurationError(f"missing required field '{req}'")
@@ -233,7 +239,7 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
         "schema_version": SCHEMA_VERSION,
         "seed": config.seed,
         "steps": config.steps,
-        "final_xbar": summary.final_xbar.tolist(),
+        "final_xbar": trace.final_xbar.tolist(),
         "abs_error": summary.abs_error.tolist(),
         "cost_ratio": summary.cost_ratio,
         "event_counts": trace.event_counts.tolist(),
@@ -333,7 +339,7 @@ def _load(config_path) -> dict:
     """The JSON document in the config file; undecodable text is a config error."""
     try:
         return json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # not UTF-8, not JSON, or an integer literal too long to convert
         raise ConfigurationError(str(exc)) from exc
     except RecursionError as exc:
         raise ConfigurationError(f"config file {config_path} is nested too deeply to decode") from exc

@@ -49,10 +49,12 @@ class Trace:
     """Struct-of-arrays record of a full run, each fact stored once.
 
     x-bar, lambda-hat and the bit counts are derived on each read, bit for bit
-    the values the engine used.
+    the values the engine used; a summary reads only the loop's own final x-bar
+    and the (steps, m) arrays, never the dense (steps, n, m) ones.
     """
 
     x: np.ndarray                   # (steps, n, m)
+    final_xbar: np.ndarray          # (n, m) x-bar after the last step, zeros at 0 steps
     event_bits: np.ndarray          # (steps, m) uint8
     noisy_derivative: np.ndarray    # (steps, n, m), NaN off-event
     partial_spread: np.ndarray      # (steps, m) max - min of noiseless partials, NaN off-event
@@ -84,15 +86,15 @@ class Trace:
 
     @property
     def steps(self) -> int:
-        return self.x.shape[0]
+        return self.event_bits.shape[0]
 
     @property
     def n_agents(self) -> int:
-        return self.x.shape[1]
+        return self.final_xbar.shape[0]
 
     @property
     def n_resources(self) -> int:
-        return self.x.shape[2]
+        return self.final_xbar.shape[1]
 
 
 def _noise_columns(kind: NoiseKind, rngs: list, limit: int):
@@ -201,6 +203,6 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
         tr_dq[nu] = tracker.running_max
 
     return Trace(
-        x=tr_x, event_bits=tr_bits, noisy_derivative=tr_nderiv, partial_spread=tr_spread,
-        sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
+        x=tr_x, final_xbar=xbar, event_bits=tr_bits, noisy_derivative=tr_nderiv,
+        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
     )

@@ -1,10 +1,10 @@
 """Post-processing of simulation traces: errors, cost ratio, consensus, bits.
 
-All functions are pure over immutable traces. The trace holds every fact of a
-run once, so a summary reads it rather than copying it: the derivative spread
-is the one the engine recorded from the noiseless partials at the averages the
-agents used at each event, and the noisy values they actually used stay
-available in the trace for privacy-side analysis.
+All functions are pure over immutable traces and read only a trace's (n, m)
+and (steps, m) arrays, never its dense per-agent series: the errors and the
+cost ratio come from the engine's final averages, and the derivative spread is
+the one it recorded from the noiseless partials at the averages the agents
+used at each event.
 """
 from __future__ import annotations
 
@@ -19,8 +19,7 @@ from .model import PolyBatch
 
 @dataclass
 class RunSummary:
-    trace: Trace                            # bits, sensitivity and noise scales are read here
-    final_xbar: np.ndarray                  # (n, m)
+    trace: Trace                            # final averages, bits, sensitivity, scales
     abs_error: np.ndarray                   # (n, m) |xbar - x*|
     cost_ratio: float | None                # None when some resource saw no event
     derivative_spread: dict                 # resource -> (event_steps, spread)
@@ -30,20 +29,12 @@ def cost_ratio(trace: Trace, costs: list, optimum: OptimalAllocation) -> float |
     """Achieved total cost at the final averages over the optimal total cost.
 
     The averages are running means of the demand over every step, so the final
-    recorded average vector is each agent's mean allocation over the whole run.
-    Returns None if any resource never fired.
+    average vector is each agent's mean allocation over the whole run.
+    Returns None if any resource never fired, as in a run of 0 steps.
     """
-    if trace.steps == 0:
-        return None
-    return _cost_ratio(trace, trace.xbar[-1], costs, optimum)
-
-
-def _cost_ratio(trace: Trace, final_xbar: np.ndarray, costs: list,
-                optimum: OptimalAllocation) -> float | None:
-    """``cost_ratio`` with the final averages already derived from the trace."""
     if (trace.event_counts == 0).any():
         return None
-    return float(PolyBatch(costs).value(final_xbar).sum()) / optimum.total_cost
+    return float(PolyBatch(costs).value(trace.final_xbar).sum()) / optimum.total_cost
 
 
 def derivative_spread(trace: Trace) -> dict:
@@ -60,11 +51,9 @@ def derivative_spread(trace: Trace) -> dict:
 
 
 def summarize(trace: Trace, costs: list, optimum: OptimalAllocation) -> RunSummary:
-    final_xbar = trace.xbar[-1].copy() if trace.steps else np.zeros((trace.n_agents, trace.n_resources))
     return RunSummary(
         trace=trace,
-        final_xbar=final_xbar,
-        abs_error=np.abs(final_xbar - optimum.x_star),
-        cost_ratio=_cost_ratio(trace, final_xbar, costs, optimum),
+        abs_error=np.abs(trace.final_xbar - optimum.x_star),
+        cost_ratio=cost_ratio(trace, costs, optimum),
         derivative_spread=derivative_spread(trace),
     )

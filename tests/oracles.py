@@ -341,6 +341,6 @@ def simulate_oracle(config, scales) -> Trace:
         tr_dq[nu] = tracker.running_max
 
     return Trace(
-        x=tr_x, event_bits=tr_bits, noisy_derivative=tr_nderiv, partial_spread=tr_spread,
-        sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
+        x=tr_x, final_xbar=xbar, event_bits=tr_bits, noisy_derivative=tr_nderiv,
+        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
     )

@@ -232,6 +232,9 @@ class TestRunCommand:
         (lambda d: d["noise"][0].update(scale=True), []),
         (lambda d: d["resources"][0].update(beta=False), []),
         (lambda d: d["resources"][0].update(capacity=True), []),
+        (lambda d: d.update(steps=list(range(20_000))), []),
+        (lambda d: d["resources"][0].update(capacity="x" * 50_000), []),
+        (lambda d: d["resources"][0].update(capacity=10**3999), []),
     ], ids=["sweep-path-index", "sweep-value", "term-without-exponents",
             "calibration-without-events", "agents-not-list", "resources-not-objects",
             "noise-not-objects", "agent-ids-not-list", "sweep-seeds-not-list", "steps-string",
@@ -240,12 +243,14 @@ class TestRunCommand:
             "seed-override-on-list-root", "seed-override-on-list-sweep",
             "duplicate-agent-ids", "duplicate-sweep-seeds", "sweep-seeds-empty",
             "sweep-values-empty", "noise-scale-bool", "resource-beta-bool",
-            "resource-capacity-bool"])
+            "resource-capacity-bool", "steps-long-list", "capacity-long-string",
+            "capacity-4000-digits"])
     def test_config_errors_exit_2(self, tmp_path, capsys, mutate, extra_args):
         out_args = ["--out", str(tmp_path / "out"), *extra_args]
         assert self.run_mutated_suite_config(tmp_path, mutate, out_args) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
+        assert len(err) < 300       # a long offending value is shown shortened
 
     def run_mutated_suite_config(self, tmp_path, mutate, args):
         suite = {p.name: p for p in cli.emit_reference_suite(tmp_path / "suite")}
@@ -274,13 +279,15 @@ class TestRunCommand:
         (lambda d: d["noise"][0].update(epsilon=math.nan), 2),
         (lambda d: d.update(sweep={"axes": [{"path": "output_dir", "values": ["a", "b"]}]}), 2),
         (lambda d: d.update(sweep={"axes": [{"path": "sweep", "values": [{}]}]}), 2),
+        (lambda d: d.update(sweep={"axes": [{"path": "seed", "values": [1, 2]}],
+                                   "seeds": [10, 20]}), 2),
         (lambda d: d.update(steps=300, noise=[{"kind": "laplace", "scale_mode": "calibrated",
                                                "epsilon": 5e-324}] * 2), 3),
     ], ids=["capacity-inf", "capacity-int-1e200", "coefficient-inf", "coefficient-nan",
             "coefficient-1e308", "steps-1e30", "steps-2-62", "output-dir-number",
             "exponent-fraction", "exponent-bool", "coefficient-string", "term-three-items",
             "scale-inf", "gamma-inf", "sensitivity-inf", "epsilon-nan", "sweep-axis-output-dir",
-            "sweep-axis-sweep", "calibrated-scale-inf"])
+            "sweep-axis-sweep", "sweep-axis-seed", "calibrated-scale-inf"])
     def test_malformed_inputs_exit_2_or_3(self, tmp_path, capsys, monkeypatch, mutate, code):
         monkeypatch.chdir(tmp_path)     # no --out: output_dir, if it were used, is relative
         assert self.run_mutated_suite_config(tmp_path, mutate, []) == code
@@ -300,16 +307,21 @@ class TestRunCommand:
         ("run --config {config} --out {out}", "sweep-value-nested"),
         ("run --config {config} --out {out} --jobs 0", None),
         ("run --config {config} --out {out} --jobs -4", None),
+        ("run --config {config} --out {out}", "steps-int-too-long"),
+        ("solve --config {config}", "steps-int-too-long"),
     ], ids=["run-not-utf8", "solve-not-utf8", "run-json-too-deep", "solve-json-too-deep",
             "run-out-under-file", "suite-out-under-file", "sweep-value-too-deep",
-            "jobs-0", "jobs-negative"])
+            "jobs-0", "jobs-negative", "run-int-too-long", "solve-int-too-long"])
     def test_unreadable_or_unwritable_exits_2(self, tmp_path, capsys, argv, content):
         doc = small_doc()
         if content == "sweep-value-nested":
             nested = json.loads("[" * 500 + "]" * 500)
             doc["sweep"] = {"axes": [{"path": "noise.0.scale", "values": [nested]}]}
+        text = json.dumps(doc)
+        if content == "steps-int-too-long":      # past Python's 4,300-digit int-string limit
+            text = text.replace('"steps": 60', '"steps": 1' + "0" * 5_000)
         path = tmp_path / "config.json"
-        path.write_bytes(content if isinstance(content, bytes) else json.dumps(doc).encode())
+        path.write_bytes(content if isinstance(content, bytes) else text.encode())
         (tmp_path / "file").write_text("", encoding="utf-8")
         args = argv.format(config=path, out=tmp_path / "out", file=tmp_path / "file").split()
         assert cli.main(args) == 2

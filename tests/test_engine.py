@@ -346,16 +346,48 @@ def noise_stream(seed, agent_id, *tag):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_STREAM, agent_id) + tag))
 
 
+def usable_scales(config):
+    """The config's noise scales, or 1.5 for each noisy resource if a short pilot
+    saw no sensitivity."""
+    try:
+        return resolve_noise_scales(config)
+    except ConfigurationError:
+        return np.array([0.0 if spec.kind is NoiseKind.NONE else 1.5 for spec in config.noise])
+
+
+class TestFinalXbar:
+    """The trace hands over the loop's own final x-bar, bit-equal to the derived one."""
+
+    @given(small_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_last_derived_xbar(self, config):
+        trace = engine.run(config, usable_scales(config))
+        assert trace.final_xbar.shape == (config.n_agents, config.n_resources)
+        expected = trace.xbar[-1] if trace.steps else np.zeros_like(trace.final_xbar)
+        assert trace.final_xbar.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("noise", list(NOISE_CHOICES))
+    def test_one_agent_one_resource(self, noise):
+        # a plain sum of x over the steps, over steps + 1, misses here in the last bits
+        config = SystemConfig(agents=[square_cost()], noise=[NOISE_CHOICES[noise]], steps=2_000,
+                              resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5,
+                                                        gamma=0.05)], seed=3)
+        trace = engine.run(config)
+        assert trace.final_xbar.tobytes() == trace.xbar[-1].tobytes()
+
+    def test_zeros_without_steps(self):
+        trace = engine.run(one_resource_config([square_cost(), square_cost(2.0)], steps=0))
+        assert trace.steps == 0 and trace.n_agents == 2 and trace.n_resources == 1
+        assert trace.final_xbar.tobytes() == np.zeros((2, 1)).tobytes()
+
+
 class TestNoiseBlocks:
     """Noise is drawn ahead in blocks per agent stream, sliced one column per event."""
 
     @given(small_configs())
     @settings(max_examples=60, deadline=None)
     def test_trace_is_byte_equal_to_per_event_draws(self, config):
-        try:
-            scales = resolve_noise_scales(config)
-        except ConfigurationError:          # a short pilot may see no sensitivity
-            scales = np.array([0.0 if spec.kind is NoiseKind.NONE else 1.5 for spec in config.noise])
+        scales = usable_scales(config)
         got, expected = engine.run(config, scales), simulate_oracle(config, scales)
         for name, value in vars(expected).items():
             assert getattr(got, name).dtype == value.dtype, name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpaimd
-from dpaimd import cli
+from dpaimd import cli, engine
 from dpaimd.cli import reference_system_config
 from dpaimd.engine import Trace, multiplicative_decrease
 from dpaimd.metrics import (
@@ -245,16 +246,49 @@ class TestSummarize:
 
     def test_zero_step_trace(self):
         cfg, trace = tiny_run(0)
-        s = summarize(trace, cfg.agents, dpaimd.solve_optimum(cfg.agents, cfg.resources))
-        assert s.final_xbar.shape == (2, 1)
-        assert (s.final_xbar == 0).all()
+        optimum = dpaimd.solve_optimum(cfg.agents, cfg.resources)
+        s = summarize(trace, cfg.agents, optimum)
+        assert s.trace.final_xbar.shape == (2, 1)
+        assert (s.trace.final_xbar == 0).all()
+        assert np.array_equal(s.abs_error, optimum.x_star)
+        assert s.cost_ratio is None
 
-    def test_derives_xbar_once(self, short_reference_run, monkeypatch):
-        # x-bar is a cumsum over the whole trace; the summary needs its last row once
+    def test_never_derives_xbar(self, short_reference_run, monkeypatch):
+        # x-bar and lambda-hat are (steps, n, m) derivations; a summary reads the final x-bar
         config, trace, optimum = short_reference_run
         derived = []
-        xbar = Trace.xbar
-        monkeypatch.setattr(Trace, "xbar", property(lambda t: derived.append(1) or xbar.fget(t)))
+        for name in ("xbar", "lambda_hat"):
+            view = getattr(Trace, name)
+            monkeypatch.setattr(Trace, name, property(
+                lambda t, name=name, view=view: derived.append(name) or view.fget(t)))
         s = summarize(trace, config.agents, optimum)
-        assert len(derived) == 1
+        cli.summary_to_dict(s, config, optimum)
+        assert derived == []
         assert s.cost_ratio == cost_ratio(trace, config.agents, optimum)
+
+
+@pytest.mark.parametrize("noise", [
+    noisy_pair(NoiseKind.GAUSSIAN, 20.50, 39.31),
+    [NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5, scale_mode=ScaleMode.CALIBRATED),
+     NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.5, delta=0.01, scale_mode=ScaleMode.CALIBRATED)],
+], ids=["fixed", "calibrated"])
+def test_summary_needs_no_dense_trace(noise, tmp_path, monkeypatch):
+    """Summary JSON and sweep row are the same from a trace without its (steps, n, m) arrays."""
+    config = reference_system_config(noise, steps=2_000)
+    optimum = dpaimd.solve_optimum(config.agents, config.resources)
+    scales = engine.resolve_noise_scales(config)
+    assert (scales > 0).all()
+    full = engine.run(config, scales)
+    lean = dataclasses.replace(full, x=None, noisy_derivative=None)
+    texts = [cli._json_text(cli.summary_to_dict(summarize(t, config.agents, optimum), config,
+                                                optimum)) for t in (full, lean)]
+    assert texts[0] == texts[1]
+
+    outputs = []
+    for trace in (full, lean):
+        monkeypatch.setattr(engine, "run", lambda config, scales, trace=trace: trace)
+        out = tmp_path / str(len(outputs))
+        out.mkdir()
+        row = cli._run_one((0, {}, config, optimum, scales, False, str(out)))
+        outputs.append((row, (out / f"summary_p000_s{config.seed}.json").read_text()))
+    assert outputs[0] == outputs[1]
