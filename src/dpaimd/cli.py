@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 MAX_SERIES_POINTS = 512
+TRACE_CHUNK_ROWS = 1200     # trace CSV rows per write; more raises the writer's peak memory
 # A sweep value may nest lists and objects this deep: far more than any job
 # field takes (an agents list, the deepest, nests 5) and far less than the
 # recursion limit that copying a value runs into.
@@ -254,28 +255,32 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
     }
 
 
+def _cells(column: np.ndarray, shape) -> list:
+    """One CSV field per row of ``shape``: ints as they are, floats at 17 digits, NaN empty."""
+    values = np.broadcast_to(column, shape).ravel().tolist()
+    if column.dtype.kind != "f":
+        return values
+    return ["%.17g" % v if v == v else "" for v in values]
+
+
 def write_trace_csv(trace: engine.Trace, path: Path):
-    """Full per-step trace, one row per (step, agent, resource), 17 sig digits."""
-    fmt = lambda v: "" if np.isnan(v) else f"{v:.17g}"
-    # a derived view is recomputed on each read: read each once, lambda-hat first (lower peak)
+    """Full per-step trace, one row per (step, agent, resource), 17 sig digits;
+    each derived view is read once, then rows go out TRACE_CHUNK_ROWS at a time."""
+    n, m = trace.n_agents, trace.n_resources
     lambda_hat, xbar, cum_bits = trace.lambda_hat, trace.xbar, trace.cum_bits
+    chunk = max(1, TRACE_CHUNK_ROWS // (n * m))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "agent", "resource", "x", "xbar", "event_bit",
-                        "lambda_hat", "noisy_derivative", "sensitivity", "cum_bits"])
-        for nu in range(trace.steps):
-            for i in range(trace.n_agents):
-                for j in range(trace.n_resources):
-                    writer.writerow([
-                        nu, i, j,
-                        fmt(float(trace.x[nu, i, j])),
-                        fmt(float(xbar[nu, i, j])),
-                        int(trace.event_bits[nu, j]),
-                        fmt(float(lambda_hat[nu, i, j])),
-                        fmt(float(trace.noisy_derivative[nu, i, j])),
-                        fmt(float(trace.sensitivity[nu, j])),
-                        int(cum_bits[nu]),
-                    ])
+        fh.write("step,agent,resource,x,xbar,event_bit,lambda_hat,noisy_derivative,"
+                 "sensitivity,cum_bits\n")
+        for lo in range(0, trace.steps, chunk):
+            span = slice(lo, lo + chunk)
+            shape = trace.x[span].shape
+            columns = (np.arange(lo, lo + shape[0])[:, None, None], np.arange(n)[:, None],
+                       np.arange(m), trace.x[span], xbar[span], trace.event_bits[span, None],
+                       lambda_hat[span], trace.noisy_derivative[span],
+                       trace.sensitivity[span, None], cum_bits[span, None, None])
+            cells = [_cells(column, shape) for column in columns]
+            fh.writelines("%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n" % row for row in zip(*cells))
 
 
 def _problem_key(config: SystemConfig):

@@ -188,11 +188,7 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
                 tr_nderiv[nu, :, j] = g + d
                 lam = compute_lambda_hat(gamma[j], g, d, xbar[:, j])
                 x[:, j] = multiplicative_decrease(x[:, j], lam, beta[j])
-            grow = bits == 0
-            if grow.any():
-                x[:, grow] += alpha[grow]
-        else:
-            x += alpha
+        x += np.where(bits, 0.0, alpha)     # additive increase where no event fired
         if not np.isfinite(x).all():
             raise NumericError(f"non-finite demand at step {nu}", step=nu)
         # running mean of the demand over every step, x(0) = 0 included

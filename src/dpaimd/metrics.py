@@ -28,8 +28,9 @@ class RunSummary:
 def cost_ratio(trace: Trace, costs: list, optimum: OptimalAllocation) -> float | None:
     """Achieved total cost at the final averages over the optimal total cost.
 
-    The averages are running means of the demand over every step, so the final
-    average vector is each agent's mean allocation over the whole run.
+    The final averages are each agent's mean allocation over every step, the
+    ramp up from x(0) = 0 included: on a short run their sum falls short of the
+    capacity, and the ratio can read below 1 (0.92 after 1,000 steps).
     Returns None if any resource never fired, as in a run of 0 steps.
     """
     if (trace.event_counts == 0).any():

@@ -262,11 +262,6 @@ _COEFF_STREAM = 0
 NOISE_STREAM = 1
 
 
-def agent_coefficient_rng(seed: int, agent_id: int) -> np.random.Generator:
-    """Dedicated coefficient sub-stream per agent, keyed by identity."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_COEFF_STREAM, agent_id)))
-
-
 def reference_agent_costs(seed: int, n: int = 6) -> list:
     """Build the canonical six-agent, two-resource cost mix.
 
@@ -274,16 +269,10 @@ def reference_agent_costs(seed: int, n: int = 6) -> list:
     integer-uniform a in [10, 30], b in [15, 35], drawn from a per-agent
     sub-stream of the run seed so the configuration is reproducible.
     """
+    families = (quad_quartic_cost, lambda a, b: quadratic_cost(b), lambda a, b: quartic_cost(b))
     costs = []
     for i in range(n):
-        rng = agent_coefficient_rng(seed, i)
-        a = int(rng.integers(10, 31))
-        b = int(rng.integers(15, 36))
-        family = (i // 2) % 3
-        if family == 0:
-            costs.append(quad_quartic_cost(a, b))
-        elif family == 1:
-            costs.append(quadratic_cost(b))
-        else:
-            costs.append(quartic_cost(b))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_COEFF_STREAM, i)))
+        a, b = int(rng.integers(10, 31)), int(rng.integers(15, 36))
+        costs.append(families[(i // 2) % 3](a, b))
     return costs

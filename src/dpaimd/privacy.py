@@ -8,6 +8,7 @@ Gaussian uses sigma = (dq / epsilon) * sqrt(2 ln(1.25 / delta)) for
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,8 +40,12 @@ class NoiseSpec:
     sensitivity: float | None = None    # optional fixed dq overriding the tracker
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", NoiseKind(self.kind))
-        object.__setattr__(self, "scale_mode", ScaleMode(self.scale_mode))
+        for name, choice in (("kind", NoiseKind), ("scale_mode", ScaleMode)):
+            try:    # Enum's own message would echo a long value whole
+                object.__setattr__(self, name, choice(getattr(self, name)))
+            except ValueError:
+                raise ConfigurationError(f"{name} must be one of {[c.value for c in choice]}, "
+                                         f"got {reprlib.repr(getattr(self, name))}") from None
         if self.kind is NoiseKind.NONE:
             return
         if self.scale_mode is ScaleMode.FIXED:

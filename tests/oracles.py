@@ -11,9 +11,12 @@
   ``PolyBatch`` replaced, every partial evaluated over all T terms.
 - ``simulate_oracle``: the engine loop as it was before noise was drawn in
   blocks, one draw per agent at each noisy event, on the dense kernel.
+- ``write_trace_csv_oracle``: the trace CSV writer as it was before it wrote
+  in chunks, one ``csv.writer`` row per (step, agent, resource) cell.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -344,3 +347,31 @@ def simulate_oracle(config, scales) -> Trace:
         x=tr_x, final_xbar=xbar, event_bits=tr_bits, noisy_derivative=tr_nderiv,
         partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-cell trace CSV writer
+# ---------------------------------------------------------------------------
+
+def write_trace_csv_oracle(trace: Trace, path):
+    """Full per-step trace, one row per (step, agent, resource), 17 sig digits."""
+    fmt = lambda v: "" if np.isnan(v) else f"{v:.17g}"
+    # a derived view is recomputed on each read: read each once, lambda-hat first (lower peak)
+    lambda_hat, xbar, cum_bits = trace.lambda_hat, trace.xbar, trace.cum_bits
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["step", "agent", "resource", "x", "xbar", "event_bit",
+                        "lambda_hat", "noisy_derivative", "sensitivity", "cum_bits"])
+        for nu in range(trace.steps):
+            for i in range(trace.n_agents):
+                for j in range(trace.n_resources):
+                    writer.writerow([
+                        nu, i, j,
+                        fmt(float(trace.x[nu, i, j])),
+                        fmt(float(xbar[nu, i, j])),
+                        int(trace.event_bits[nu, j]),
+                        fmt(float(lambda_hat[nu, i, j])),
+                        fmt(float(trace.noisy_derivative[nu, i, j])),
+                        fmt(float(trace.sensitivity[nu, j])),
+                        int(cum_bits[nu]),
+                    ])

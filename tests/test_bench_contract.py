@@ -3,6 +3,7 @@ wraps named attributes of the package, and its workloads hand the CLI config
 documents. These tests load both files by path, without changing them or
 writing their bytecode, and check that what they rely on still exists."""
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -35,6 +36,13 @@ def bench():
 def test_every_tracer_target_exists(bench):
     for owner, attr, name, _ in bench["tracer"].TARGETS:
         assert attr in vars(owner), name
+
+
+def test_trace_writer_takes_the_trace_then_the_path():
+    # the tracer notes the CSV a call writes as its second positional argument
+    params = list(inspect.signature(cli.write_trace_csv).parameters.values())[:2]
+    assert [p.name for p in params] == ["trace", "path"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
 
 
 def test_every_workload_document_is_accepted(bench, tmp_path):

@@ -16,6 +16,7 @@ from dpaimd import baseline, cli, engine, metrics
 from dpaimd.model import ConfigurationError, NumericError, ResourceConfig, SystemConfig
 from dpaimd.model import CostFunction, quad_quartic_cost, quadratic_cost, quartic_cost
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
+from oracles import write_trace_csv_oracle
 
 
 def small_config(steps=60, seed=4):
@@ -114,6 +115,44 @@ class TestSweepExpansion:
             cli.expand_sweep(doc)
 
 
+NOISE_KINDS = {
+    "none": NoiseSpec(),
+    "laplace": NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=0.5),
+    "gaussian": NoiseSpec(kind=NoiseKind.GAUSSIAN, scale_mode=ScaleMode.FIXED, scale=0.5),
+}
+
+
+@st.composite
+def trace_configs(draw):
+    """1-3 agents with quadratic costs on 1-3 resources, each resource without
+    noise or with fixed Laplace or Gaussian noise, 0 to 40 steps."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return SystemConfig(
+        agents=[CostFunction(np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=m,
+                                                     max_size=m))), 2 * np.eye(m, dtype=int))
+                for _ in range(n)],
+        resources=[ResourceConfig(capacity=draw(st.floats(0.1, 0.5)), alpha=0.05, beta=0.5,
+                                  gamma=1e-3) for _ in range(m)],
+        noise=[NOISE_KINDS[draw(st.sampled_from(sorted(NOISE_KINDS)))] for _ in range(m)],
+        steps=draw(st.integers(0, 40)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestTraceCsv:
+    """The chunked writer gives the bytes of the per-cell writer it replaced."""
+
+    @given(trace_configs(), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_equal_to_the_per_cell_writer(self, config, chunk_rows):
+        trace = engine.run(config)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            # a few rows per chunk: horizons span several chunks and end mid-chunk
+            patch.setattr(cli, "TRACE_CHUNK_ROWS", chunk_rows)
+            got, expected = Path(tmp) / "got.csv", Path(tmp) / "expected.csv"
+            cli.write_trace_csv(trace, got)
+            write_trace_csv_oracle(trace, expected)
+            assert got.read_bytes() == expected.read_bytes()
+
+
 class TestDownsample:
     def test_short_series_untouched(self):
         idx, out = cli._downsample(np.arange(10.0))
@@ -154,9 +193,12 @@ class TestRunCommand:
         path = self.write(tmp_path, small_doc(steps=20))
         out = tmp_path / "out"
         cli.main(["run", "--config", str(path), "--out", str(out), "--emit-trace"])
-        lines = (out / "trace_p000_s4.csv").read_text().splitlines()
+        written = (out / "trace_p000_s4.csv").read_bytes()
+        lines = written.decode().splitlines()
         assert lines[0].split(",")[:4] == ["step", "agent", "resource", "x"]
         assert len(lines) == 1 + 20 * 2 * 1
+        write_trace_csv_oracle(engine.run(small_config(steps=20)), tmp_path / "oracle.csv")
+        assert written == (tmp_path / "oracle.csv").read_bytes()
 
     def test_seed_and_steps_overrides(self, tmp_path):
         path = self.write(tmp_path, small_doc())
@@ -235,6 +277,8 @@ class TestRunCommand:
         (lambda d: d.update(steps=list(range(20_000))), []),
         (lambda d: d["resources"][0].update(capacity="x" * 50_000), []),
         (lambda d: d["resources"][0].update(capacity=10**3999), []),
+        (lambda d: d["noise"][0].update(kind="x" * 50_000), []),
+        (lambda d: d["noise"][0].update(scale_mode="x" * 50_000), []),
     ], ids=["sweep-path-index", "sweep-value", "term-without-exponents",
             "calibration-without-events", "agents-not-list", "resources-not-objects",
             "noise-not-objects", "agent-ids-not-list", "sweep-seeds-not-list", "steps-string",
@@ -244,7 +288,7 @@ class TestRunCommand:
             "duplicate-agent-ids", "duplicate-sweep-seeds", "sweep-seeds-empty",
             "sweep-values-empty", "noise-scale-bool", "resource-beta-bool",
             "resource-capacity-bool", "steps-long-list", "capacity-long-string",
-            "capacity-4000-digits"])
+            "capacity-4000-digits", "noise-kind-long-string", "scale-mode-long-string"])
     def test_config_errors_exit_2(self, tmp_path, capsys, mutate, extra_args):
         out_args = ["--out", str(tmp_path / "out"), *extra_args]
         assert self.run_mutated_suite_config(tmp_path, mutate, out_args) == 2
