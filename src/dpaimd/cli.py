@@ -265,20 +265,21 @@ def _cells(column: np.ndarray, shape) -> list:
 
 def write_trace_csv(trace: engine.Trace, path: Path):
     """Full per-step trace, one row per (step, agent, resource), 17 sig digits;
-    each derived view is read once, then rows go out TRACE_CHUNK_ROWS at a time."""
+    rows go out TRACE_CHUNK_ROWS at a time, with x-bar and lambda-hat derived
+    per chunk. Needs a trace run with ``dense=True``."""
     n, m = trace.n_agents, trace.n_resources
-    lambda_hat, xbar, cum_bits = trace.lambda_hat, trace.xbar, trace.cum_bits
-    chunk = max(1, TRACE_CHUNK_ROWS // (n * m))
+    cum_bits = trace.cum_bits
+    means = trace.running_means(max(1, TRACE_CHUNK_ROWS // (n * m)))   # raises on a lean trace
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,agent,resource,x,xbar,event_bit,lambda_hat,noisy_derivative,"
                  "sensitivity,cum_bits\n")
-        for lo in range(0, trace.steps, chunk):
-            span = slice(lo, lo + chunk)
+        for span, block in means:
             shape = trace.x[span].shape
-            columns = (np.arange(lo, lo + shape[0])[:, None, None], np.arange(n)[:, None],
-                       np.arange(m), trace.x[span], xbar[span], trace.event_bits[span, None],
-                       lambda_hat[span], trace.noisy_derivative[span],
-                       trace.sensitivity[span, None], cum_bits[span, None, None])
+            columns = (np.arange(span.start, span.start + shape[0])[:, None, None],
+                       np.arange(n)[:, None], np.arange(m), trace.x[span], block[1:],
+                       trace.event_bits[span, None], trace.lambda_hat_of(span, block),
+                       trace.noisy_derivative[span], trace.sensitivity[span, None],
+                       cum_bits[span, None, None])
             cells = [_cells(column, shape) for column in columns]
             fh.writelines("%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n" % row for row in zip(*cells))
 
@@ -320,7 +321,7 @@ def _run_one(job):
     """Worker for one sweep point x seed, given the optimum and noise scales it
     shares with other jobs; returns its sweep_summary.csv row."""
     p_idx, overrides, config, optimum, scales, emit_trace, out_dir = job
-    trace = engine.run(config, scales)
+    trace = engine.run(config, scales, dense=emit_trace)
     summary = metrics.summarize(trace, config.agents, optimum)
     sdoc = summary_to_dict(summary, config, optimum)
     sdoc["overrides"] = {k: overrides[k] for k in sorted(overrides)}

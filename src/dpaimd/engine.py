@@ -46,31 +46,50 @@ def multiplicative_decrease(x, lam, beta):
 
 @dataclass
 class Trace:
-    """Struct-of-arrays record of a full run, each fact stored once.
+    """Struct-of-arrays record of a run, each fact stored once.
 
-    x-bar, lambda-hat and the bit counts are derived on each read, bit for bit
-    the values the engine used; a summary reads only the loop's own final x-bar
-    and the (steps, m) arrays, never the dense (steps, n, m) ones.
+    The dense per-agent series ``x`` and ``noisy_derivative`` are kept only by
+    a run with ``dense=True`` and are None otherwise; a summary reads only the
+    loop's own final x-bar and the (steps, m) arrays. x-bar, lambda-hat and the
+    bit counts are derived on each read, bit for bit the values the engine used.
     """
 
-    x: np.ndarray                   # (steps, n, m)
-    final_xbar: np.ndarray          # (n, m) x-bar after the last step, zeros at 0 steps
-    event_bits: np.ndarray          # (steps, m) uint8
-    noisy_derivative: np.ndarray    # (steps, n, m), NaN off-event
-    partial_spread: np.ndarray      # (steps, m) max - min of noiseless partials, NaN off-event
-    sensitivity: np.ndarray         # (steps, m) running max dq
-    noise_scales: np.ndarray        # (m,) scales actually used (0 where none)
-    gamma: np.ndarray               # (m,) back-off normalization per resource
+    x: np.ndarray | None                 # (steps, n, m), None unless dense
+    final_xbar: np.ndarray               # (n, m) x-bar after the last step, zeros at 0 steps
+    event_bits: np.ndarray               # (steps, m) uint8
+    noisy_derivative: np.ndarray | None  # (steps, n, m), NaN off-event, None unless dense
+    partial_spread: np.ndarray           # (steps, m) max - min of noiseless partials, NaN off-event
+    sensitivity: np.ndarray              # (steps, m) running max dq
+    noise_scales: np.ndarray             # (m,) scales actually used (0 where none)
+    gamma: np.ndarray                    # (m,) back-off normalization per resource
+
+    def running_means(self, rows: int):
+        """Iterate (span, means) over consecutive blocks of up to ``rows`` steps.
+
+        ``means[1:]`` is x-bar after each step of the block and ``means[:-1]``
+        the x-bar each step started from. The sum of x carries from block to
+        block and cumsum adds in order, so every block holds the bits of one
+        cumsum over the whole run. A run of 0 steps gives one empty block.
+        A lean trace raises ValueError at once.
+        """
+        if self.x is None:
+            raise ValueError("this trace keeps no per-agent series: run with dense=True "
+                             "to derive x-bar, lambda-hat or the trace CSV")
+        return _running_means(self.x, rows)
+
+    def lambda_hat_of(self, span: slice, means: np.ndarray) -> np.ndarray:
+        """lambda-hat over one block of ``running_means``, NaN off-event."""
+        return compute_lambda_hat(self.gamma, self.noisy_derivative[span], 0.0, means[:-1])
 
     @property
     def xbar(self) -> np.ndarray:               # (steps, n, m), after the step's update
-        xbar = np.cumsum(self.x, axis=0)
-        return np.divide(xbar, np.arange(2, self.steps + 2)[:, None, None], out=xbar)
+        [(_, means)] = self.running_means(max(self.steps, 1))
+        return means[1:]
 
     @property
     def lambda_hat(self) -> np.ndarray:         # (steps, n, m), NaN off-event
-        prev = np.concatenate([np.zeros_like(self.x[:1]), self.xbar[:-1]])   # x-bar used
-        return compute_lambda_hat(self.gamma, self.noisy_derivative, 0.0, prev)
+        [(span, means)] = self.running_means(max(self.steps, 1))
+        return self.lambda_hat_of(span, means)
 
     @property
     def event_counts(self) -> np.ndarray:       # (m,) events K_j per resource
@@ -95,6 +114,16 @@ class Trace:
     @property
     def n_resources(self) -> int:
         return self.final_xbar.shape[1]
+
+
+def _running_means(x: np.ndarray, rows: int):
+    carry = np.zeros(x.shape[1:])               # sum of x over the steps before the block
+    for lo in range(0, max(len(x), 1), rows):
+        span = slice(lo, lo + rows)
+        sums = np.concatenate([carry[None], x[span]])
+        np.cumsum(sums, axis=0, out=sums)       # row 0, the carry, starts the sum
+        carry = sums[-1].copy()
+        yield span, np.divide(sums, np.arange(lo + 1, lo + 1 + len(sums))[:, None, None], out=sums)
 
 
 def _noise_columns(kind: NoiseKind, rngs: list, limit: int):
@@ -139,16 +168,20 @@ def resolve_noise_scales(config: SystemConfig) -> np.ndarray:
     return np.array([spec.noise_scale(float(dq[j]), j) for j, spec in enumerate(config.noise)])
 
 
-def run(config: SystemConfig, scales: np.ndarray | None = None) -> Trace:
+def run(config: SystemConfig, scales: np.ndarray | None = None, *, dense: bool = False) -> Trace:
     """Full simulation run; deterministic given config and seed.
 
     ``scales`` are the per-resource noise scales to use; by default
     ``resolve_noise_scales(config)`` works them out, running its pilot if needed.
+    The trace keeps the (steps, n, m) series ``x`` and ``noisy_derivative``
+    only with ``dense=True``; without it the run holds O(n m + steps m) memory
+    and every other field, the summary's inputs, has the same bits.
     """
-    return _simulate(config, resolve_noise_scales(config) if scales is None else scales)
+    return _simulate(config, resolve_noise_scales(config) if scales is None else scales,
+                     dense=dense)
 
 
-def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
+def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) -> Trace:
     n, m = config.n_agents, config.n_resources
     steps = config.steps
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
@@ -164,12 +197,14 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
     xbar = np.zeros((n, m))
     x_sum = np.zeros((n, m))            # x(0) + x(1) + ... + x(nu + 1) after step nu
 
+    tr_x = tr_nderiv = None
     try:
-        tr_x = np.empty((steps, n, m))
         tr_bits = np.empty((steps, m), dtype=np.uint8)
-        tr_nderiv = np.full((steps, n, m), np.nan)
         tr_spread = np.full((steps, m), np.nan)
         tr_dq = np.empty((steps, m))
+        if dense:
+            tr_x = np.empty((steps, n, m))
+            tr_nderiv = np.full((steps, n, m), np.nan)
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"steps={steps} gives a trace numpy cannot allocate: {exc}") from exc
 
@@ -185,7 +220,8 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
                 tracker.update_all(j, g)
                 tr_spread[nu, j] = g.max() - g.min()
                 d = 0.0 if noise[j] is None else scales[j] * next(noise[j])
-                tr_nderiv[nu, :, j] = g + d
+                if dense:
+                    tr_nderiv[nu, :, j] = g + d
                 lam = compute_lambda_hat(gamma[j], g, d, xbar[:, j])
                 x[:, j] = multiplicative_decrease(x[:, j], lam, beta[j])
         x += np.where(bits, 0.0, alpha)     # additive increase where no event fired
@@ -194,7 +230,8 @@ def _simulate(config: SystemConfig, scales: np.ndarray) -> Trace:
         # running mean of the demand over every step, x(0) = 0 included
         x_sum += x
         np.divide(x_sum, nu + 2, out=xbar)
-        tr_x[nu] = x
+        if dense:
+            tr_x[nu] = x
         tr_bits[nu] = bits
         tr_dq[nu] = tracker.running_max
 

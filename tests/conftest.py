@@ -11,10 +11,10 @@ def noiseless_pair():
 
 @pytest.fixture(scope="session")
 def short_reference_run():
-    """Noiseless reference config, short horizon, shared across test modules."""
+    """Noiseless reference config, short horizon, dense trace, shared across test modules."""
     import dpaimd
 
     config = reference_system_config(noiseless_pair(), seed=20230601, steps=20_000)
-    trace = dpaimd.run(config)
+    trace = dpaimd.run(config, dense=True)
     optimum = dpaimd.solve_optimum(config.agents, config.resources)
     return config, trace, optimum

@@ -35,7 +35,7 @@ def noiseless_pair():
 def full_reference_run():
     """Noiseless six-agent, two-resource run at the full 2e5-step horizon."""
     config = cli.reference_system_config(noiseless_pair())
-    trace = dpaimd.run(config)
+    trace = dpaimd.run(config, dense=True)
     optimum = solve_optimum(config.agents, config.resources)
     return config, trace, optimum
 

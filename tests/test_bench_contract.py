@@ -4,12 +4,14 @@ documents. These tests load both files by path, without changing them or
 writing their bytecode, and check that what they rely on still exists."""
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from dpaimd import cli
+from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -53,3 +55,31 @@ def test_every_workload_document_is_accepted(bench, tmp_path):
         assert jobs, name
         for _, _, job_doc, _ in jobs:
             cli.parse_config(job_doc)
+
+
+def test_traced_sweep_meets_the_closed_forms(bench, tmp_path):
+    """A calibrated sweep of 2 points x 2 seeds, traced twice, the second time
+    with the dense trace: every closed-form check on the tracer's counts holds,
+    and the step counts repeat exactly between the passes."""
+    tracer = bench["tracer"]
+    steps = 200
+    doc = cli.serialize_config(cli.reference_system_config(
+        [NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5, scale_mode=ScaleMode.CALIBRATED),
+         NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.5, delta=0.01,
+                   scale_mode=ScaleMode.CALIBRATED)], steps=steps))
+    doc["sweep"] = {"axes": [{"path": "noise.0.epsilon", "values": [0.3, 0.6]}], "seeds": [1, 2]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    passes = []
+    for emit_trace in (False, True):
+        spans = tracer.Tracer()
+        with spans.installed():
+            assert cli.run_experiment(path, jobs=1, emit_trace=emit_trace,
+                                      out=tmp_path / f"pass{len(passes)}") == cli.EXIT_OK
+        layers, checks = tracer.layer_metrics(spans)
+        assert checks and all(checks.values()), checks
+        passes.append(layers)
+    assert tracer.installed_wrappers() == []
+    for key, expected in (("engine.steps", 4 * steps), ("engine.pilot_steps", 2 * steps)):
+        assert passes[0][key] == passes[1][key] == expected, key
+    assert passes[1]["cli.trace_rows"] == 4 * steps * 6 * 2

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +144,7 @@ class TestTraceCsv:
     @given(trace_configs(), st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_byte_equal_to_the_per_cell_writer(self, config, chunk_rows):
-        trace = engine.run(config)
+        trace = engine.run(config, dense=True)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             # a few rows per chunk: horizons span several chunks and end mid-chunk
             patch.setattr(cli, "TRACE_CHUNK_ROWS", chunk_rows)
@@ -151,6 +152,21 @@ class TestTraceCsv:
             cli.write_trace_csv(trace, got)
             write_trace_csv_oracle(trace, expected)
             assert got.read_bytes() == expected.read_bytes()
+
+
+    def test_writer_holds_less_than_one_dense_array(self, tmp_path):
+        """On 15k paper-suite Laplace steps the writer's own peak stays below one
+        (steps, n, m) array: x-bar and lambda-hat are derived a chunk at a time."""
+        noise = [NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.1, scale_mode=ScaleMode.FIXED,
+                           scale=scale) for scale in (59.0, 63.4)]
+        trace = engine.run(cli.reference_system_config(noise, steps=15_000), dense=True)
+        tracemalloc.start()
+        try:
+            cli.write_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.x.nbytes
 
 
 class TestDownsample:
@@ -197,7 +213,8 @@ class TestRunCommand:
         lines = written.decode().splitlines()
         assert lines[0].split(",")[:4] == ["step", "agent", "resource", "x"]
         assert len(lines) == 1 + 20 * 2 * 1
-        write_trace_csv_oracle(engine.run(small_config(steps=20)), tmp_path / "oracle.csv")
+        write_trace_csv_oracle(engine.run(small_config(steps=20), dense=True),
+                               tmp_path / "oracle.csv")
         assert written == (tmp_path / "oracle.csv").read_bytes()
 
     def test_seed_and_steps_overrides(self, tmp_path):
@@ -373,7 +390,7 @@ class TestRunCommand:
         assert "config error:" in err and "Traceback" not in err
 
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch):
-        def boom(config, scales=None):
+        def boom(config, scales=None, *, dense=False):
             raise NumericError("non-finite demand at step 7", step=7)
         monkeypatch.setattr(engine, "run", boom)
         path = self.write(tmp_path, small_doc())

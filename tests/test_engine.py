@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpaimd
-from dpaimd import engine
+from dpaimd import cli, engine, metrics
+from dpaimd.baseline import OptimalAllocation
 from dpaimd.engine import (
     LAMBDA_MIN,
     compute_lambda_hat,
@@ -92,7 +94,7 @@ class TestPrimitives:
 
 @pytest.fixture(scope="module")
 def trace():
-    return dpaimd.run(one_resource_config([square_cost()], steps=30))
+    return dpaimd.run(one_resource_config([square_cost()], steps=30), dense=True)
 
 
 class TestSawtooth:
@@ -134,7 +136,7 @@ class TestSawtooth:
 
 class TestRunBehaviour:
     def test_zero_steps_gives_empty_trace(self):
-        trace = dpaimd.run(one_resource_config([square_cost()], steps=0))
+        trace = dpaimd.run(one_resource_config([square_cost()], steps=0), dense=True)
         assert trace.steps == 0
         assert trace.x.shape == (0, 1, 1)
         assert trace.broadcast_bits_total == 0
@@ -144,16 +146,16 @@ class TestRunBehaviour:
                            scale_mode=ScaleMode.FIXED, scale=3.0)]
         cfg = one_resource_config([square_cost(), square_cost(2.0)], steps=300,
                                   seed=7, noise=noise)
-        a = dpaimd.run(cfg)
-        b = dpaimd.run(cfg)
+        a = dpaimd.run(cfg, dense=True)
+        b = dpaimd.run(cfg, dense=True)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.lambda_hat, b.lambda_hat, equal_nan=True)
 
     def test_seed_changes_noise_path(self):
         noise = [NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=5.0)]
         costs = [square_cost(), square_cost(2.0)]
-        a = dpaimd.run(one_resource_config(costs, steps=300, seed=1, noise=noise))
-        b = dpaimd.run(one_resource_config(costs, steps=300, seed=2, noise=noise))
+        a = dpaimd.run(one_resource_config(costs, steps=300, seed=1, noise=noise), dense=True)
+        b = dpaimd.run(one_resource_config(costs, steps=300, seed=2, noise=noise), dense=True)
         # the huge gamma clamps lambda-hat for both, but the noisy readings differ
         assert not np.array_equal(a.noisy_derivative, b.noisy_derivative, equal_nan=True)
 
@@ -163,18 +165,23 @@ class TestRunBehaviour:
                            scale_mode=ScaleMode.FIXED, scale=2.0)]
         f0, f1 = square_cost(1.0), square_cost(3.0)
         a = dpaimd.run(one_resource_config([f0, f1], steps=400, seed=5,
-                                           noise=noise, agent_ids=[0, 1]))
+                                           noise=noise, agent_ids=[0, 1]), dense=True)
         b = dpaimd.run(one_resource_config([f1, f0], steps=400, seed=5,
-                                           noise=noise, agent_ids=[1, 0]))
+                                           noise=noise, agent_ids=[1, 0]), dense=True)
         assert np.array_equal(b.x[:, [1, 0], :], a.x)
         assert np.array_equal(b.xbar[:, [1, 0], :], a.xbar)
 
     def test_trace_stores_only_x_and_noisy_derivative_per_agent(self, short_reference_run):
-        """x-bar and lambda-hat are views derived from these two, not stored copies."""
-        _, trace, _ = short_reference_run
-        stored = {name for name, value in vars(trace).items()
-                  if isinstance(value, np.ndarray) and value.shape == trace.x.shape}
-        assert stored == {"x", "noisy_derivative"}
+        """x-bar and lambda-hat are views derived from these two, not stored copies;
+        a lean run stores neither."""
+        config, trace, _ = short_reference_run
+        lean = dpaimd.run(replace(config, steps=2_000))
+        for run, expected in ((trace, {"x", "noisy_derivative"}), (lean, set())):
+            dense_shape = (run.steps, run.n_agents, run.n_resources)
+            stored = {name for name, value in vars(run).items()
+                      if isinstance(value, np.ndarray) and value.shape == dense_shape}
+            assert stored == expected
+        assert lean.x is None and lean.noisy_derivative is None
 
     def test_aggregate_overshoot_bounded(self, short_reference_run):
         config, trace, _ = short_reference_run
@@ -279,7 +286,8 @@ class TestCalibration:
         assert (dq > 0).all() and dq[0] != dq[1]
         runs = []
         simulate = engine._simulate
-        monkeypatch.setattr(engine, "_simulate", lambda *a: runs.append(1) or simulate(*a))
+        monkeypatch.setattr(engine, "_simulate",
+                            lambda *a, **kw: runs.append(1) or simulate(*a, **kw))
         scales = resolve_noise_scales(self.two_resources([spec for spec, _ in specs]))
         assert scales.tolist() == [expected(float(dq[j])) for j, (_, expected) in enumerate(specs)]
         assert len(runs) == pilots
@@ -361,7 +369,7 @@ class TestFinalXbar:
     @given(small_configs())
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_last_derived_xbar(self, config):
-        trace = engine.run(config, usable_scales(config))
+        trace = engine.run(config, usable_scales(config), dense=True)
         assert trace.final_xbar.shape == (config.n_agents, config.n_resources)
         expected = trace.xbar[-1] if trace.steps else np.zeros_like(trace.final_xbar)
         assert trace.final_xbar.tobytes() == expected.tobytes()
@@ -372,7 +380,7 @@ class TestFinalXbar:
         config = SystemConfig(agents=[square_cost()], noise=[NOISE_CHOICES[noise]], steps=2_000,
                               resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5,
                                                         gamma=0.05)], seed=3)
-        trace = engine.run(config)
+        trace = engine.run(config, dense=True)
         assert trace.final_xbar.tobytes() == trace.xbar[-1].tobytes()
 
     def test_zeros_without_steps(self):
@@ -388,7 +396,7 @@ class TestNoiseBlocks:
     @settings(max_examples=60, deadline=None)
     def test_trace_is_byte_equal_to_per_event_draws(self, config):
         scales = usable_scales(config)
-        got, expected = engine.run(config, scales), simulate_oracle(config, scales)
+        got, expected = engine.run(config, scales, dense=True), simulate_oracle(config, scales)
         for name, value in vars(expected).items():
             assert getattr(got, name).dtype == value.dtype, name
             assert getattr(got, name).tobytes() == value.tobytes(), name
@@ -403,15 +411,15 @@ class TestNoiseBlocks:
             steps=steps, seed=seed, agent_ids=[7, 2, 5])
 
     def test_mixed_kinds_are_deterministic(self):
-        a, b = dpaimd.run(self.mixed()), dpaimd.run(self.mixed())
+        a, b = dpaimd.run(self.mixed(), dense=True), dpaimd.run(self.mixed(), dense=True)
         for name, value in vars(a).items():
             assert getattr(b, name).tobytes() == value.tobytes(), name
-        assert not np.array_equal(a.x, dpaimd.run(self.mixed(seed=5)).x)
+        assert not np.array_equal(a.x, dpaimd.run(self.mixed(seed=5), dense=True).x)
 
     def test_mixed_kinds_draw_from_one_stream_per_agent_and_kind(self):
         """The first noisy resource's kind keeps the agent's stream, the other gets its own."""
         config = self.mixed()
-        trace = dpaimd.run(config)
+        trace = dpaimd.run(config, dense=True)
         batch = PolyBatch(config.agents)
         prev_xbar = np.concatenate([np.zeros_like(trace.x[:1]), trace.xbar[:-1]])
         draws = [lambda rng, k: rng.laplace(0.0, 4.0, k), lambda rng, k: rng.normal(0.0, 3.0, k)]
@@ -443,3 +451,58 @@ class TestNoiseBlocks:
         blocks.clear()
         dpaimd.run(replace(config, steps=40))
         assert [size for _, size in blocks] == [40] * (2 * n)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that ``fn(*args, **kwargs)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLeanTrace:
+    """Without dense=True a run keeps no (steps, n, m) series and changes no other bit."""
+
+    @given(small_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_lean_run_equals_dense_run(self, config):
+        scales = usable_scales(config)
+        lean, dense = engine.run(config, scales), engine.run(config, scales, dense=True)
+        assert lean.x is None and lean.noisy_derivative is None
+        for name in ("event_bits", "partial_spread", "sensitivity", "final_xbar", "noise_scales"):
+            assert getattr(lean, name).dtype == getattr(dense, name).dtype, name
+            assert getattr(lean, name).tobytes() == getattr(dense, name).tobytes(), name
+        # the optimum enters a summary only as given numbers, so any allocation serves
+        optimum = OptimalAllocation(x_star=np.ones((config.n_agents, config.n_resources)),
+                                    total_cost=1.0, kkt_residual=0.0)
+        texts = [cli._json_text(cli.summary_to_dict(metrics.summarize(t, config.agents, optimum),
+                                                    config, optimum)) for t in (lean, dense)]
+        assert texts[0] == texts[1]
+
+    def test_default_run_holds_less_than_one_dense_array(self):
+        """n = 40, m = 2, 5,000 steps: the pilot and the run stay below 3.05 MiB."""
+        n, m, steps = 40, 2, 5_000
+        config = SystemConfig(
+            agents=[CostFunction(np.array([c, 2.0 * c]), np.array([[2, 0], [0, 2]]))
+                    for c in np.linspace(1.0, 5.0, n)],
+            resources=[ResourceConfig(capacity=8.0, alpha=0.01, beta=0.7, gamma=1e-3),
+                       ResourceConfig(capacity=10.0, alpha=0.0125, beta=0.6, gamma=1e-3)],
+            noise=[NOISE_CHOICES["laplace-calibrated"], NOISE_CHOICES["gaussian-calibrated"]],
+            steps=steps, seed=2)
+        assert all(spec.needs_pilot for spec in config.noise)
+        runs = []
+        peak = traced_peak(lambda: runs.append(engine.run(config)))
+        assert runs[0].event_counts.all() and runs[0].x is None
+        assert peak < steps * n * m * 8
+
+    def test_dense_views_of_a_lean_trace_raise(self, tmp_path):
+        trace = dpaimd.run(one_resource_config([square_cost()], steps=30))
+        path = tmp_path / "trace.csv"
+        for read in (lambda: trace.xbar, lambda: trace.lambda_hat,
+                     lambda: cli.write_trace_csv(trace, path)):
+            with pytest.raises(ValueError, match="run with dense=True"):
+                read()
+        assert not path.exists()

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -153,11 +152,11 @@ class TestRecordedSpreadMatchesKernel:
     @noisy_reference_runs
     def test_noisy_reference_runs(self, noise):
         config = reference_system_config(noise, seed=20230601, steps=3_000)
-        assert_spread_matches_kernel(config, dpaimd.run(config))
+        assert_spread_matches_kernel(config, dpaimd.run(config, dense=True))
 
     def test_wide_per_agent_sensitivity(self):
         config = wide_config(steps=2_000)
-        assert_spread_matches_kernel(config, dpaimd.run(config))
+        assert_spread_matches_kernel(config, dpaimd.run(config, dense=True))
 
     def test_off_event_steps_are_nan(self, short_reference_run):
         _, trace, _ = short_reference_run
@@ -190,19 +189,19 @@ def small_configs(draw):
 @given(small_configs())
 @settings(max_examples=40, deadline=None)
 def test_recorded_spread_matches_kernel_on_random_configs(config):
-    assert_spread_matches_kernel(config, dpaimd.run(config))
+    assert_spread_matches_kernel(config, dpaimd.run(config, dense=True))
 
 
 @noisy_reference_runs
 def test_recorded_backoff_replays_on_reference_runs(noise):
     config = reference_system_config(noise, seed=20230601, steps=3_000)
-    assert_backoff_replays_lambda_hat(config, dpaimd.run(config))
+    assert_backoff_replays_lambda_hat(config, dpaimd.run(config, dense=True))
 
 
 @given(small_configs())
 @settings(max_examples=40, deadline=None)
 def test_recorded_backoff_replays_on_random_configs(config):
-    assert_backoff_replays_lambda_hat(config, dpaimd.run(config))
+    assert_backoff_replays_lambda_hat(config, dpaimd.run(config, dense=True))
 
 
 class TestCommCost:
@@ -272,23 +271,22 @@ class TestSummarize:
     [NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5, scale_mode=ScaleMode.CALIBRATED),
      NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.5, delta=0.01, scale_mode=ScaleMode.CALIBRATED)],
 ], ids=["fixed", "calibrated"])
-def test_summary_needs_no_dense_trace(noise, tmp_path, monkeypatch):
-    """Summary JSON and sweep row are the same from a trace without its (steps, n, m) arrays."""
+def test_summary_needs_no_dense_trace(noise, tmp_path):
+    """Summary JSON and sweep row of a lean run equal those of a dense run."""
     config = reference_system_config(noise, steps=2_000)
     optimum = dpaimd.solve_optimum(config.agents, config.resources)
     scales = engine.resolve_noise_scales(config)
     assert (scales > 0).all()
-    full = engine.run(config, scales)
-    lean = dataclasses.replace(full, x=None, noisy_derivative=None)
+    dense, lean = (engine.run(config, scales, dense=flag) for flag in (True, False))
+    assert lean.x is None and lean.noisy_derivative is None
     texts = [cli._json_text(cli.summary_to_dict(summarize(t, config.agents, optimum), config,
-                                                optimum)) for t in (full, lean)]
+                                                optimum)) for t in (dense, lean)]
     assert texts[0] == texts[1]
 
     outputs = []
-    for trace in (full, lean):
-        monkeypatch.setattr(engine, "run", lambda config, scales, trace=trace: trace)
+    for emit_trace in (True, False):    # --emit-trace runs dense, a plain run lean
         out = tmp_path / str(len(outputs))
         out.mkdir()
-        row = cli._run_one((0, {}, config, optimum, scales, False, str(out)))
+        row = cli._run_one((0, {}, config, optimum, scales, emit_trace, str(out)))
         outputs.append((row, (out / f"summary_p000_s{config.seed}.json").read_text()))
     assert outputs[0] == outputs[1]
