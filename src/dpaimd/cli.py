@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, engine, metrics, model
-from .model import ConfigurationError, CostFunction, NumericError, ResourceConfig, SystemConfig
+from .model import ConfigurationError, CostFunction, ResourceConfig, SystemConfig
 from .privacy import NoiseKind, NoiseSpec, ScaleMode
 
 SCHEMA_VERSION = 1
@@ -424,12 +424,8 @@ def reference_system_config(noise: list[NoiseSpec], seed: int = REFERENCE_SEED,
 
 
 def _gaussian_pair(s1: float, s2: float) -> list[NoiseSpec]:
-    return [
-        NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.2, delta=0.01,
-                  scale_mode=ScaleMode.FIXED, scale=s1),
-        NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.2, delta=0.01,
-                  scale_mode=ScaleMode.FIXED, scale=s2),
-    ]
+    return [NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.2, delta=0.01,
+                      scale_mode=ScaleMode.FIXED, scale=s) for s in (s1, s2)]
 
 
 def emit_reference_suite(out_dir) -> list[Path]:
@@ -501,10 +497,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, OSError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"numeric abort at step {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RuntimeError as exc:
+    except RuntimeError as exc:     # NumericError too, whose message names its step
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -26,7 +26,7 @@ def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
     """Event bits S_j = 1 iff aggregate_j >= C_j."""
     if not np.isfinite(aggregate).all():
         raise NumericError("non-finite aggregate demand")
-    return (aggregate >= capacities).astype(np.uint8)
+    return (aggregate >= capacities).view(np.uint8)
 
 
 def compute_lambda_hat(gamma, derivative, noise, xbar):
@@ -182,18 +182,23 @@ def run(config: SystemConfig, scales: np.ndarray | None = None, *, dense: bool =
 
 
 def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) -> Trace:
-    n, m = config.n_agents, config.n_resources
-    steps = config.steps
+    """The step loop, each check once a step: ``server_step`` rejects a non-finite
+    aggregate, ``update_all`` a fired resource's non-finite partial, and one check
+    after the loop the last demand; the NumericError names the step it failed at.
+    ``sensitivity`` is written on event steps and forward-filled after the loop."""
+    n, m, steps = config.n_agents, config.n_resources, config.steps
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
     alpha = np.array([r.alpha for r in config.resources], dtype=float)
-    beta = np.array([r.beta for r in config.resources], dtype=float)
     gamma = np.array([r.gamma for r in config.resources], dtype=float)
+    # per resource, as Python floats: gamma, beta, the noise scale and the noise source
+    backoff = list(zip(gamma.tolist(), [float(r.beta) for r in config.resources],
+                       scales.tolist(), _noise_sources(config)))
 
-    batch = PolyBatch(config.agents)
-    noise = _noise_sources(config)
+    gradient = PolyBatch(config.agents).gradient
     tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
 
     x = np.zeros((n, m))
+    grown = np.empty((n, m))            # x + alpha, then the back-offs: the next x
     xbar = np.zeros((n, m))
     x_sum = np.zeros((n, m))            # x(0) + x(1) + ... + x(nu + 1) after step nu
 
@@ -201,39 +206,43 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
     try:
         tr_bits = np.empty((steps, m), dtype=np.uint8)
         tr_spread = np.full((steps, m), np.nan)
-        tr_dq = np.empty((steps, m))
+        tr_dq = np.zeros((steps, m))
         if dense:
             tr_x = np.empty((steps, n, m))
             tr_nderiv = np.full((steps, n, m), np.nan)
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"steps={steps} gives a trace numpy cannot allocate: {exc}") from exc
 
-    for nu in range(steps):
-        bits = server_step(capacities, x.sum(axis=0))
-        fired = np.nonzero(bits)[0]
-        if fired.size:
-            grads = batch.gradient(xbar)
-            if not np.isfinite(grads).all():
-                raise NumericError(f"non-finite derivative at step {nu}", step=nu)
-            for j in fired:
-                g = grads[:, j]
-                tracker.update_all(j, g)
-                tr_spread[nu, j] = g.max() - g.min()
-                d = 0.0 if noise[j] is None else scales[j] * next(noise[j])
+    with np.errstate(over="ignore"):   # lambda-hat clamps an overflow; the checks catch the rest
+        try:
+            for nu in range(steps):
+                tr_bits[nu] = bits = server_step(capacities, x.sum(axis=0))
+                np.add(x, alpha, out=grown)     # additive increase, replaced where an event fired
+                fired = [j for j, bit in enumerate(bits.tolist()) if bit]
+                if fired:
+                    grads = gradient(xbar)
+                    for j in fired:
+                        gamma_j, beta_j, scale_j, source = backoff[j]
+                        g = grads[:, j]
+                        tr_spread[nu, j] = tracker.update_all(j, g)
+                        d = 0.0 if source is None else scale_j * next(source)
+                        if dense:
+                            tr_nderiv[nu, :, j] = g + d
+                        lam = compute_lambda_hat(gamma_j, g, d, xbar[:, j])
+                        grown[:, j] = multiplicative_decrease(x[:, j], lam, beta_j)
+                    tr_dq[nu] = tracker.running_max
+                x, grown = grown, x
+                # running mean of the demand over every step, x(0) = 0 included
+                x_sum += x
+                np.divide(x_sum, nu + 2, out=xbar)
                 if dense:
-                    tr_nderiv[nu, :, j] = g + d
-                lam = compute_lambda_hat(gamma[j], g, d, xbar[:, j])
-                x[:, j] = multiplicative_decrease(x[:, j], lam, beta[j])
-        x += np.where(bits, 0.0, alpha)     # additive increase where no event fired
-        if not np.isfinite(x).all():
-            raise NumericError(f"non-finite demand at step {nu}", step=nu)
-        # running mean of the demand over every step, x(0) = 0 included
-        x_sum += x
-        np.divide(x_sum, nu + 2, out=xbar)
-        if dense:
-            tr_x[nu] = x
-        tr_bits[nu] = bits
-        tr_dq[nu] = tracker.running_max
+                    tr_x[nu] = x
+        except NumericError as exc:
+            raise NumericError(f"{exc} at step {nu}", step=nu) from exc
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite demand at step {steps - 1}", step=steps - 1)
+    # the running max starts at 0 and never falls, so the max so far fills the event-free steps
+    np.maximum.accumulate(tr_dq, axis=0, out=tr_dq)
 
     return Trace(
         x=tr_x, final_xbar=xbar, event_bits=tr_bits, noisy_derivative=tr_nderiv,

@@ -31,9 +31,10 @@ def cost_ratio(trace: Trace, costs: list, optimum: OptimalAllocation) -> float |
     The final averages are each agent's mean allocation over every step, the
     ramp up from x(0) = 0 included: on a short run their sum falls short of the
     capacity, and the ratio can read below 1 (0.92 after 1,000 steps).
-    Returns None if any resource never fired, as in a run of 0 steps.
+    Returns None if any resource never fired, as in a run of 0 steps, or if
+    the optimal total cost is 0 (it underflows when the capacities do).
     """
-    if (trace.event_counts == 0).any():
+    if (trace.event_counts == 0).any() or optimum.total_cost == 0:
         return None
     return float(PolyBatch(costs).value(trace.final_xbar).sum()) / optimum.total_cost
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -113,7 +113,6 @@ def unit_noise(kind: NoiseKind, rng: np.random.Generator, size: int) -> np.ndarr
     return rng.standard_normal(size)
 
 
-@dataclass
 class SensitivityTracker:
     """Running max per resource of consecutive-event derivative differences.
 
@@ -124,32 +123,27 @@ class SensitivityTracker:
     agents, because each resource has one noise scale for every agent.
     """
 
-    n_agents: int
-    n_resources: int
-    burn_in_events: int
-    last_derivative: np.ndarray = field(init=False)
-    running_max: np.ndarray = field(init=False)
-    events_seen: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.last_derivative = np.zeros((self.n_agents, self.n_resources))
-        self.running_max = np.zeros(self.n_resources)
-        self.events_seen = np.zeros(self.n_resources, dtype=int)
+    def __init__(self, n_agents: int, n_resources: int, burn_in_events: int):
+        self.last_derivative = np.zeros((n_agents, n_resources))
+        self.running_max = np.zeros(n_resources)
+        self.events_seen = [0] * n_resources
+        # all agents are fed together, so a second event means every agent has a previous one
+        self.first_counted = max(burn_in_events, 2)
 
     def update_all(self, j: int, derivatives: np.ndarray) -> float:
         """Feed every agent's noiseless partial for resource j at one event.
 
-        Each call counts as one event of resource j. Returns the current max
-        for j.
+        Each call counts as one event of resource j and may raise
+        ``running_max[j]``. Returns the spread max - min of the partials.
         """
         derivatives = np.asarray(derivatives, dtype=float)
+        lo, hi = derivatives.min(), derivatives.max()
         # one comparison each way rejects NaN, infinities and negatives
-        if not (0 <= derivatives.min() and derivatives.max() < math.inf):
+        if not (0 <= lo and hi < math.inf):
             raise NumericError(f"non-finite or negative derivative for resource {j}")
         self.events_seen[j] += 1
-        # all agents are fed together, so a second event means every agent has a previous one
-        if self.events_seen[j] >= max(self.burn_in_events, 2):
+        if self.events_seen[j] >= self.first_counted:
             diffs = np.abs(derivatives - self.last_derivative[:, j])
-            self.running_max[j] = max(self.running_max[j], float(diffs.max()))
+            self.running_max[j] = max(self.running_max[j], diffs.max())
         self.last_derivative[:, j] = derivatives
-        return float(self.running_max[j])
+        return hi - lo

@@ -18,12 +18,12 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 @pytest.fixture(scope="module")
 def bench():
-    """name -> module for tracer.py and workloads.py, loaded from their files."""
+    """name -> module for tracer.py, workloads.py and run.py, loaded from their files."""
     modules = {}
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        for name in ("tracer", "workloads"):
+        for name in ("tracer", "workloads", "run"):
             spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCHMARKS / f"{name}.py")
             module = modules[name] = importlib.util.module_from_spec(spec)
             sys.modules[spec.name] = module     # a dataclass looks its module up there
@@ -58,9 +58,10 @@ def test_every_workload_document_is_accepted(bench, tmp_path):
 
 
 def test_traced_sweep_meets_the_closed_forms(bench, tmp_path):
-    """A calibrated sweep of 2 points x 2 seeds, traced twice, the second time
-    with the dense trace: every closed-form check on the tracer's counts holds,
-    and the step counts repeat exactly between the passes."""
+    """A calibrated sweep of 2 points x 2 seeds, traced three times, the second
+    time with the dense trace: every closed-form check on the tracer's counts
+    holds, the step counts repeat exactly between the passes, and the third
+    pass repeats every count of the first that the benchmark requires to."""
     tracer = bench["tracer"]
     steps = 200
     doc = cli.serialize_config(cli.reference_system_config(
@@ -71,7 +72,7 @@ def test_traced_sweep_meets_the_closed_forms(bench, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     passes = []
-    for emit_trace in (False, True):
+    for emit_trace in (False, True, False):
         spans = tracer.Tracer()
         with spans.installed():
             assert cli.run_experiment(path, jobs=1, emit_trace=emit_trace,
@@ -81,5 +82,7 @@ def test_traced_sweep_meets_the_closed_forms(bench, tmp_path):
         passes.append(layers)
     assert tracer.installed_wrappers() == []
     for key, expected in (("engine.steps", 4 * steps), ("engine.pilot_steps", 2 * steps)):
-        assert passes[0][key] == passes[1][key] == expected, key
+        assert passes[0][key] == passes[1][key] == passes[2][key] == expected, key
     assert passes[1]["cli.trace_rows"] == 4 * steps * 6 * 2
+    for name in bench["run"].EXACT_COUNTS:
+        assert passes[2][name] == passes[0][name], name

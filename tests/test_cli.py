@@ -389,12 +389,52 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
 
-    def test_numeric_abort_exits_3(self, tmp_path, monkeypatch):
+    def test_numeric_abort_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(config, scales=None, *, dense=False):
             raise NumericError("non-finite demand at step 7", step=7)
         monkeypatch.setattr(engine, "run", boom)
         path = self.write(tmp_path, small_doc())
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "numeric abort: non-finite demand at step 7\n"
+
+    def test_overflowing_aggregate_exits_3_naming_the_step(self, tmp_path, capsys):
+        # linear costs pass the baseline solver; the two demands of 1.5e308
+        # after step 0 sum to inf, which step 1's server step rejects
+        doc = small_doc()
+        doc["agents"] = [{"terms": [[1.0, [1]]]}, {"terms": [[2.0, [1]]]}]
+        doc["resources"][0].update(capacity=1.5e308, alpha=1.5e308)
+        path = self.write(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "numeric abort: non-finite aggregate demand at step 1\n"
+
+    def test_zero_optimal_cost_gives_a_null_cost_ratio(self, tmp_path):
+        # x^2 and 2 x^2 at shares of 1e-300 cost 0.0 once squared
+        doc = small_doc()
+        doc["resources"][0].update(capacity=1e-300, alpha=1e-300)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(self.write(tmp_path, doc)),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary_p000_s4.json").read_text())
+        assert summary["optimal_total_cost"] == 0.0 and summary["event_counts"][0] > 0
+        assert summary["cost_ratio"] is None
+
+    # lambda-hat's gamma |f' + d| / x-bar overflows (a huge gamma, or a huge
+    # noise d over a tiny x-bar), or the draw d itself does; lambda-hat clamps
+    # inf to 1, and no warning may escape (the test suite turns them into errors)
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["resources"][0].update(gamma=1e300, capacity=1e-10, alpha=1e-10),
+        lambda d: d["noise"][0].update(scale=1e300) or d["resources"][0].update(
+            capacity=1e-20, alpha=1e-20),
+        lambda d: d["noise"][0].update(scale=1.7e308),
+    ], ids=["gamma-1e300", "scale-1e300", "scale-1.7e308"])
+    def test_overflowing_backoff_exits_0_without_a_warning(self, tmp_path, mutate):
+        doc = small_doc()
+        mutate(doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(self.write(tmp_path, doc)),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary_p000_s4.json").read_text())
+        assert summary["event_counts"][0] > 0 and summary["cost_ratio"] is not None
 
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch):
         def no_converge(costs, resources):

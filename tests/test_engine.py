@@ -506,3 +506,55 @@ class TestLeanTrace:
             with pytest.raises(ValueError, match="run with dense=True"):
                 read()
         assert not path.exists()
+
+
+class TestInvariants:
+    """What every dense run must satisfy at every step, on random small configs."""
+
+    @given(small_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_hold_at_every_step(self, config):
+        trace = engine.run(config, usable_scales(config), dense=True)
+        capacity = np.array([r.capacity for r in config.resources])
+        alpha = np.array([r.alpha for r in config.resources])
+        # a resource below capacity grows by n alpha at most; one at it backs off
+        bound = capacity + config.n_agents * alpha
+        assert (trace.x.sum(axis=1) <= bound * (1 + 1e-12)).all()
+        assert (trace.x >= 0).all()
+        events = trace.event_bits == 1
+        assert not events[:1].any()                     # no event at step 0
+        lam = trace.lambda_hat
+        at_event = np.broadcast_to(events[:, None, :], lam.shape)
+        assert ((LAMBDA_MIN <= lam[at_event]) & (lam[at_event] <= 1.0)).all()
+        assert np.isnan(lam[~at_event]).all()
+        # lambda-hat divides by the x-bar after the step before the event
+        steps, resources = np.nonzero(events)
+        assert (trace.xbar[steps - 1, :, resources] > 0).all()
+        assert (trace.sensitivity >= 0).all()
+        assert (np.diff(trace.sensitivity, axis=0) >= 0).all()
+
+
+class TestNumericFailures:
+    """A non-finite value mid-run raises NumericError naming the step that met it."""
+
+    def run(self, agents, capacity, alpha, steps=20):
+        return engine.run(SystemConfig(
+            agents=agents, noise=[NoiseSpec()], steps=steps, seed=0,
+            resources=[ResourceConfig(capacity=capacity, alpha=alpha, beta=0.5, gamma=1e-3)]))
+
+    def test_non_finite_derivative(self):
+        # both demands climb 1 a step and fire at step 5, at x-bar 2.5: 4e301 * 2.5**39 overflows
+        agents = [square_cost(), CostFunction(np.array([1e300]), np.array([[40]]))]
+        with pytest.raises(NumericError, match="derivative for resource 0 at step 5$") as err:
+            self.run(agents, capacity=10.0, alpha=1.0)
+        assert err.value.step == 5
+
+    @pytest.mark.parametrize("agents,alpha,steps,step,what", [
+        (2, 1.5e308, 20, 1, "aggregate demand"),    # two finite demands, an infinite sum
+        (1, 1e308, 20, 2, "aggregate demand"),      # the demand itself grows past 1.7e308
+        (1, 1e308, 2, 1, "demand"),                 # ... at the last step
+    ], ids=["sum", "demand", "last-step-demand"])
+    def test_overflowing_demand(self, agents, alpha, steps, step, what):
+        with pytest.raises(NumericError, match=f"non-finite {what} at step {step}$") as err:
+            self.run([square_cost()] * agents, capacity=1.5e308, alpha=alpha, steps=steps)
+        assert err.value.step == step

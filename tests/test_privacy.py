@@ -105,16 +105,26 @@ class TestSensitivityTracker:
     def test_consecutive_difference(self):
         t = self.make()
         t.update_all(0, [10.00, 0.0])
-        assert t.update_all(0, [8.68, 0.0]) == pytest.approx(1.32)
+        t.update_all(0, [8.68, 0.0])
+        assert t.running_max[0] == pytest.approx(1.32)
 
     def test_first_observation_no_change(self):
         t = self.make()
-        assert t.update_all(1, [42.0, 42.0]) == 0.0
+        t.update_all(1, [42.0, 42.0])
+        assert t.running_max[1] == 0.0
 
     def test_identical_values_no_change(self):
         t = self.make()
         t.update_all(0, [5.0, 5.0])
-        assert t.update_all(0, [5.0, 5.0]) == 0.0
+        t.update_all(0, [5.0, 5.0])
+        assert t.running_max[0] == 0.0
+
+    def test_returns_the_spread_of_the_partials(self):
+        t = self.make()
+        assert t.update_all(0, [10.0, 3.0]) == 7.0      # the first event too
+        assert t.update_all(0, [9.5, 8.0]) == 1.5
+        assert t.update_all(1, [4.0, 4.0]) == 0.0
+        assert t.running_max.tolist() == [5.0, 0.0]
 
     def test_burn_in_excludes_early_events(self):
         t = self.make(burn_in=3)
@@ -127,14 +137,16 @@ class TestSensitivityTracker:
         rng = np.random.default_rng(2)
         prev = 0.0
         for deriv in rng.uniform(0, 50, size=100):
-            cur = t.update_all(0, [deriv, deriv])
+            t.update_all(0, [deriv, deriv])
+            cur = t.running_max[0]
             assert cur >= prev
             prev = cur
 
     def test_shared_max_across_agents(self):
         t = self.make()
         t.update_all(0, [10.0, 3.0])
-        assert t.update_all(0, [9.5, 8.0]) == pytest.approx(5.0)
+        t.update_all(0, [9.5, 8.0])
+        assert t.running_max[0] == pytest.approx(5.0)
 
     def test_non_finite_rejected(self):
         t = self.make()
@@ -142,6 +154,8 @@ class TestSensitivityTracker:
             t.update_all(0, [float("nan"), 1.0])
         with pytest.raises(NumericError):
             t.update_all(0, np.array([1.0, float("inf")]))
+        with pytest.raises(NumericError):
+            t.update_all(0, [-1.0, 1.0])
 
 
 class TestEmpiricalPrivacy:
