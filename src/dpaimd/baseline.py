@@ -144,7 +144,7 @@ def solve_optimum(costs, resources) -> OptimalAllocation:
     x = np.tile(capacities / n, (n, 1))   # feasible symmetric start
 
     residual = math.inf
-    # overflow and 0/0 surface below as non-finite partials, columns or residuals
+    # overflow and 0/0 surface below as non-finite partials, columns, residuals or costs
     with np.errstate(all="ignore"):
         for _ in range(MAX_PASSES):
             before = x.copy()
@@ -157,10 +157,11 @@ def solve_optimum(costs, resources) -> OptimalAllocation:
             # without cross-resource terms a second pass repeats the first
             if residual <= KKT_TOL or np.array_equal(x, before):
                 break
+        total_cost = float(batch.value(x).sum())
     if not residual <= KKT_LIMIT:
         raise RuntimeError(
             f"baseline solver did not converge: KKT residual {residual:.3e} > {KKT_LIMIT:g}"
         )
-    return OptimalAllocation(
-        x_star=x, total_cost=float(batch.value(x).sum()), kkt_residual=residual,
-    )
+    if not math.isfinite(total_cost):
+        raise RuntimeError(f"baseline solver: the optimal total cost is {total_cost}")
+    return OptimalAllocation(x_star=x, total_cost=total_cost, kkt_residual=residual)

@@ -29,14 +29,15 @@ def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
     return (aggregate >= capacities).view(np.uint8)
 
 
-def compute_lambda_hat(gamma, derivative, noise, xbar):
+def compute_lambda_hat(gamma, noisy_derivative, xbar):
     """Noisy back-off factor gamma * |f' + d| / xbar, clamped into [LAMBDA_MIN, 1].
 
-    Elementwise over agents; a NaN derivative (off-event in a trace) stays NaN.
-    Needs xbar > 0, which holds at every event: no event fires at step 0, so
+    Takes the noisy derivative f' + d (f' alone without noise). Elementwise
+    over agents; a NaN derivative (off-event in a trace) stays NaN. Needs
+    xbar > 0, which holds at every event: no event fires at step 0, so
     xbar >= alpha / (nu + 1) by then.
     """
-    return np.minimum(np.maximum(gamma * np.abs(derivative + noise) / xbar, LAMBDA_MIN), 1.0)
+    return np.minimum(np.maximum(gamma * np.abs(noisy_derivative) / xbar, LAMBDA_MIN), 1.0)
 
 
 def multiplicative_decrease(x, lam, beta):
@@ -63,33 +64,40 @@ class Trace:
     noise_scales: np.ndarray             # (m,) scales actually used (0 where none)
     gamma: np.ndarray                    # (m,) back-off normalization per resource
 
-    def running_means(self, rows: int):
-        """Iterate (span, means) over consecutive blocks of up to ``rows`` steps.
+    def views(self, rows: int):
+        """Iterate (span, xbar, lambda_hat) over consecutive blocks of up to ``rows`` steps.
 
-        ``means[1:]`` is x-bar after each step of the block and ``means[:-1]``
-        the x-bar each step started from. The sum of x carries from block to
-        block and cumsum adds in order, so every block holds the bits of one
-        cumsum over the whole run. A run of 0 steps gives one empty block.
-        A lean trace raises ValueError at once.
+        ``xbar`` is x-bar after each step of the block; ``lambda_hat`` (NaN
+        off-event) comes from the recorded noisy derivative and the x-bar the
+        step started from. The sum of x carries from block to block and cumsum
+        adds in order, so every block holds the bits the engine used. A run of
+        0 steps gives one empty block. A lean trace raises ValueError at once.
         """
         if self.x is None:
             raise ValueError("this trace keeps no per-agent series: run with dense=True "
                              "to derive x-bar, lambda-hat or the trace CSV")
-        return _running_means(self.x, rows)
 
-    def lambda_hat_of(self, span: slice, means: np.ndarray) -> np.ndarray:
-        """lambda-hat over one block of ``running_means``, NaN off-event."""
-        return compute_lambda_hat(self.gamma, self.noisy_derivative[span], 0.0, means[:-1])
+        def blocks():
+            carry = np.zeros(self.x.shape[1:])     # sum of x over the steps before the block
+            for lo in range(0, max(self.steps, 1), rows):
+                span = slice(lo, lo + rows)
+                sums = np.concatenate([carry[None], self.x[span]])
+                np.cumsum(sums, axis=0, out=sums)   # row 0, the carry, starts the sum
+                carry = sums[-1].copy()
+                sums /= np.arange(lo + 1, lo + 1 + len(sums))[:, None, None]   # now means
+                yield span, sums[1:], compute_lambda_hat(self.gamma, self.noisy_derivative[span],
+                                                         sums[:-1])
+        return blocks()
 
     @property
     def xbar(self) -> np.ndarray:               # (steps, n, m), after the step's update
-        [(_, means)] = self.running_means(max(self.steps, 1))
-        return means[1:]
+        [(_, xbar, _)] = self.views(max(self.steps, 1))
+        return xbar
 
     @property
     def lambda_hat(self) -> np.ndarray:         # (steps, n, m), NaN off-event
-        [(span, means)] = self.running_means(max(self.steps, 1))
-        return self.lambda_hat_of(span, means)
+        [(_, _, lambda_hat)] = self.views(max(self.steps, 1))
+        return lambda_hat
 
     @property
     def event_counts(self) -> np.ndarray:       # (m,) events K_j per resource
@@ -114,16 +122,6 @@ class Trace:
     @property
     def n_resources(self) -> int:
         return self.final_xbar.shape[1]
-
-
-def _running_means(x: np.ndarray, rows: int):
-    carry = np.zeros(x.shape[1:])               # sum of x over the steps before the block
-    for lo in range(0, max(len(x), 1), rows):
-        span = slice(lo, lo + rows)
-        sums = np.concatenate([carry[None], x[span]])
-        np.cumsum(sums, axis=0, out=sums)       # row 0, the carry, starts the sum
-        carry = sums[-1].copy()
-        yield span, np.divide(sums, np.arange(lo + 1, lo + 1 + len(sums))[:, None, None], out=sums)
 
 
 def _noise_columns(kind: NoiseKind, rngs: list, limit: int):
@@ -225,10 +223,10 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
                         gamma_j, beta_j, scale_j, source = backoff[j]
                         g = grads[:, j]
                         tr_spread[nu, j] = tracker.update_all(j, g)
-                        d = 0.0 if source is None else scale_j * next(source)
+                        nd = g if source is None else g + scale_j * next(source)
                         if dense:
-                            tr_nderiv[nu, :, j] = g + d
-                        lam = compute_lambda_hat(gamma_j, g, d, xbar[:, j])
+                            tr_nderiv[nu, :, j] = nd
+                        lam = compute_lambda_hat(gamma_j, nd, xbar[:, j])
                         grown[:, j] = multiplicative_decrease(x[:, j], lam, beta_j)
                     tr_dq[nu] = tracker.running_max
                 x, grown = grown, x

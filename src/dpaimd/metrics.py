@@ -36,7 +36,8 @@ def cost_ratio(trace: Trace, costs: list, optimum: OptimalAllocation) -> float |
     """
     if (trace.event_counts == 0).any() or optimum.total_cost == 0:
         return None
-    return float(PolyBatch(costs).value(trace.final_xbar).sum()) / optimum.total_cost
+    with np.errstate(over="ignore"):    # an overflow reads inf, which the summary rejects
+        return float(PolyBatch(costs).value(trace.final_xbar).sum()) / optimum.total_cost
 
 
 def derivative_spread(trace: Trace) -> dict:

@@ -55,42 +55,31 @@ class CostFunction:
     def n_resources(self) -> int:
         return self.exponents.shape[1]
 
-    def _evaluate(self, method: str, x, *j) -> float | np.ndarray:
-        """One ``PolyBatch`` method on this cost alone (last axis of x indexes resources)."""
+    def partial(self, x, j: int) -> float | np.ndarray:
+        """Analytic partial derivative with respect to resource j, through
+        ``PolyBatch`` (last axis of x indexes resources; batching allowed)."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_resources:
             raise ConfigurationError(f"point has {x.shape[-1]} components, not {self.n_resources}")
-        if j and not 0 <= j[0] < self.n_resources:
-            raise ConfigurationError(f"resource index {j[0]} out of range")
-        out = getattr(PolyBatch([self]), method)(x[..., None, :], *j)[..., 0]
+        if not 0 <= j < self.n_resources:
+            raise ConfigurationError(f"resource index {j} out of range")
+        out = PolyBatch([self]).partial(x[..., None, :], j)[..., 0]
         return float(out) if out.ndim == 0 else out
 
-    def value(self, x) -> float | np.ndarray:
-        """Evaluate the cost at x (last axis indexes resources; batching allowed)."""
-        return self._evaluate("value", x)
 
-    def partial(self, x, j: int) -> float | np.ndarray:
-        """Analytic partial derivative with respect to resource j."""
-        return self._evaluate("partial", x, j)
+def _differentiate(coeffs: np.ndarray, exponents: np.ndarray, order: int):
+    """Weights and exponents of the terms of d^order f / dx_j^order, stacked over j.
 
-    def second_partial(self, x, j: int) -> float | np.ndarray:
-        """d^2 f / dx_j^2."""
-        return self._evaluate("second_partial", x, j)
-
-
-def _differentiate(coeffs: np.ndarray, exponents: np.ndarray, j: int, order: int):
-    """Weights and exponents of the terms of d^order f / dx_j^order.
-
-    ``coeffs`` has shape (..., T) and ``exponents`` (..., T, m); exponents that
-    drop below zero are clamped, and their terms get weight 0.
+    (n, T) ``coeffs`` and (n, T, m) ``exponents`` give (m, n, T) weights and
+    (m, n, T, m) exponents; exponents that drop below zero are clamped, and
+    their terms get weight 0.
     """
-    ej = exponents[..., j]
+    ej = np.moveaxis(exponents, -1, 0)     # (m, n, T): each term's exponent of x_j
     weights = coeffs
     for k in range(order):
         weights = weights * np.maximum(ej - k, 0)
-    reduced = exponents.copy()
-    reduced[..., j] = np.maximum(ej - order, 0)
-    return weights, reduced
+    unit = np.eye(exponents.shape[-1], dtype=int)[:, None, None]    # (m, 1, 1, m): 1 at j
+    return weights, np.maximum(exponents - order * unit, 0)
 
 
 def _sum_terms(x: np.ndarray, weights: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -121,34 +110,28 @@ class PolyBatch:
     """All agents' cost functions stacked into term tables.
 
     Evaluates every agent at once: a point array (..., n, m) gives (..., n)
-    values or partials, one per agent, or an (..., n, m) gradient. ``value``
-    reads (n, T, m) tables, in which agents with fewer than T terms are padded
-    with zero-weight terms of exponent 1. The derivatives read compacted tables
-    built once, one stacked (m, n, T', m) table per order: row j holds only
-    the terms of d f / dx_j whose weight is not 0, so T' is the largest such
-    count. The gradient is then one kernel call over all m partials.
+    values or partials, one per agent, or an (..., n, m) gradient. Each table is
+    built once by ``_compact``, which pads every row with weight-0 terms of
+    exponent 0: an (n, T, m) table for the value, and per derivative order one
+    stacked (m, n, T', m) table whose row j holds only the terms of d f / dx_j
+    with a weight other than 0. The gradient is one kernel call over all m partials.
     """
 
     def __init__(self, costs):
         n, m = len(costs), costs[0].n_resources
         t_max = max(f.coeffs.shape[0] for f in costs)
-        self.coeffs = np.zeros((n, t_max))
-        self.exps = np.ones((n, t_max, m), dtype=int)
+        coeffs = np.zeros((n, t_max))
+        exps = np.zeros((n, t_max, m), dtype=int)
         for i, f in enumerate(costs):
-            t = f.coeffs.shape[0]
-            self.coeffs[i, :t] = f.coeffs
-            self.exps[i, :t] = f.exponents
+            coeffs[i, :f.coeffs.size], exps[i, :f.coeffs.size] = f.coeffs, f.exponents
+        self._value = _compact(coeffs, exps)
         # a huge coefficient times its exponent overflows to inf; callers check finiteness
-        tables = []
         with np.errstate(over="ignore"):
-            for order in (1, 2):
-                weights, exponents = zip(*(_differentiate(self.coeffs, self.exps, j, order)
-                                           for j in range(m)))
-                tables.append(_compact(np.stack(weights), np.stack(exponents)))
-        self._first, self._second = tables
+            self._first, self._second = [_compact(*_differentiate(coeffs, exps, order))
+                                         for order in (1, 2)]
 
     def value(self, x) -> np.ndarray:
-        return _sum_terms(x, self.coeffs, self.exps)
+        return _sum_terms(x, *self._value)
 
     def partial(self, x, j: int) -> np.ndarray:
         weights, exponents = self._first

@@ -9,7 +9,7 @@ from dpaimd import cli
 from dpaimd.baseline import solve_optimum
 from dpaimd.engine import LAMBDA_MIN
 from dpaimd.metrics import cost_ratio
-from dpaimd.model import CostFunction, ResourceConfig
+from dpaimd.model import CostFunction, PolyBatch, ResourceConfig
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode, gaussian_sigma
 from oracles import (
     empirical_dp_ratio,
@@ -209,10 +209,11 @@ def test_acceptance_9_invariant_suite(full_reference_run):
     fd_ok = True
     for f in config.agents[:2]:
         x = np.array([0.7, 0.9])
+        value = PolyBatch([f]).value
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (f.value(x + e) - f.value(x - e)) / (2 * h)
+            fd = float(value((x + e)[None])[0] - value((x - e)[None])[0]) / (2 * h)
             fd_ok &= abs(f.partial(x, j) - fd) <= 1e-4 * max(1.0, abs(fd))
     checks["finite-difference partials"] = fd_ok
 

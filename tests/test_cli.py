@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import functools
 import io
 import json
@@ -407,6 +408,34 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == "numeric abort: non-finite aggregate demand at step 1\n"
 
+    @pytest.mark.parametrize("command", ["run", "solve"])
+    def test_overflowing_optimal_cost_exits_3_without_a_warning(self, tmp_path, capsys, command):
+        # the partials 2e-300 x stay finite up to x = 1e300, but x^2 overflows:
+        # the solver's total cost reads inf (the test suite turns warnings into errors)
+        doc = small_doc()
+        doc["noise"] = [{"kind": "none"}]
+        doc["agents"] = [{"terms": [[1e-300, [2]]]}, {"terms": [[2e-300, [2]]]}]
+        doc["resources"][0].update(capacity=1e300, alpha=1e300)
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli.main([command, "--config", str(self.write(tmp_path, doc)), *args]) == 3
+        assert capsys.readouterr().err == \
+            "numeric abort: baseline solver: the optimal total cost is inf\n"
+
+    def test_max_rel_error_skips_zero_optimal_shares(self, tmp_path, capsys):
+        # 50 x + x^2 prices agent 1 out: x* = (1, 0), x-bar = (0.981, 0.017)
+        doc = small_doc(steps=3_000)
+        doc["noise"] = [{"kind": "none"}]
+        doc["agents"] = [{"terms": [[1.0, [2]]]}, {"terms": [[50.0, [1]], [1.0, [2]]]}]
+        doc["resources"][0].update(alpha=0.01, beta=0.7)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(self.write(tmp_path, doc)),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary_p000_s4.json").read_text())
+        assert summary["x_star"] == [[1.0], [0.0]] and summary["abs_error"][1][0] > 0.01
+        [row] = csv.DictReader((out / "sweep_summary.csv").read_text().splitlines())
+        assert float(row["max_rel_error"]) == pytest.approx(0.0191, abs=5e-5)
+        assert f"max_rel_error={row['max_rel_error']}\n" in capsys.readouterr().out
+
     def test_zero_optimal_cost_gives_a_null_cost_ratio(self, tmp_path):
         # x^2 and 2 x^2 at shares of 1e-300 cost 0.0 once squared
         doc = small_doc()
@@ -693,3 +722,53 @@ def test_fuzzed_configs_exit_0_2_or_3(data):
                 else [stdout.getvalue()]
             for text in texts:
                 json.loads(text, parse_constant=reject_constant)
+
+
+@st.composite
+def magnitude_docs(draw):
+    """A valid config of 1-3 agents on 1-2 resources, its numbers from 1e-300 to 1e300.
+
+    Each agent pays c x_j^e on each resource j; coefficients, capacities,
+    gammas and fixed noise scales are 10^U(-300, 300), alpha = C 10^U(-3, 0).
+    """
+    def magnitude():
+        return 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    agents = [{"terms": [[magnitude(), [draw(st.sampled_from([1, 2, 40])) if k == j else 0
+                                        for k in range(m)]] for j in range(m)]}
+              for _ in range(n)]
+    resources = []
+    for _ in range(m):
+        capacity = magnitude()
+        resources.append({"capacity": capacity, "alpha": capacity * 10.0 ** draw(st.floats(-3, 0)),
+                          "beta": draw(st.sampled_from([0.0, 0.5, 0.999999])),
+                          "gamma": magnitude()})
+    noise = [{"kind": kind, "scale_mode": "fixed", "scale": magnitude()} if kind != "none"
+             else {"kind": kind} for kind in draw(st.lists(
+                 st.sampled_from(["none", "laplace", "gaussian"]), min_size=m, max_size=m))]
+    return {"schema_version": 1, "agents": agents, "resources": resources, "noise": noise,
+            "steps": 50, "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+@given(magnitude_docs())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_valid_configs_across_magnitudes_exit_0_2_or_3(doc):
+    """No warning escapes (the test suite turns them into errors), and a run
+    that exits 0 writes only finite numbers; a null cost ratio is allowed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for args in (["run", "--out", str(out)], ["solve"]):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([args[0], "--config", str(path), *args[1:]])
+            assert code in (0, 2, 3)
+            if code == 0 and args[0] == "run":
+                json.loads((out / f"summary_p000_s{doc['seed']}.json").read_text(),
+                           parse_constant=reject_constant)
+                [row] = csv.DictReader((out / "sweep_summary.csv").read_text().splitlines())
+                numbers = [row["max_rel_error"], row["broadcast_bits_total"]]
+                assert all(math.isfinite(float(v)) for v in numbers + [row["cost_ratio"] or 0])
+            elif code == 0:
+                json.loads(stdout.getvalue(), parse_constant=reject_constant)

@@ -55,21 +55,22 @@ class TestPrimitives:
             server_step(np.array([1.0]), np.array([np.nan]))
 
     def test_lambda_hat_examples(self):
-        assert compute_lambda_hat(1e-3, 500.0, 0.0, 1.0) == pytest.approx(0.5)
-        assert compute_lambda_hat(1e-3, 50.0, 50.0, 1.0) == pytest.approx(0.1)
+        # each takes the noisy derivative f' + d
+        assert compute_lambda_hat(1e-3, 500.0 + 0.0, 1.0) == pytest.approx(0.5)
+        assert compute_lambda_hat(1e-3, 50.0 + 50.0, 1.0) == pytest.approx(0.1)
         # negative noise enters through the absolute value
-        assert compute_lambda_hat(1e-3, 50.0, -150.0, 1.0) == pytest.approx(0.1)
+        assert compute_lambda_hat(1e-3, 50.0 - 150.0, 1.0) == pytest.approx(0.1)
         # one agent per element, each equal to its scalar case
-        lam = compute_lambda_hat(1e-3, np.array([500.0, 50.0, 50.0]),
-                                 np.array([0.0, 50.0, -150.0]), np.ones(3))
-        assert np.array_equal(lam, [compute_lambda_hat(1e-3, 500.0, 0.0, 1.0),
-                                    compute_lambda_hat(1e-3, 50.0, 50.0, 1.0),
-                                    compute_lambda_hat(1e-3, 50.0, -150.0, 1.0)])
+        lam = compute_lambda_hat(1e-3, np.array([500.0, 50.0, 50.0]) + [0.0, 50.0, -150.0],
+                                 np.ones(3))
+        assert np.array_equal(lam, [compute_lambda_hat(1e-3, 500.0 + 0.0, 1.0),
+                                    compute_lambda_hat(1e-3, 50.0 + 50.0, 1.0),
+                                    compute_lambda_hat(1e-3, 50.0 - 150.0, 1.0)])
 
     def test_lambda_hat_clamps(self):
-        assert compute_lambda_hat(1e-3, 5e6, 0.0, 1.0) == 1.0
-        assert compute_lambda_hat(1e-3, 0.0, 0.0, 1.0) == LAMBDA_MIN
-        lam = compute_lambda_hat(1e-3, np.array([5e6, 0.0]), np.zeros(2), np.ones(2))
+        assert compute_lambda_hat(1e-3, 5e6, 1.0) == 1.0
+        assert compute_lambda_hat(1e-3, 0.0, 1.0) == LAMBDA_MIN
+        lam = compute_lambda_hat(1e-3, np.array([5e6, 0.0]), np.ones(2))
         assert lam.tolist() == [1.0, LAMBDA_MIN]
 
     def test_multiplicative_decrease_examples(self):
@@ -501,7 +502,7 @@ class TestLeanTrace:
     def test_dense_views_of_a_lean_trace_raise(self, tmp_path):
         trace = dpaimd.run(one_resource_config([square_cost()], steps=30))
         path = tmp_path / "trace.csv"
-        for read in (lambda: trace.xbar, lambda: trace.lambda_hat,
+        for read in (lambda: trace.views(1), lambda: trace.xbar, lambda: trace.lambda_hat,
                      lambda: cli.write_trace_csv(trace, path)):
             with pytest.raises(ValueError, match="run with dense=True"):
                 read()

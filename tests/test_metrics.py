@@ -16,7 +16,7 @@ from dpaimd.metrics import (
 )
 from dpaimd.model import CostFunction, PolyBatch, ResourceConfig, SystemConfig
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
-from oracles import linear_fit_r2
+from oracles import DensePolyBatch, linear_fit_r2
 
 
 def tiny_run(steps):
@@ -47,7 +47,7 @@ class TestCostRatio:
         config, trace, optimum = short_reference_run
         ratio = cost_ratio(trace, config.agents, optimum)
         xbar = trace.xbar[-1]
-        direct = sum(float(f.value(xbar[i])) for i, f in enumerate(config.agents))
+        direct = float(DensePolyBatch(config.agents).value(xbar).sum())
         assert ratio == pytest.approx(direct / optimum.total_cost)
 
     def test_never_beats_the_optimum(self, short_reference_run):
