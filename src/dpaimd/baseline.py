@@ -50,19 +50,15 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
 def kkt_residual(batch: PolyBatch, x: np.ndarray, capacities: np.ndarray) -> float:
     """Largest violation of the optimality conditions, per resource.
 
-    The spread of partials over active agents, how far an agent at zero has a
-    partial below the active agents' largest, and the feasibility gap.
+    How far any agent's partial lies below the active agents' largest (their
+    spread, or a cheaper agent at zero), and the feasibility gap.
     """
     grads = batch.gradient(x)
     residual = 0.0
     for j in range(x.shape[1]):
-        active = x[:, j] > ACTIVE_TOL
-        if active.any():
-            g = grads[active, j]
-            residual = max(residual, float(g.max() - g.min()))
-            if not active.all():
-                residual = max(residual, float(g.max() - grads[~active, j].min()))
-        residual = max(residual, abs(float(x[:, j].sum()) - float(capacities[j])))
+        top = grads[x[:, j] > ACTIVE_TOL, j].max(initial=-math.inf)
+        residual = max(residual, float(top - grads[:, j].min()),
+                       abs(float(x[:, j].sum()) - float(capacities[j])))
     return residual
 
 
@@ -90,7 +86,7 @@ def _demand(batch: PolyBatch, point: np.ndarray, j: int, mu: float, g0: np.ndarr
 
 
 def _fill(batch: PolyBatch, x: np.ndarray, j: int, capacity: float) -> np.ndarray:
-    """Column j of the optimum with the other columns held at x."""
+    """Column j of the optimum with the other columns held at x: >= 0, summing to capacity."""
     point = x.copy()
     point[:, j] = 0.0
     g0 = batch.partial(point, j)
@@ -98,8 +94,9 @@ def _fill(batch: PolyBatch, x: np.ndarray, j: int, capacity: float) -> np.ndarra
     g_top = batch.partial(point, j)
     if not (np.isfinite(g0).all() and np.isfinite(g_top).all()):
         raise RuntimeError(f"baseline solver: partials on resource {j} are not finite")
-    # a cost that is linear in x_ij, or ignores it, has a constant partial g0
-    flat = batch.second_partial(point, j) == 0
+    # a cost linear in x_ij, or ignoring it, has a constant partial g0, and so in floats
+    # does one whose growth up to the capacity rounds or underflows away
+    flat = (batch.second_partial(point, j) == 0) | (g_top == g0)
     top = np.where(flat, 0.0, capacity)
     price = float(g0[flat].min(initial=math.inf))
     # at hi some agent takes the whole capacity, unless the flat agents are cheaper
@@ -149,10 +146,9 @@ def solve_optimum(costs, resources) -> OptimalAllocation:
         for _ in range(MAX_PASSES):
             before = x.copy()
             for j in range(m):
-                column = _fill(batch, x, j, capacities[j])
-                if not np.isfinite(column).all():
+                x[:, j] = _fill(batch, x, j, capacities[j])
+                if not np.isfinite(x[:, j]).all():
                     raise RuntimeError(f"baseline solver: resource {j} has a non-finite share")
-                x[:, j] = project_simplex(column, capacities[j])
             residual = kkt_residual(batch, x, capacities)
             # without cross-resource terms a second pass repeats the first
             if residual <= KKT_TOL or np.array_equal(x, before):

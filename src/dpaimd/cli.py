@@ -292,21 +292,15 @@ def _problem_key(config: SystemConfig):
     return terms, tuple(float(r.capacity) for r in config.resources)
 
 
-def _call(task):
-    """Worker for one input that jobs share: ``fn(*args)``."""
-    fn, args = task
-    return fn(*args)
-
-
 @contextlib.contextmanager
 def _job_map(jobs: int, n_jobs: int):
-    """A map returning a list: over a pool of ``jobs`` processes when there is
+    """``map`` returning a list: over a pool of ``jobs`` processes when there is
     more than one job to share out, otherwise in this process."""
     if jobs > 1 and n_jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield lambda fn, items: list(pool.map(fn, items))
+            yield lambda fn, *iterables: list(pool.map(fn, *iterables))
     else:
-        yield lambda fn, items: list(map(fn, items))
+        yield lambda fn, *iterables: list(map(fn, *iterables))
 
 
 def _json_text(doc) -> str:
@@ -378,12 +372,11 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
     for (p_idx, _, _, _), key, config in zip(work, keys, configs):
         problems.setdefault(key, config)
         points.setdefault(p_idx, config)
-    shared = [(baseline.solve_optimum, (c.agents, c.resources)) for c in problems.values()]
-    shared += [(engine.resolve_noise_scales, (c,)) for c in points.values()]
     with _job_map(jobs, len(work)) as job_map:
-        results = job_map(_call, shared)
-        optima = dict(zip(problems, results))
-        scales = dict(zip(points, results[len(problems):]))
+        optima = dict(zip(problems, job_map(baseline.solve_optimum,
+                                            [c.agents for c in problems.values()],
+                                            [c.resources for c in problems.values()])))
+        scales = dict(zip(points, job_map(engine.resolve_noise_scales, points.values())))
         rows = job_map(_run_one, [
             (p_idx, overrides, config, optima[key], scales[p_idx], emit_trace, str(out_dir))
             for (p_idx, overrides, _, _), key, config in zip(work, keys, configs)])

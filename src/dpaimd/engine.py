@@ -236,9 +236,9 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
                 if dense:
                     tr_x[nu] = x
         except NumericError as exc:
-            raise NumericError(f"{exc} at step {nu}", step=nu) from exc
+            raise NumericError(f"{exc} at step {nu}") from exc
     if not np.isfinite(x).all():
-        raise NumericError(f"non-finite demand at step {steps - 1}", step=steps - 1)
+        raise NumericError(f"non-finite demand at step {steps - 1}")
     # the running max starts at 0 and never falls, so the max so far fills the event-free steps
     np.maximum.accumulate(tr_dq, axis=0, out=tr_dq)
 

@@ -16,11 +16,7 @@ class ConfigurationError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Raised when a non-finite value shows up mid-run."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """Raised when a non-finite value shows up mid-run; the message names the step."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -318,7 +318,7 @@ def simulate_oracle(config, scales) -> Trace:
         if fired.size:
             grads = batch.gradient(xbar)
             if not np.isfinite(grads).all():
-                raise NumericError(f"non-finite derivative at step {nu}", step=nu)
+                raise NumericError(f"non-finite derivative at step {nu}")
             for j in fired:
                 tracker.update_all(j, grads[:, j])
                 tr_spread[nu, j] = grads[:, j].max() - grads[:, j].min()
@@ -336,7 +336,7 @@ def simulate_oracle(config, scales) -> Trace:
         if grow.any():
             x[:, grow] += alpha[grow]
         if not np.isfinite(x).all():
-            raise NumericError(f"non-finite demand at step {nu}", step=nu)
+            raise NumericError(f"non-finite demand at step {nu}")
         x_sum += x
         np.divide(x_sum, nu + 2, out=xbar)
         tr_x[nu] = x

@@ -130,11 +130,12 @@ class TestSolver:
 
     def test_fixed_point_short_of_tolerance_fails_at_once(self, monkeypatch):
         # at capacity 1e15 the partials' rounding error (0.5) exceeds the
-        # tolerance, and a second pass over the one resource repeats the first
+        # tolerance, and a second pass over the one resource repeats the first;
+        # each pass ends with one certificate
         calls = []
-        project = baseline.project_simplex
-        monkeypatch.setattr(baseline, "project_simplex",
-                            lambda v, total: calls.append(1) or project(v, total))
+        certify = baseline.kkt_residual
+        monkeypatch.setattr(baseline, "kkt_residual",
+                            lambda *args: calls.append(1) or certify(*args))
         with pytest.raises(RuntimeError, match="did not converge"):
             solve_optimum([power_cost(1.0, 2), power_cost(3.0, 2)], res(1e15))
         assert len(calls) == 2          # the budget is MAX_PASSES passes
@@ -179,6 +180,13 @@ class TestSolver:
         linear = CostFunction(np.array([1.0]), np.array([[1]]))
         opt = solve_optimum([power_cost(1.0, 2), linear, linear], res(2.0))
         assert np.allclose(opt.x_star, [[0.5], [0.75], [0.75]], atol=1e-12)
+
+    def test_partial_whose_growth_underflows_counts_as_flat(self):
+        # agent 1's partial 2e-200 x stays 0.0 up to the capacity 1e-200, so it
+        # takes the whole column at price 0 (agent 0's exact share, ~1e-400, is 0.0)
+        tiny = [ResourceConfig(capacity=1e-200, alpha=1e-200, beta=0.5, gamma=1e-3)]
+        opt = solve_optimum([power_cost(1.0, 2), power_cost(1e-200, 2)], tiny)
+        assert opt.x_star.tolist() == [[0.0], [1e-200]]
 
 
 def small_problems(coupled):
@@ -227,6 +235,11 @@ def test_water_filling_matches_projected_gradient(coupled, data):
     assert np.abs(opt.x_star - pgd.x_star).max() <= 1e-6
     assert opt.total_cost <= pgd.total_cost + 1e-9
     assert opt.kkt_residual <= 1e-9
+    # the water-filled column is final: non-negative, and at capacity within _fill's tolerance
+    caps = np.array([r.capacity for r in resources])
+    assert (opt.x_star >= 0).all()
+    tol = 4.0 * len(costs) * np.finfo(float).eps * caps
+    assert (np.abs(opt.x_star.sum(axis=0) - caps) <= tol).all()
 
 
 class TestGridOracle:

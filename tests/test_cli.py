@@ -392,7 +392,7 @@ class TestRunCommand:
 
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(config, scales=None, *, dense=False):
-            raise NumericError("non-finite demand at step 7", step=7)
+            raise NumericError("non-finite demand at step 7")
         monkeypatch.setattr(engine, "run", boom)
         path = self.write(tmp_path, small_doc())
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3

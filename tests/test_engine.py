@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpaimd
@@ -85,10 +87,14 @@ class TestPrimitives:
         st.floats(1e-6, 1.0),
         st.floats(0.0, 0.999),
     )
+    @example(x=0.5, lam=1.0, beta=5e-324)      # the factor is 5e-324, and half of it rounds to 0
     @settings(max_examples=200, deadline=None)
     def test_multiplicative_decrease_shrinks(self, x, lam, beta):
         y = multiplicative_decrease(x, lam, beta)
-        assert 0 < y < x or (beta == 0 and lam == 1.0 and y == 0)
+        assert 0 <= y < x
+        # y is 0 only where the exact product of factor and x rounds below the least subnormal
+        factor = lam * beta + (1.0 - lam)
+        assert y > 0 or Fraction(factor) * Fraction(x) <= Fraction(math.ulp(0.0)) / 2
         ys = multiplicative_decrease(np.array([x, 2 * x]), np.array([lam, lam]), beta)
         assert np.array_equal(ys, [y, multiplicative_decrease(2 * x, lam, beta)])
 
@@ -546,9 +552,8 @@ class TestNumericFailures:
     def test_non_finite_derivative(self):
         # both demands climb 1 a step and fire at step 5, at x-bar 2.5: 4e301 * 2.5**39 overflows
         agents = [square_cost(), CostFunction(np.array([1e300]), np.array([[40]]))]
-        with pytest.raises(NumericError, match="derivative for resource 0 at step 5$") as err:
+        with pytest.raises(NumericError, match="derivative for resource 0 at step 5$"):
             self.run(agents, capacity=10.0, alpha=1.0)
-        assert err.value.step == 5
 
     @pytest.mark.parametrize("agents,alpha,steps,step,what", [
         (2, 1.5e308, 20, 1, "aggregate demand"),    # two finite demands, an infinite sum
@@ -556,6 +561,5 @@ class TestNumericFailures:
         (1, 1e308, 2, 1, "demand"),                 # ... at the last step
     ], ids=["sum", "demand", "last-step-demand"])
     def test_overflowing_demand(self, agents, alpha, steps, step, what):
-        with pytest.raises(NumericError, match=f"non-finite {what} at step {step}$") as err:
+        with pytest.raises(NumericError, match=f"non-finite {what} at step {step}$"):
             self.run([square_cost()] * agents, capacity=1.5e308, alpha=alpha, steps=steps)
-        assert err.value.step == step
