@@ -294,10 +294,10 @@ def _problem_key(config: SystemConfig):
 
 @contextlib.contextmanager
 def _job_map(jobs: int, n_jobs: int):
-    """``map`` returning a list: over a pool of ``jobs`` processes when there is
-    more than one job to share out, otherwise in this process."""
+    """``map`` returning a list: over a pool of ``min(jobs, n_jobs)`` processes
+    when there is more than one job to share out, otherwise in this process."""
     if jobs > 1 and n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_jobs)) as pool:
             yield lambda fn, *iterables: list(pool.map(fn, *iterables))
     else:
         yield lambda fn, *iterables: list(map(fn, *iterables))

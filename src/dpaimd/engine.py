@@ -5,9 +5,9 @@ resource against capacity and broadcasts one event bit per saturated resource;
 agents holding a 1-bit back off multiplicatively using a noisy scaling factor
 computed from their average allocation (the running mean of their demand over
 every step so far), all other demands grow additively.
-Runs are deterministic given the config and seed. Each agent's noise comes
-from its own stream, one per noise kind, drawn ahead in blocks of scale-1
-draws; an event takes the next column, times the resource's scale.
+Runs are deterministic given the config and seed. At an event the engine adds
+the resource's noise scale times the next column of its ``privacy.noise_sources``
+iterator; it never branches on the mechanism.
 """
 from __future__ import annotations
 
@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigurationError, NumericError, PolyBatch, SystemConfig, NOISE_STREAM
-from .privacy import NoiseKind, NoiseSpec, SensitivityTracker, unit_noise
+from .model import ConfigurationError, NumericError, PolyBatch, SystemConfig
+from .privacy import NoiseSpec, SensitivityTracker, noise_sources
 
 LAMBDA_MIN = 1e-9
-NOISE_BLOCK = 1024      # draws per agent stream taken ahead at a time
 
 
 def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
@@ -124,36 +123,6 @@ class Trace:
         return self.final_xbar.shape[1]
 
 
-def _noise_columns(kind: NoiseKind, rngs: list, limit: int):
-    """Yield each agent stream's next scale-1 draw of ``kind``, one (n,) column at a time.
-
-    Blocks of up to NOISE_BLOCK draws per stream are taken ahead, lazily and
-    at most ``limit`` per stream in all.
-    """
-    while limit > 0:
-        size = min(NOISE_BLOCK, limit)
-        limit -= size
-        yield from np.stack([unit_noise(kind, rng, size) for rng in rngs], axis=1)
-
-
-def _noise_sources(config: SystemConfig) -> list:
-    """Per resource, the iterator of its scale-1 noise columns, or None without noise.
-
-    Each agent has one stream per noise kind, which the resources of that kind
-    share in event order. The first noisy resource's kind keeps the agent's
-    original stream, so a config with one kind draws as per-event draws would.
-    """
-    kinds = [spec.kind for spec in config.noise]
-    noisy = dict.fromkeys(kind for kind in kinds if kind is not NoiseKind.NONE)   # first seen first
-    sources = {}
-    for stream, kind in enumerate(noisy):
-        tag = (stream,) if stream else ()
-        rngs = [np.random.default_rng(np.random.SeedSequence(
-                    config.seed, spawn_key=(NOISE_STREAM, aid) + tag)) for aid in config.agent_ids]
-        sources[kind] = _noise_columns(kind, rngs, config.steps * kinds.count(kind))
-    return [sources.get(kind) for kind in kinds]
-
-
 def resolve_noise_scales(config: SystemConfig) -> np.ndarray:
     """Per-resource noise scales, each from its spec; if a spec needs it, a
     noiseless pilot with the config's seed and steps first measures dq."""
@@ -190,7 +159,7 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
     gamma = np.array([r.gamma for r in config.resources], dtype=float)
     # per resource, as Python floats: gamma, beta, the noise scale and the noise source
     backoff = list(zip(gamma.tolist(), [float(r.beta) for r in config.resources],
-                       scales.tolist(), _noise_sources(config)))
+                       scales.tolist(), noise_sources(config)))
 
     gradient = PolyBatch(config.agents).gradient
     tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)

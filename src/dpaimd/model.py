@@ -241,7 +241,7 @@ _COEFF_STREAM = 0
 NOISE_STREAM = 1
 
 
-def reference_agent_costs(seed: int, n: int = 6) -> list:
+def reference_agent_costs(seed: int) -> list:
     """Build the canonical six-agent, two-resource cost mix.
 
     Agents cycle through three families in consecutive pairs; coefficients are
@@ -250,7 +250,7 @@ def reference_agent_costs(seed: int, n: int = 6) -> list:
     """
     families = (quad_quartic_cost, lambda a, b: quadratic_cost(b), lambda a, b: quartic_cost(b))
     costs = []
-    for i in range(n):
+    for i in range(6):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_COEFF_STREAM, i)))
         a, b = int(rng.integers(10, 31)), int(rng.integers(15, 36))
         costs.append(families[(i // 2) % 3](a, b))

@@ -3,7 +3,9 @@
 Each resource's NoiseSpec turns the sensitivity dq of the partial derivatives
 into its noise scale: Laplace uses scale = dq / epsilon (pure epsilon-LDP),
 Gaussian uses sigma = (dq / epsilon) * sqrt(2 ln(1.25 / delta)) for
-(epsilon, delta)-LDP.
+(epsilon, delta)-LDP. ``noise_sources`` draws every noise column: each agent's
+noise comes from its own stream, one per noise kind, drawn ahead in blocks of
+scale-1 draws; an event takes the next column, times the resource's scale.
 """
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ConfigurationError, NumericError
+from .model import NOISE_STREAM, ConfigurationError, NumericError, SystemConfig
+
+NOISE_BLOCK = 1024      # draws per agent stream taken ahead at a time
 
 
 class NoiseKind(str, Enum):
@@ -81,24 +85,8 @@ class NoiseSpec:
         if not dq > 0:
             raise ConfigurationError(f"calibration found no positive sensitivity for resource {resource}")
         if self.kind is NoiseKind.LAPLACE:
-            return laplace_scale(dq, self.epsilon)
-        return gaussian_sigma(dq, self.epsilon, self.delta)
-
-
-def laplace_scale(dq: float, epsilon: float) -> float:
-    """Laplace scale parameter b = dq / epsilon."""
-    if not dq > 0 or not epsilon > 0:
-        raise ConfigurationError("laplace_scale needs dq > 0 and epsilon > 0")
-    return dq / epsilon
-
-
-def gaussian_sigma(dq: float, epsilon: float, delta: float) -> float:
-    """Minimal admissible sigma = (dq / epsilon) * sqrt(2 ln(1.25 / delta))."""
-    if not dq > 0 or not epsilon > 0:
-        raise ConfigurationError("gaussian_sigma needs dq > 0 and epsilon > 0")
-    if not 0 < delta < 1.25:
-        raise ConfigurationError("gaussian_sigma needs 0 < delta < 1.25")
-    return (dq / epsilon) * math.sqrt(2.0 * math.log(1.25 / delta))
+            return dq / self.epsilon
+        return (dq / self.epsilon) * math.sqrt(2.0 * math.log(1.25 / self.delta))
 
 
 def unit_noise(kind: NoiseKind, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -111,6 +99,36 @@ def unit_noise(kind: NoiseKind, rng: np.random.Generator, size: int) -> np.ndarr
     if kind is NoiseKind.LAPLACE:
         return rng.laplace(0.0, 1.0, size)
     return rng.standard_normal(size)
+
+
+def _noise_columns(kind: NoiseKind, rngs: list, limit: int):
+    """Yield each agent stream's next scale-1 draw of ``kind``, one (n,) column at a time.
+
+    Blocks of up to NOISE_BLOCK draws per stream are taken ahead, lazily and
+    at most ``limit`` per stream in all.
+    """
+    while limit > 0:
+        size = min(NOISE_BLOCK, limit)
+        limit -= size
+        yield from np.stack([unit_noise(kind, rng, size) for rng in rngs], axis=1)
+
+
+def noise_sources(config: SystemConfig) -> list:
+    """Per resource, the iterator of its scale-1 noise columns, or None without noise.
+
+    Each agent has one stream per noise kind, which the resources of that kind
+    share in event order. The first noisy resource's kind keeps the agent's
+    original stream, so a config with one kind draws as per-event draws would.
+    """
+    kinds = [spec.kind for spec in config.noise]
+    noisy = dict.fromkeys(kind for kind in kinds if kind is not NoiseKind.NONE)   # first seen first
+    sources = {}
+    for stream, kind in enumerate(noisy):
+        tag = (stream,) if stream else ()
+        rngs = [np.random.default_rng(np.random.SeedSequence(
+                    config.seed, spawn_key=(NOISE_STREAM, aid) + tag)) for aid in config.agent_ids]
+        sources[kind] = _noise_columns(kind, rngs, config.steps * kinds.count(kind))
+    return [sources.get(kind) for kind in kinds]
 
 
 class SensitivityTracker:

@@ -10,7 +10,7 @@ from dpaimd.baseline import solve_optimum
 from dpaimd.engine import LAMBDA_MIN
 from dpaimd.metrics import cost_ratio
 from dpaimd.model import CostFunction, PolyBatch, ResourceConfig
-from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode, gaussian_sigma
+from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
 from oracles import (
     empirical_dp_ratio,
     empirical_dp_violation_fraction,
@@ -25,6 +25,13 @@ def report(criterion: int, ok: bool, detail: str = ""):
         line += f" ({detail})"
     print(line, flush=True)
     assert ok, line
+
+
+def gaussian_sigma(dq, epsilon, delta):
+    """The calibrated Gaussian sigma for sensitivity ``dq``, as a run computes it."""
+    spec = NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=epsilon, delta=delta,
+                     scale_mode=ScaleMode.CALIBRATED)
+    return spec.noise_scale(dq, 0)
 
 
 def noiseless_pair():

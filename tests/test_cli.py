@@ -543,6 +543,34 @@ class TestSharedSweepInputs:
         self.run_sweep(tmp_path, jobs=1)
         assert calls == {"solve_optimum": 2, "resolve_noise_scales": 4}
 
+    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, monkeypatch):
+        workers = []
+
+        class InProcessPool:
+            """Records its size and maps in this process: no worker is started."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        doc = small_doc(steps=20)
+        doc["sweep"] = {"seeds": [1, 2]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--jobs", "5"]) == 0
+        assert workers == [2]
+        assert len(list((tmp_path / "out").glob("summary_*.json"))) == 2
+
 
 class TestSuiteAndSolve:
     def test_suite_emits_four_parseable_configs(self, tmp_path, capsys):

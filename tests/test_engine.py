@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpaimd
-from dpaimd import cli, engine, metrics
+from dpaimd import cli, engine, metrics, privacy
 from dpaimd.baseline import OptimalAllocation
 from dpaimd.engine import (
     LAMBDA_MIN,
@@ -27,7 +27,7 @@ from dpaimd.model import (
     ResourceConfig,
     SystemConfig,
 )
-from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode, gaussian_sigma, laplace_scale
+from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
 from oracles import simulate_oracle
 
 
@@ -241,7 +241,8 @@ class TestCalibration:
             noise=noise, steps=steps, seed=3, burn_in_events=2,
         )
 
-    # each spec with the scale it must give for the pilot's dq on its resource
+    # each spec with the scale it must give for the pilot's dq on its resource:
+    # Laplace dq / epsilon, Gaussian (dq / epsilon) sqrt(2 ln(1.25 / delta))
     SPECS = {
         "none": (NoiseSpec(), lambda dq: 0.0),
         "none-calibrated": (NoiseSpec(kind=NoiseKind.NONE, scale_mode=ScaleMode.CALIBRATED),
@@ -250,13 +251,13 @@ class TestCalibration:
                   lambda dq: 2.5),
         "laplace": (NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
                               scale_mode=ScaleMode.CALIBRATED),
-                    lambda dq: laplace_scale(dq, 0.5)),
+                    lambda dq: dq / 0.5),
         "gaussian": (NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.3, delta=0.01,
                                scale_mode=ScaleMode.CALIBRATED),
-                     lambda dq: gaussian_sigma(dq, 0.3, 0.01)),
+                     lambda dq: (dq / 0.3) * math.sqrt(2.0 * math.log(1.25 / 0.01))),
         "override": (NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.3, delta=0.01,
                                scale_mode=ScaleMode.CALIBRATED, sensitivity=0.7),
-                     lambda dq: gaussian_sigma(0.7, 0.3, 0.01)),
+                     lambda dq: (0.7 / 0.3) * math.sqrt(2.0 * math.log(1.25 / 0.01))),
     }
 
     def test_pilot_calibration_matches_noiseless_sensitivity(self):
@@ -265,7 +266,7 @@ class TestCalibration:
         assert dq > 0
         cfg = self.base([NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
                                    scale_mode=ScaleMode.CALIBRATED)])
-        assert resolve_noise_scales(cfg)[0] == pytest.approx(laplace_scale(dq, 0.5))
+        assert resolve_noise_scales(cfg)[0] == pytest.approx(dq / 0.5)
 
     def test_sensitivity_override_skips_pilot(self):
         cfg = self.base([NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
@@ -440,14 +441,14 @@ class TestNoiseBlocks:
 
     def test_blocks_are_drawn_lazily_and_capped(self, monkeypatch):
         blocks = []
-        draw = engine.unit_noise
-        monkeypatch.setattr(engine, "unit_noise",
+        draw = privacy.unit_noise
+        monkeypatch.setattr(privacy, "unit_noise",
                             lambda kind, rng, size: blocks.append((kind, size)) or draw(kind, rng, size))
         config = self.mixed(steps=3000)
         dpaimd.run(replace(config, noise=[NoiseSpec()] * 2))
         assert blocks == []                 # a noiseless run, such as a pilot, draws nothing
         trace = dpaimd.run(config)
-        n, block = config.n_agents, engine.NOISE_BLOCK
+        n, block = config.n_agents, privacy.NOISE_BLOCK
         for j, spec in enumerate(config.noise):
             sizes = [size for kind, size in blocks if kind is spec.kind]
             # whole blocks as events need them, the last one cut at steps draws per stream

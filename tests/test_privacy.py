@@ -9,14 +9,25 @@ from dpaimd.privacy import (
     NoiseSpec,
     ScaleMode,
     SensitivityTracker,
-    gaussian_sigma,
-    laplace_scale,
     unit_noise,
 )
 from oracles import empirical_dp_ratio, empirical_dp_violation_fraction
 
 
+def gaussian_sigma(dq, epsilon, delta):
+    spec = NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=epsilon, delta=delta,
+                     scale_mode=ScaleMode.CALIBRATED)
+    return spec.noise_scale(dq, 0)
+
+
+def laplace_scale(dq, epsilon):
+    spec = NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=epsilon, scale_mode=ScaleMode.CALIBRATED)
+    return spec.noise_scale(dq, 0)
+
+
 class TestCalibration:
+    """``NoiseSpec.noise_scale`` on a calibrated spec, the only path to a scale."""
+
     def test_gaussian_sigma_reference_values(self):
         assert gaussian_sigma(1.32, 0.2, 0.01) == pytest.approx(20.50, abs=0.01)
         assert gaussian_sigma(2.53, 0.2, 0.01) == pytest.approx(39.31, abs=0.01)
@@ -27,9 +38,9 @@ class TestCalibration:
 
     def test_gaussian_sigma_invalid(self):
         with pytest.raises(ConfigurationError):
-            gaussian_sigma(0.0, 0.2, 0.01)
+            gaussian_sigma(0.0, 0.2, 0.01)      # noise_scale: no positive sensitivity
         with pytest.raises(ConfigurationError):
-            gaussian_sigma(1.0, 0.2, 1.3)
+            gaussian_sigma(1.0, 0.2, 1.3)       # NoiseSpec: delta outside (0, 1)
 
     def test_laplace_scale(self):
         assert laplace_scale(5.9, 0.1) == pytest.approx(59.0)
@@ -38,9 +49,9 @@ class TestCalibration:
 
     def test_laplace_scale_invalid(self):
         with pytest.raises(ConfigurationError):
-            laplace_scale(0.0, 0.1)
+            laplace_scale(0.0, 0.1)             # noise_scale: no positive sensitivity
         with pytest.raises(ConfigurationError):
-            laplace_scale(1.0, -1.0)
+            laplace_scale(1.0, -1.0)            # NoiseSpec: epsilon <= 0
 
 
 class TestSampling:
