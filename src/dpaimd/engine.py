@@ -28,20 +28,30 @@ def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
     return (aggregate >= capacities).view(np.uint8)
 
 
-def compute_lambda_hat(gamma, noisy_derivative, xbar):
+def compute_lambda_hat(gamma, noisy_derivative, xbar, out=None):
     """Noisy back-off factor gamma * |f' + d| / xbar, clamped into [LAMBDA_MIN, 1].
 
     Takes the noisy derivative f' + d (f' alone without noise). Elementwise
     over agents; a NaN derivative (off-event in a trace) stays NaN. Needs
     xbar > 0, which holds at every event: no event fires at step 0, so
-    xbar >= alpha / (nu + 1) by then.
+    xbar >= alpha / (nu + 1) by then. ``out``, if given, receives the result,
+    and may be ``noisy_derivative`` itself.
     """
-    return np.minimum(np.maximum(gamma * np.abs(noisy_derivative) / xbar, LAMBDA_MIN), 1.0)
+    lam = np.abs(noisy_derivative, out=out)
+    lam = np.multiply(gamma, lam, out=out)
+    lam = np.divide(lam, xbar, out=out)
+    lam = np.maximum(lam, LAMBDA_MIN, out=out)
+    return np.minimum(lam, 1.0, out=out)
 
 
-def multiplicative_decrease(x, lam, beta):
-    """Back-off x <- (lam * beta + 1 - lam) * x, elementwise over agents."""
-    return (lam * beta + (1.0 - lam)) * x
+def multiplicative_decrease(x, lam, beta, out=None):
+    """Back-off x <- (lam * beta + 1 - lam) * x, elementwise over agents.
+
+    ``out``, if given, receives the result; it must not be ``x`` or ``lam``.
+    """
+    factor = np.multiply(lam, beta, out=out)
+    factor = np.add(factor, 1.0 - lam, out=out)
+    return np.multiply(factor, x, out=out)
 
 
 @dataclass
@@ -155,7 +165,8 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
     ``sensitivity`` is written on event steps and forward-filled after the loop."""
     n, m, steps = config.n_agents, config.n_resources, config.steps
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
-    alpha = np.array([r.alpha for r in config.resources], dtype=float)
+    # every agent's step, so the additive increase is a same-shape add
+    alpha = np.tile(np.array([r.alpha for r in config.resources], dtype=float), (n, 1))
     gamma = np.array([r.gamma for r in config.resources], dtype=float)
     # per resource, as Python floats: gamma, beta, the noise scale and the noise source
     backoff = list(zip(gamma.tolist(), [float(r.beta) for r in config.resources],
@@ -168,6 +179,7 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
     grown = np.empty((n, m))            # x + alpha, then the back-offs: the next x
     xbar = np.zeros((n, m))
     x_sum = np.zeros((n, m))            # x(0) + x(1) + ... + x(nu + 1) after step nu
+    lam = np.empty(n)                   # a fired resource's noisy partials, then lambda-hat
 
     tr_x = tr_nderiv = None
     try:
@@ -192,11 +204,14 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
                         gamma_j, beta_j, scale_j, source = backoff[j]
                         g = grads[:, j]
                         tr_spread[nu, j] = tracker.update_all(j, g)
-                        nd = g if source is None else g + scale_j * next(source)
+                        nd = g
+                        if source is not None:
+                            nd = np.multiply(next(source), scale_j, out=lam)
+                            nd += g
                         if dense:
                             tr_nderiv[nu, :, j] = nd
-                        lam = compute_lambda_hat(gamma_j, nd, xbar[:, j])
-                        grown[:, j] = multiplicative_decrease(x[:, j], lam, beta_j)
+                        compute_lambda_hat(gamma_j, nd, xbar[:, j], out=lam)
+                        multiplicative_decrease(x[:, j], lam, beta_j, out=grown[:, j])
                     tr_dq[nu] = tracker.running_max
                 x, grown = grown, x
                 # running mean of the demand over every step, x(0) = 0 included

@@ -7,6 +7,7 @@ and with exact partial derivatives (no numeric differentiation in the loop).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,68 +79,103 @@ def _differentiate(coeffs: np.ndarray, exponents: np.ndarray, order: int):
     return weights, np.maximum(exponents - order * unit, 0)
 
 
-def _sum_terms(x: np.ndarray, weights: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """sum_t weights[..., t] * prod_j x[..., j] ** exponents[..., t, j].
+def _sum_terms(x: np.ndarray, weights: np.ndarray, exponents: np.ndarray,
+               index: np.ndarray) -> np.ndarray:
+    """sum_t weights[..., t] * prod_k x_flat[index[..., t, k]] ** exponents[..., t, k].
 
-    The one polynomial evaluator: ``x`` (..., m) broadcasts against
-    ``exponents`` (..., T, m), and the term axis is reduced with ``einsum``.
+    The one polynomial evaluator, on one support table of ``_compact``: ``x``
+    (..., n, m) is gathered through ``index`` on its merged (n * m) axis, raised
+    to the table's exponents and multiplied over the support axis, and the term
+    axis is reduced with ``einsum``. The factors stay C-ordered whatever the
+    leading axes of ``x``, because einsum groups a sum of 3 or more terms by
+    memory layout: a point then gives the same bits alone or in a batch.
     """
-    mono = (x[..., None, :] ** exponents).prod(axis=-1)
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    factors = np.power(flat.take(index, axis=-1), exponents, order="C")
+    mono = factors[..., 0] if exponents.shape[-1] == 1 else factors.prod(axis=-1)
     return np.einsum("...t,...t->...", weights, mono)
 
 
 def _compact(weights: np.ndarray, exponents: np.ndarray):
-    """Drop the zero-weight terms of (..., T) weights and (..., T, m) exponents.
+    """Support table of (..., n, T) weights and (..., n, T, m) exponents.
 
-    Kept terms stay in their order; each row is padded to T', the largest kept
-    count, with weight-0 terms of exponent 0, which add exactly 0 at any point.
+    Terms of weight 0 are dropped; kept terms stay in order, and each row is
+    padded to T', the largest kept count, with weight-0 terms, which add
+    exactly 0 at any point. Each kept term keeps only its positive exponents,
+    in resource order, padded to s, the largest such count, with exponent 0;
+    ``index`` points each factor into the merged (n * m) axis of the point.
+    A dropped factor is x ** 0 = 1.0, so the product keeps its bits.
+    Returns (..., n, T') weights, (..., n, T', s) exponents as floats (numpy
+    raises a float by a float exponent; a table of ints costs a cast per call)
+    and the (..., n, T', s) index.
     """
+    n, m = exponents.shape[-3], exponents.shape[-1]
     keep = weights != 0
     order = np.argsort(~keep, axis=-1, kind="stable")[..., :int(keep.sum(axis=-1).max())]
     pad = ~np.take_along_axis(keep, order, axis=-1)
     weights = np.where(pad, 0.0, np.take_along_axis(weights, order, axis=-1))
     exponents = np.where(pad[..., None], 0, np.take_along_axis(exponents, order[..., None], axis=-2))
-    return weights, exponents
+    positive = exponents > 0
+    s = int(positive.sum(axis=-1).max(initial=1))
+    if n * weights.shape[-1] * s == 1 < m:
+        # numpy raises a one-element block by a scalar shortcut (x * x for x ** 2),
+        # which the m factors of the term did not take: keep a second, x ** 0
+        s = 2
+    support = np.argsort(~positive, axis=-1, kind="stable")[..., :s]   # positives first, in order
+    index = support + m * np.arange(n)[:, None, None]
+    return weights, np.take_along_axis(exponents, support, axis=-1).astype(float), index
 
 
 class PolyBatch:
-    """All agents' cost functions stacked into term tables.
+    """All agents' cost functions stacked into support tables.
 
     Evaluates every agent at once: a point array (..., n, m) gives (..., n)
     values or partials, one per agent, or an (..., n, m) gradient. Each table is
-    built once by ``_compact``, which pads every row with weight-0 terms of
-    exponent 0: an (n, T, m) table for the value, and per derivative order one
-    stacked (m, n, T', m) table whose row j holds only the terms of d f / dx_j
-    with a weight other than 0. The gradient is one kernel call over all m partials.
+    built by ``_compact`` on first use: an (n, T', s) table for the value, and
+    per derivative order one stacked (m, n, T', s) table whose row j holds only
+    the terms of d f / dx_j with a weight other than 0, each with only its
+    positive exponents. The gradient is one kernel call over all m partials.
     """
 
     def __init__(self, costs):
         n, m = len(costs), costs[0].n_resources
         t_max = max(f.coeffs.shape[0] for f in costs)
-        coeffs = np.zeros((n, t_max))
-        exps = np.zeros((n, t_max, m), dtype=int)
+        self._coeffs = np.zeros((n, t_max))
+        self._exps = np.zeros((n, t_max, m), dtype=int)
         for i, f in enumerate(costs):
-            coeffs[i, :f.coeffs.size], exps[i, :f.coeffs.size] = f.coeffs, f.exponents
-        self._value = _compact(coeffs, exps)
+            self._coeffs[i, :f.coeffs.size], self._exps[i, :f.coeffs.size] = f.coeffs, f.exponents
+
+    @cached_property
+    def _value(self):
+        return _compact(self._coeffs, self._exps)
+
+    @cached_property
+    def _first(self):
+        return self._derivative(1)
+
+    @cached_property
+    def _second(self):
+        return self._derivative(2)
+
+    def _derivative(self, order: int):
         # a huge coefficient times its exponent overflows to inf; callers check finiteness
         with np.errstate(over="ignore"):
-            self._first, self._second = [_compact(*_differentiate(coeffs, exps, order))
-                                         for order in (1, 2)]
+            return _compact(*_differentiate(self._coeffs, self._exps, order))
 
     def value(self, x) -> np.ndarray:
         return _sum_terms(x, *self._value)
 
     def partial(self, x, j: int) -> np.ndarray:
-        weights, exponents = self._first
-        return _sum_terms(x, weights[j], exponents[j])
+        weights, exponents, index = self._first
+        return _sum_terms(x, weights[j], exponents[j], index[j])
 
     def second_partial(self, x, j: int) -> np.ndarray:
-        weights, exponents = self._second
-        return _sum_terms(x, weights[j], exponents[j])
+        weights, exponents, index = self._second
+        return _sum_terms(x, weights[j], exponents[j], index[j])
 
     def gradient(self, x) -> np.ndarray:
         """(..., n, m) points -> (..., n, m) partial derivatives."""
-        return _sum_terms(x[..., None, :, :], *self._first).swapaxes(-1, -2)
+        return _sum_terms(x, *self._first).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

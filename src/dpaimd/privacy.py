@@ -144,6 +144,7 @@ class SensitivityTracker:
     def __init__(self, n_agents: int, n_resources: int, burn_in_events: int):
         self.last_derivative = np.zeros((n_agents, n_resources))
         self.running_max = np.zeros(n_resources)
+        self._diffs = np.empty(n_agents)
         self.events_seen = [0] * n_resources
         # all agents are fed together, so a second event means every agent has a previous one
         self.first_counted = max(burn_in_events, 2)
@@ -154,14 +155,13 @@ class SensitivityTracker:
         Each call counts as one event of resource j and may raise
         ``running_max[j]``. Returns the spread max - min of the partials.
         """
-        derivatives = np.asarray(derivatives, dtype=float)
-        lo, hi = derivatives.min(), derivatives.max()
+        lo, hi = np.minimum.reduce(derivatives), np.maximum.reduce(derivatives)
         # one comparison each way rejects NaN, infinities and negatives
         if not (0 <= lo and hi < math.inf):
             raise NumericError(f"non-finite or negative derivative for resource {j}")
         self.events_seen[j] += 1
         if self.events_seen[j] >= self.first_counted:
-            diffs = np.abs(derivatives - self.last_derivative[:, j])
-            self.running_max[j] = max(self.running_max[j], diffs.max())
+            diffs = np.subtract(derivatives, self.last_derivative[:, j], out=self._diffs)
+            self.running_max[j] = max(self.running_max[j], np.maximum.reduce(np.abs(diffs, out=diffs)))
         self.last_derivative[:, j] = derivatives
         return hi - lo

@@ -116,7 +116,8 @@ def solve_pgd_oracle(costs, resources, max_iter: int = 500_000) -> OptimalAlloca
 
     # Lipschitz bound: curvature is monotone in each coordinate for positive
     # polynomials, so the max over the feasible box sits at the capacity corner.
-    lip = max(float(batch.second_partial(capacities, j).max()) for j in range(m))
+    corner = np.tile(capacities, (n, 1))
+    lip = max(float(batch.second_partial(corner, j).max()) for j in range(m))
     if not math.isfinite(lip):
         raise RuntimeError(f"baseline solver: curvature bound {lip} is not finite")
     step = 1.0 / max(lip, 1e-12)

@@ -358,6 +358,21 @@ def small_configs(draw):
                         agent_ids=draw(st.permutations(range(n))))
 
 
+def wide_separable_config():
+    """16 agents x 3 resources of a/2 x_j^2 + b/4 x_j^4 costs, fixed Laplace noise and
+    1,000 steps, every resource firing hundreds of times; each partial keeps 2 terms."""
+    n, m = 16, 3
+    a = 10 + 20 * np.arange(n) / (n - 1)
+    b = 15 + 20 * ((5 * np.arange(n)) % n) / (n - 1)
+    eye = np.eye(m, dtype=int)
+    exponents = np.stack([2 * eye, 4 * eye], axis=1).reshape(2 * m, m)   # x_0^2, x_0^4, x_1^2, ...
+    return SystemConfig(
+        agents=[CostFunction(np.tile([a[i] / 2, b[i] / 4], m), exponents) for i in range(n)],
+        resources=[ResourceConfig(capacity=0.3 * n * (1 + 0.1 * j), alpha=0.01,
+                                  beta=0.7 - 0.05 * j, gamma=1e-3) for j in range(m)],
+        noise=[NOISE_CHOICES["laplace"]] * m, steps=1_000, seed=17)
+
+
 def noise_stream(seed, agent_id, *tag):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_STREAM, agent_id) + tag))
 
@@ -401,6 +416,7 @@ class TestNoiseBlocks:
     """Noise is drawn ahead in blocks per agent stream, sliced one column per event."""
 
     @given(small_configs())
+    @example(wide_separable_config())
     @settings(max_examples=60, deadline=None)
     def test_trace_is_byte_equal_to_per_event_draws(self, config):
         scales = usable_scales(config)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpaimd
-from dpaimd import cli, engine
+from dpaimd import cli, engine, model
 from dpaimd.cli import reference_system_config
 from dpaimd.engine import Trace, multiplicative_decrease
 from dpaimd.metrics import (
@@ -53,6 +53,21 @@ class TestCostRatio:
     def test_never_beats_the_optimum(self, short_reference_run):
         config, trace, optimum = short_reference_run
         assert cost_ratio(trace, config.agents, optimum) >= 1.0 - 1e-9
+
+
+def test_a_run_and_a_summary_each_build_only_the_table_they_read(monkeypatch):
+    """The run reads the gradient table, the summary the value table; the other
+    tables of their PolyBatch are never built."""
+    config = reference_system_config([NoiseSpec(), NoiseSpec()], seed=4, steps=500)
+    optimum = dpaimd.solve_optimum(config.agents, config.resources)
+    built = []
+    compact = model._compact
+    monkeypatch.setattr(model, "_compact", lambda *tables: built.append(1) or compact(*tables))
+    trace = engine.run(config, np.zeros(2))
+    assert len(built) == 1
+    built.clear()
+    assert summarize(trace, config.agents, optimum).cost_ratio is not None
+    assert len(built) == 1
 
 
 class TestDerivativeSpread:

@@ -119,17 +119,18 @@ def naive_derivative(f, x, j, order):
 
 @st.composite
 def agents_and_point(draw, separable=st.booleans()):
-    """2-4 agents with distinct term counts, so every batch pads some agent.
+    """2-4 agents over 1-10 resources, with distinct term counts, so every batch
+    pads some agent.
 
     A separable cost has one positive exponent per term; a coupled one may
-    mix resources in a term.
+    mix up to 4 resources in a term.
     """
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 10))
     counts = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4, unique=True))
-    exponent_row = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
-    if draw(separable):
-        exponent_row = st.tuples(st.integers(0, m - 1), st.integers(1, 4)).map(
-            lambda pair: [pair[1] if k == pair[0] else 0 for k in range(m)])
+    width = 1 if draw(separable) else min(4, m)
+    exponent_row = st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 4)), min_size=1,
+                            max_size=width, unique_by=lambda pair: pair[0]).map(
+        lambda pairs: [dict(pairs).get(k, 0) for k in range(m)])
     agents = [
         CostFunction(np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=t, max_size=t))),
                      np.array(draw(st.lists(exponent_row, min_size=t, max_size=t))))
@@ -178,6 +179,24 @@ def test_poly_batch_matches_dense_kernel(case):
         agrees(grad[:, j], dense.gradient(x)[:, j], 1, j)
     points = np.stack([x, 0.5 * x])         # a leading batch axis
     assert np.array_equal(batch.gradient(points)[1], batch.gradient(0.5 * x))
+    assert np.array_equal(batch.value(points)[1], batch.value(0.5 * x))
+    for j in range(x.shape[1]):
+        assert np.array_equal(batch.partial(points, j)[1], batch.partial(0.5 * x, j))
+        assert np.array_equal(batch.second_partial(points, j)[1], batch.second_partial(0.5 * x, j))
+
+
+def test_a_lone_term_of_a_lone_agent_matches_the_dense_kernel():
+    """One agent whose one term raises one of 3 resources: numpy raises a
+    one-element block by a scalar shortcut (x * x for x ** 2), which the m
+    factors of the dense kernel do not take, so the support keeps a second."""
+    points = np.random.default_rng(5).uniform(0.0, 3.0, (1000, 1, 3))
+    for e in (2, 3, 4):
+        f = CostFunction(np.array([1.5]), np.array([[0, e, 0]]))
+        batch, dense = PolyBatch([f]), DensePolyBatch([f])
+        for x in (points, points[0]):
+            assert np.array_equal(batch.value(x), dense.value(x))
+            assert np.array_equal(batch.partial(x, 1), dense.partial(x, 1))
+            assert np.array_equal(batch.second_partial(x, 1), dense.second_partial(x, 1))
 
 
 def test_zero_weight_term_that_overflows_leaves_the_partial_finite():
