@@ -255,33 +255,33 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
     }
 
 
-def _cells(column: np.ndarray, shape) -> list:
-    """One CSV field per row of ``shape``: ints as they are, floats at 17 digits, NaN empty."""
-    values = np.broadcast_to(column, shape).ravel().tolist()
-    if column.dtype.kind != "f":
-        return values
-    return ["%.17g" % v if v == v else "" for v in values]
+_ROW_TEMPLATES = np.array(["%d,%s%.17g,%.17g,0,,,%s", "%d,%s%.17g,%.17g,1,%.17g,%.17g,%s"])
 
 
 def write_trace_csv(trace: engine.Trace, path: Path):
     """Full per-step trace, one row per (step, agent, resource), 17 sig digits;
-    rows go out TRACE_CHUNK_ROWS at a time, with x-bar and lambda-hat derived
-    per chunk. Needs a trace run with ``dense=True``."""
+    rows go out TRACE_CHUNK_ROWS at a time, x-bar and lambda-hat derived per
+    chunk, each chunk as one ``%`` of its rows' templates. The engine records
+    lambda-hat and the noisy derivative NaN exactly off event, where a row's
+    template leaves them empty. Needs a trace run with ``dense=True``."""
     n, m = trace.n_agents, trace.n_resources
     cum_bits = trace.cum_bits
     views = trace.views(max(1, TRACE_CHUNK_ROWS // (n * m)))   # raises on a lean trace
+    cells = np.array([[f"{i},{j}," for j in range(m)] for i in range(n)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,agent,resource,x,xbar,event_bit,lambda_hat,noisy_derivative,"
                  "sensitivity,cum_bits\n")
         for span, xbar, lambda_hat in views:
-            shape = trace.x[span].shape
-            columns = (np.arange(span.start, span.start + shape[0])[:, None, None],
-                       np.arange(n)[:, None], np.arange(m), trace.x[span], xbar,
-                       trace.event_bits[span, None], lambda_hat,
-                       trace.noisy_derivative[span], trace.sensitivity[span, None],
-                       cum_bits[span, None, None])
-            cells = [_cells(column, shape) for column in columns]
-            fh.writelines("%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n" % row for row in zip(*cells))
+            tails = [["%.17g,%d\n" % (s, c) for s in row] for row, c in
+                     zip(trace.sensitivity[span].tolist(), cum_bits[span].tolist())]
+            columns = (np.arange(span.start, span.start + len(xbar))[:, None, None], cells,
+                       trace.x[span], xbar, lambda_hat, trace.noisy_derivative[span],
+                       np.array(tails, dtype=object).reshape(-1, 1, m))
+            fields = np.stack(np.broadcast_arrays(*columns), axis=-1)   # dtype object
+            bits = np.broadcast_to(trace.event_bits[span, None], xbar.shape)
+            keep = np.ones(fields.shape, dtype=bool)    # all but an off-event row's two NaNs
+            keep[..., 4:6] = bits[..., None]
+            fh.write("".join(_ROW_TEMPLATES[bits].ravel().tolist()) % tuple(fields[keep].tolist()))
 
 
 def _problem_key(config: SystemConfig):

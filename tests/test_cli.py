@@ -154,6 +154,40 @@ class TestTraceCsv:
             write_trace_csv_oracle(trace, expected)
             assert got.read_bytes() == expected.read_bytes()
 
+    def written_and_expected(self, trace, tmp_path):
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        cli.write_trace_csv(trace, got)
+        write_trace_csv_oracle(trace, expected)
+        return got.read_bytes(), expected.read_bytes()
+
+    def test_byte_equal_at_16_agents_by_3_resources(self, tmp_path):
+        """Default chunks of 25 steps over 300: the "agent,resource," fields built
+        once per run and each (step, resource)'s tail broadcast over 16 agents."""
+        n, m = 16, 3
+        config = SystemConfig(
+            agents=[CostFunction(np.linspace(1.0, 3.0, m) * (1 + i / n), 2 * np.eye(m, dtype=int))
+                    for i in range(n)],
+            resources=[ResourceConfig(capacity=0.3 * n, alpha=0.05, beta=0.5, gamma=1e-3)] * m,
+            noise=[NOISE_KINDS[kind] for kind in ("laplace", "gaussian", "none")],
+            steps=300, seed=11)
+        trace = engine.run(config, dense=True)
+        assert cli.TRACE_CHUNK_ROWS // (n * m) == 25 and trace.event_counts.all()
+        got, expected = self.written_and_expected(trace, tmp_path)
+        assert got == expected
+
+    def test_overflowing_noise_byte_equal(self, tmp_path):
+        """A fixed Laplace scale of 1e308 overflows some noisy partials to inf and
+        -inf: those fields read as the per-cell writer's."""
+        config = SystemConfig(
+            agents=[CostFunction(np.array([1.0]), np.array([[2]])),
+                    CostFunction(np.array([2.0]), np.array([[2]]))],
+            resources=[ResourceConfig(capacity=0.3, alpha=0.05, beta=0.5, gamma=1e-3)],
+            noise=[NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=1e308)],
+            steps=40, seed=2)
+        got, expected = self.written_and_expected(engine.run(config, dense=True), tmp_path)
+        fields = got.decode().replace("\n", ",").split(",")
+        assert "inf" in fields and "-inf" in fields
+        assert got == expected
 
     def test_writer_holds_less_than_one_dense_array(self, tmp_path):
         """On 15k paper-suite Laplace steps the writer's own peak stays below one

@@ -551,6 +551,8 @@ class TestInvariants:
         at_event = np.broadcast_to(events[:, None, :], lam.shape)
         assert ((LAMBDA_MIN <= lam[at_event]) & (lam[at_event] <= 1.0)).all()
         assert np.isnan(lam[~at_event]).all()
+        # the trace CSV picks each row's template by this: NaN exactly off event
+        assert np.array_equal(np.isnan(trace.noisy_derivative), ~at_event)
         # lambda-hat divides by the x-bar after the step before the event
         steps, resources = np.nonzero(events)
         assert (trace.xbar[steps - 1, :, resources] > 0).all()
