@@ -15,7 +15,6 @@ import itertools
 import json
 import reprlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 from pathlib import Path
 
@@ -297,6 +296,7 @@ def _job_map(jobs: int, n_jobs: int):
     """``map`` returning a list: over a pool of ``min(jobs, n_jobs)`` processes
     when there is more than one job to share out, otherwise in this process."""
     if jobs > 1 and n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor     # only a pool needs its import time
         with ProcessPoolExecutor(max_workers=min(jobs, n_jobs)) as pool:
             yield lambda fn, *iterables: list(pool.map(fn, *iterables))
     else:

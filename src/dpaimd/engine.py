@@ -19,11 +19,16 @@ from .model import ConfigurationError, NumericError, PolyBatch, SystemConfig
 from .privacy import NoiseSpec, SensitivityTracker, noise_sources
 
 LAMBDA_MIN = 1e-9
+TRACKER_BLOCK_CELLS = 1 << 16    # partials the loop holds for the sensitivity tracker
 
 
 def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
-    """Event bits S_j = 1 iff aggregate_j >= C_j."""
-    if not np.isfinite(aggregate).all():
+    """Event bits S_j = 1 iff aggregate_j >= C_j.
+
+    A sum of demands x >= 0 is never negative, so NaN and +inf are its only
+    failures, and one comparison of its max rejects both.
+    """
+    if not np.maximum.reduce(aggregate) < np.inf:
         raise NumericError("non-finite aggregate demand")
     return (aggregate >= capacities).view(np.uint8)
 
@@ -160,9 +165,14 @@ def run(config: SystemConfig, scales: np.ndarray | None = None, *, dense: bool =
 
 def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) -> Trace:
     """The step loop, each check once a step: ``server_step`` rejects a non-finite
-    aggregate, ``update_all`` a fired resource's non-finite partial, and one check
+    aggregate, the tracker a fired resource's non-finite partial, and one check
     after the loop the last demand; the NumericError names the step it failed at.
-    ``sensitivity`` is written on event steps and forward-filled after the loop."""
+
+    Nothing in the loop reads the sensitivity, so each event step only copies
+    its partials into a block that the tracker takes in one pass when it is
+    full, when ``server_step`` fails and after the loop: a partial that failed
+    first still wins. The tracker writes ``partial_spread`` and ``sensitivity``
+    on event steps, and ``sensitivity`` is forward-filled after the loop."""
     n, m, steps = config.n_agents, config.n_resources, config.steps
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
     # every agent's step, so the additive increase is a same-shape add
@@ -192,35 +202,50 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"steps={steps} gives a trace numpy cannot allocate: {exc}") from exc
 
-    with np.errstate(over="ignore"):   # lambda-hat clamps an overflow; the checks catch the rest
-        try:
-            for nu in range(steps):
-                tr_bits[nu] = bits = server_step(capacities, x.sum(axis=0))
-                np.add(x, alpha, out=grown)     # additive increase, replaced where an event fired
-                fired = [j for j, bit in enumerate(bits.tolist()) if bit]
-                if fired:
-                    grads = gradient(xbar)
-                    for j in fired:
-                        gamma_j, beta_j, scale_j, source = backoff[j]
-                        g = grads[:, j]
-                        tr_spread[nu, j] = tracker.update_all(j, g)
-                        nd = g
-                        if source is not None:
-                            nd = np.multiply(next(source), scale_j, out=lam)
-                            nd += g
-                        if dense:
-                            tr_nderiv[nu, :, j] = nd
-                        compute_lambda_hat(gamma_j, nd, xbar[:, j], out=lam)
-                        multiplicative_decrease(x[:, j], lam, beta_j, out=grown[:, j])
-                    tr_dq[nu] = tracker.running_max
-                x, grown = grown, x
-                # running mean of the demand over every step, x(0) = 0 included
-                x_sum += x
-                np.divide(x_sum, nu + 2, out=xbar)
-                if dense:
-                    tr_x[nu] = x
-        except NumericError as exc:
-            raise NumericError(f"{exc} at step {nu}") from exc
+    # the partials of the event steps the tracker has not taken yet
+    block = np.empty((max(1, min(steps, TRACKER_BLOCK_CELLS // (n * m))), n, m))
+    event_steps = []
+
+    def feed_tracker():
+        if event_steps:
+            rows = np.array(event_steps)
+            event_steps.clear()
+            tracker.update_all(rows, block[:rows.size], tr_bits[rows], tr_spread, tr_dq)
+
+    # lambda-hat clamps an overflow and the checks catch the rest, among them the
+    # NaN of an inf partial plus -inf noise, which the tracker rejects with its block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nu in range(steps):
+            try:
+                tr_bits[nu] = bits = server_step(capacities, np.add.reduce(x))
+            except NumericError as exc:
+                feed_tracker()              # a partial that failed at an earlier step wins
+                raise NumericError(f"{exc} at step {nu}") from exc
+            np.add(x, alpha, out=grown)     # additive increase, replaced where an event fired
+            fired = [j for j, bit in enumerate(bits.tolist()) if bit]
+            if fired:
+                grads = block[len(event_steps)] = gradient(xbar)
+                event_steps.append(nu)
+                for j in fired:
+                    gamma_j, beta_j, scale_j, source = backoff[j]
+                    g = grads[:, j]
+                    nd = g
+                    if source is not None:
+                        nd = np.multiply(next(source), scale_j, out=lam)
+                        nd += g
+                    if dense:
+                        tr_nderiv[nu, :, j] = nd
+                    compute_lambda_hat(gamma_j, nd, xbar[:, j], out=lam)
+                    multiplicative_decrease(x[:, j], lam, beta_j, out=grown[:, j])
+                if len(event_steps) == len(block):
+                    feed_tracker()
+            x, grown = grown, x
+            # running mean of the demand over every step, x(0) = 0 included
+            x_sum += x
+            np.divide(x_sum, nu + 2, out=xbar)
+            if dense:
+                tr_x[nu] = x
+        feed_tracker()
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite demand at step {steps - 1}")
     # the running max starts at 0 and never falls, so the max so far fills the event-free steps

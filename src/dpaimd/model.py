@@ -92,7 +92,7 @@ def _sum_terms(x: np.ndarray, weights: np.ndarray, exponents: np.ndarray,
     """
     flat = x.reshape(x.shape[:-2] + (-1,))
     factors = np.power(flat.take(index, axis=-1), exponents, order="C")
-    mono = factors[..., 0] if exponents.shape[-1] == 1 else factors.prod(axis=-1)
+    mono = factors[..., 0] if exponents.shape[-1] == 1 else np.multiply.reduce(factors, axis=-1)
     return np.einsum("...t,...t->...", weights, mono)
 
 

@@ -139,29 +139,51 @@ class SensitivityTracker:
     first ``burn_in_events`` events per resource are excluded because early
     derivatives reflect initialization, not dynamics. The max is shared across
     agents, because each resource has one noise scale for every agent.
+    Nothing in the step loop reads it, so the loop feeds it a block of event
+    steps at a time.
     """
 
     def __init__(self, n_agents: int, n_resources: int, burn_in_events: int):
         self.last_derivative = np.zeros((n_agents, n_resources))
         self.running_max = np.zeros(n_resources)
-        self._diffs = np.empty(n_agents)
         self.events_seen = [0] * n_resources
         # all agents are fed together, so a second event means every agent has a previous one
         self.first_counted = max(burn_in_events, 2)
 
-    def update_all(self, j: int, derivatives: np.ndarray) -> float:
-        """Feed every agent's noiseless partial for resource j at one event.
+    def update_all(self, steps: np.ndarray, derivatives: np.ndarray, bits: np.ndarray,
+                   spread: np.ndarray, dq: np.ndarray):
+        """Feed every agent's noiseless partials at a block of event steps, in step order.
 
-        Each call counts as one event of resource j and may raise
-        ``running_max[j]``. Returns the spread max - min of the partials.
+        Row i of the (k, n, m) ``derivatives`` holds the partials at step
+        ``steps[i]``, and row i of the (k, m) ``bits`` the resources that fired
+        there; the partials of the others are not read. Each fired cell (i, j)
+        is one event of resource j, and may raise ``running_max[j]``. At row
+        ``steps[i]``, column j, ``spread`` receives the spread max - min of its
+        partials and ``dq`` the running max after it; other cells keep their
+        values. A non-finite or negative partial raises NumericError, naming
+        the lowest such step and then the lowest resource, before any state
+        changes.
         """
-        lo, hi = np.minimum.reduce(derivatives), np.maximum.reduce(derivatives)
+        fired = np.asarray(bits, dtype=bool)
+        lo, hi = np.minimum.reduce(derivatives, axis=1), np.maximum.reduce(derivatives, axis=1)
         # one comparison each way rejects NaN, infinities and negatives
-        if not (0 <= lo and hi < math.inf):
-            raise NumericError(f"non-finite or negative derivative for resource {j}")
-        self.events_seen[j] += 1
-        if self.events_seen[j] >= self.first_counted:
-            diffs = np.subtract(derivatives, self.last_derivative[:, j], out=self._diffs)
-            self.running_max[j] = max(self.running_max[j], np.maximum.reduce(np.abs(diffs, out=diffs)))
-        self.last_derivative[:, j] = derivatives
-        return hi - lo
+        bad = fired & ~((0 <= lo) & (hi < math.inf))
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise NumericError(f"non-finite or negative derivative for resource {j} at step {steps[i]}")
+        for j in range(fired.shape[1]):
+            rows = np.flatnonzero(fired[:, j])
+            if not rows.size:
+                continue
+            at = steps[rows]
+            spread[at, j] = hi[rows, j] - lo[rows, j]
+            # each event's partials after the previous event's, the block's first after the last fed
+            partials = np.concatenate([self.last_derivative[None, :, j], derivatives[rows, :, j]])
+            diffs = np.subtract(partials[1:], partials[:-1])
+            jumps = np.maximum.reduce(np.abs(diffs, out=diffs), axis=1)
+            jumps[:max(self.first_counted - 1 - self.events_seen[j], 0)] = 0.0     # burn-in events
+            np.maximum.accumulate(jumps, out=jumps)
+            dq[at, j] = np.maximum(jumps, self.running_max[j], out=jumps)
+            self.running_max[j] = jumps[-1]
+            self.last_derivative[:, j] = partials[-1]
+            self.events_seen[j] += rows.size

@@ -9,8 +9,11 @@
 - ``linear_fit_r2``: how close the cumulative broadcast bits are to a line.
 - ``DensePolyBatch``: the padded polynomial kernel that the compacted
   ``PolyBatch`` replaced, every partial evaluated over all T terms.
+- ``PerEventSensitivity``: the sensitivity tracker as it was before the loop
+  fed it blocks of event steps, one call per event.
 - ``simulate_oracle``: the engine loop as it was before noise was drawn in
-  blocks, one draw per agent at each noisy event, on the dense kernel.
+  blocks, one draw per agent at each noisy event, on the dense kernel, with
+  ``PerEventSensitivity`` at each event.
 - ``write_trace_csv_oracle``: the trace CSV writer as it was before it wrote
   in chunks, one ``csv.writer`` row per (step, agent, resource) cell.
 """
@@ -25,7 +28,7 @@ import numpy as np
 from dpaimd.baseline import OptimalAllocation, kkt_residual, project_simplex
 from dpaimd.engine import LAMBDA_MIN, Trace, multiplicative_decrease, server_step
 from dpaimd.model import NOISE_STREAM, ConfigurationError, NumericError, PolyBatch
-from dpaimd.privacy import NoiseKind, SensitivityTracker
+from dpaimd.privacy import NoiseKind
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ def linear_fit_r2(series: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial kernel and per-event-draw engine loop
+# Dense polynomial kernel, per-event sensitivity and per-event-draw engine loop
 # ---------------------------------------------------------------------------
 
 def _dense_sum_terms(x, weights, exponents):
@@ -289,9 +292,32 @@ class DensePolyBatch:
         return np.stack([self.partial(x, j) for j in range(self.m)], axis=-1)
 
 
+class PerEventSensitivity:
+    """Running max per resource of the largest change of an agent's partial
+    between consecutive events, past the burn-in; one ``update`` per event."""
+
+    def __init__(self, n_agents: int, n_resources: int, burn_in_events: int):
+        self.last_derivative = np.zeros((n_agents, n_resources))
+        self.running_max = np.zeros(n_resources)
+        self.events_seen = [0] * n_resources
+        self.first_counted = max(burn_in_events, 2)
+
+    def update(self, j: int, derivatives: np.ndarray) -> float:
+        """Feed one event of resource j; returns the spread max - min of the partials."""
+        if not np.isfinite(derivatives).all() or (derivatives < 0).any():
+            raise NumericError(f"non-finite or negative derivative for resource {j}")
+        self.events_seen[j] += 1
+        if self.events_seen[j] >= self.first_counted:
+            jump = np.abs(derivatives - self.last_derivative[:, j]).max()
+            self.running_max[j] = max(self.running_max[j], jump)
+        self.last_derivative[:, j] = derivatives
+        return derivatives.max() - derivatives.min()
+
+
 def simulate_oracle(config, scales) -> Trace:
     """``engine._simulate`` with one ``rng.laplace(0, s)`` or ``rng.normal(0, s)``
-    per agent stream at each noisy event, on the dense kernel."""
+    per agent stream at each noisy event, on the dense kernel, and the
+    sensitivity fed one event at a time."""
     n, m = config.n_agents, config.n_resources
     steps = config.steps
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
@@ -302,7 +328,7 @@ def simulate_oracle(config, scales) -> Trace:
     batch = DensePolyBatch(config.agents)
     rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(NOISE_STREAM, aid)))
             for aid in config.agent_ids]
-    tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
+    tracker = PerEventSensitivity(n, m, config.burn_in_events)
 
     x = np.zeros((n, m))
     xbar = np.zeros((n, m))
@@ -321,8 +347,7 @@ def simulate_oracle(config, scales) -> Trace:
             if not np.isfinite(grads).all():
                 raise NumericError(f"non-finite derivative at step {nu}")
             for j in fired:
-                tracker.update_all(j, grads[:, j])
-                tr_spread[nu, j] = grads[:, j].max() - grads[:, j].min()
+                tr_spread[nu, j] = tracker.update(j, grads[:, j])
                 kind = config.noise[j].kind
                 if kind is NoiseKind.NONE:
                     d = np.zeros(n)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -5,6 +6,9 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -595,7 +599,7 @@ class TestSharedSweepInputs:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         doc = small_doc(steps=20)
         doc["sweep"] = {"seeds": [1, 2]}
         path = tmp_path / "config.json"
@@ -604,6 +608,16 @@ class TestSharedSweepInputs:
                          "--jobs", "5"]) == 0
         assert workers == [2]
         assert len(list((tmp_path / "out").glob("summary_*.json"))) == 2
+
+
+    def test_importing_the_cli_leaves_out_the_process_pool(self):
+        """Only a sweep that starts a pool imports ``concurrent.futures.process``."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, dpaimd.cli; print('concurrent.futures.process' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                              check=True)
+        assert done.stdout == "False\n"
 
 
 class TestSuiteAndSolve:

@@ -574,6 +574,37 @@ class TestNumericFailures:
         with pytest.raises(NumericError, match="derivative for resource 0 at step 5$"):
             self.run(agents, capacity=10.0, alpha=1.0)
 
+    def test_a_failed_partial_wins_over_a_later_demand_error(self):
+        """The loop runs past a bad partial: the failed server step takes the
+        pending block first, so the partial's error wins as it did when it was
+        checked at its own step."""
+        # resource 0 as above; on resource 1 the two demands climb 1e307 a step,
+        # and their sum overflows at step 9 before it reaches capacity
+        agents = [CostFunction(np.array([1.0, 1.0]), np.array([[2, 0], [0, 2]])),
+                  CostFunction(np.array([1e300, 1.0]), np.array([[40, 0], [0, 2]]))]
+        config = SystemConfig(
+            agents=agents, noise=[NoiseSpec()] * 2, steps=20, seed=0,
+            resources=[ResourceConfig(capacity=10.0, alpha=1.0, beta=0.5, gamma=1e-3),
+                       ResourceConfig(capacity=1.79e308, alpha=1e307, beta=0.5, gamma=1e-3)])
+        with pytest.raises(NumericError, match="derivative for resource 0 at step 5$"):
+            engine.run(config)
+        agents[1] = CostFunction(np.array([1.0, 1.0]), np.array([[40, 0], [0, 2]]))
+        with pytest.raises(NumericError, match="non-finite aggregate demand at step 9$"):
+            engine.run(replace(config, agents=agents))
+
+    def test_an_infinite_partial_with_infinite_noise(self):
+        """At seed 13 agent 1's first Laplace draw times 1e308 is -inf: its noisy
+        partial inf + -inf is NaN, and the loop must not warn about it."""
+        agents = [square_cost(), CostFunction(np.array([1e300]), np.array([[40]]))]
+        config = SystemConfig(
+            agents=agents, steps=20, seed=13,
+            noise=[NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=1e308)],
+            resources=[ResourceConfig(capacity=10.0, alpha=1.0, beta=0.5, gamma=1e-3)])
+        with np.errstate(over="ignore"):
+            assert 1e308 * noise_stream(13, 1).laplace(0.0, 1.0) == -math.inf
+        with pytest.raises(NumericError, match="derivative for resource 0 at step 5$"):
+            engine.run(config)
+
     @pytest.mark.parametrize("agents,alpha,steps,step,what", [
         (2, 1.5e308, 20, 1, "aggregate demand"),    # two finite demands, an infinite sum
         (1, 1e308, 20, 2, "aggregate demand"),      # the demand itself grows past 1.7e308

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpaimd.model import ConfigurationError, NumericError
 from dpaimd.privacy import (
@@ -11,7 +13,7 @@ from dpaimd.privacy import (
     SensitivityTracker,
     unit_noise,
 )
-from oracles import empirical_dp_ratio, empirical_dp_violation_fraction
+from oracles import PerEventSensitivity, empirical_dp_ratio, empirical_dp_violation_fraction
 
 
 def gaussian_sigma(dq, epsilon, delta):
@@ -107,66 +109,146 @@ class TestNoiseSpecValidation:
         assert spec.kind is NoiseKind.LAPLACE and spec.delta == 0.5
 
 
+def feed(tracker, *events):
+    """Feed ``events``, one (resource, partials) pair per step from step 0, as
+    one block; returns its (spread, dq) rows, NaN where no resource fired."""
+    k, (n, m) = len(events), tracker.last_derivative.shape
+    derivatives = np.full((k, n, m), np.nan)    # the partials of unfired resources are never read
+    bits = np.zeros((k, m), dtype=np.uint8)
+    for i, (j, partials) in enumerate(events):
+        derivatives[i, :, j], bits[i, j] = partials, 1
+    spread, dq = np.full((k, m), np.nan), np.full((k, m), np.nan)
+    tracker.update_all(np.arange(k), derivatives, bits, spread, dq)
+    return spread, dq
+
+
+@st.composite
+def event_blocks(draw):
+    """Random event steps of n agents and m resources, with the block size to feed them in."""
+    n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 24))
+    fired = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m).filter(any),
+                          min_size=k, max_size=k))
+    # a few repeated values make ties and zero differences
+    value = st.sampled_from([0.0, 1.0, 2.5, 5e-324]) | st.floats(0.0, 1e300)
+    partials = draw(st.lists(value, min_size=k * n * m, max_size=k * n * m))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return {"burn_in": draw(st.integers(0, 6)), "block": draw(st.integers(1, max(k, 1))),
+            "fired": np.array(fired, dtype=bool).reshape(k, m),
+            "partials": np.array(partials).reshape(k, n, m), "steps": np.cumsum(gaps, dtype=int) - 1}
+
+
+def example_blocks(burn_in, block, fired, n=2):
+    """An ``event_blocks`` case on consecutive steps, with random partials."""
+    fired = np.array(fired, dtype=bool)
+    partials = np.random.default_rng(len(fired)).uniform(0.0, 10.0, (len(fired), n, fired.shape[1]))
+    return {"burn_in": burn_in, "block": block, "fired": fired, "partials": partials,
+            "steps": np.arange(len(fired))}
+
+
 class TestSensitivityTracker:
-    """Each ``update_all`` call is one event, fed one noiseless partial per agent."""
+    """``update_all`` takes a block of event steps; each fired (step, resource) cell is one event."""
 
     def make(self, burn_in=0):
         return SensitivityTracker(n_agents=2, n_resources=2, burn_in_events=burn_in)
 
     def test_consecutive_difference(self):
         t = self.make()
-        t.update_all(0, [10.00, 0.0])
-        t.update_all(0, [8.68, 0.0])
+        feed(t, (0, [10.00, 0.0]))
+        feed(t, (0, [8.68, 0.0]))
         assert t.running_max[0] == pytest.approx(1.32)
 
     def test_first_observation_no_change(self):
         t = self.make()
-        t.update_all(1, [42.0, 42.0])
+        feed(t, (1, [42.0, 42.0]))
         assert t.running_max[1] == 0.0
 
     def test_identical_values_no_change(self):
         t = self.make()
-        t.update_all(0, [5.0, 5.0])
-        t.update_all(0, [5.0, 5.0])
+        feed(t, (0, [5.0, 5.0]), (0, [5.0, 5.0]))
         assert t.running_max[0] == 0.0
 
-    def test_returns_the_spread_of_the_partials(self):
+    def test_writes_the_spread_and_running_max_at_fired_cells(self):
         t = self.make()
-        assert t.update_all(0, [10.0, 3.0]) == 7.0      # the first event too
-        assert t.update_all(0, [9.5, 8.0]) == 1.5
-        assert t.update_all(1, [4.0, 4.0]) == 0.0
+        spread, dq = feed(t, (0, [10.0, 3.0]), (0, [9.5, 8.0]), (1, [4.0, 4.0]))
+        # the first event has a spread too; a cell that did not fire keeps its value
+        assert np.array_equal(spread, [[7.0, np.nan], [1.5, np.nan], [np.nan, 0.0]], equal_nan=True)
+        assert np.array_equal(dq, [[0.0, np.nan], [5.0, np.nan], [np.nan, 0.0]], equal_nan=True)
         assert t.running_max.tolist() == [5.0, 0.0]
 
     def test_burn_in_excludes_early_events(self):
         t = self.make(burn_in=3)
-        for event, deriv in enumerate([10.0, 2.0, 9.0], start=1):
-            t.update_all(0, [deriv, deriv])
+        feed(t, *[(0, [deriv, deriv]) for deriv in [10.0, 2.0, 9.0]])
         assert t.running_max[0] == pytest.approx(7.0)  # only the event-3 diff counted
 
     def test_monotone_non_decreasing(self):
         t = self.make()
         rng = np.random.default_rng(2)
-        prev = 0.0
-        for deriv in rng.uniform(0, 50, size=100):
-            t.update_all(0, [deriv, deriv])
-            cur = t.running_max[0]
-            assert cur >= prev
-            prev = cur
+        _, dq = feed(t, *[(0, [deriv, deriv]) for deriv in rng.uniform(0, 50, size=100)])
+        assert (np.diff(dq[:, 0]) >= 0).all()
+        assert dq[-1, 0] == t.running_max[0]
 
     def test_shared_max_across_agents(self):
         t = self.make()
-        t.update_all(0, [10.0, 3.0])
-        t.update_all(0, [9.5, 8.0])
+        feed(t, (0, [10.0, 3.0]), (0, [9.5, 8.0]))
         assert t.running_max[0] == pytest.approx(5.0)
 
     def test_non_finite_rejected(self):
         t = self.make()
         with pytest.raises(NumericError):
-            t.update_all(0, [float("nan"), 1.0])
+            feed(t, (0, [float("nan"), 1.0]))
         with pytest.raises(NumericError):
-            t.update_all(0, np.array([1.0, float("inf")]))
+            feed(t, (0, np.array([1.0, float("inf")])))
         with pytest.raises(NumericError):
-            t.update_all(0, [-1.0, 1.0])
+            feed(t, (0, [-1.0, 1.0]))
+
+    @pytest.mark.parametrize("events, message", [
+        ([(0, [1.0, 1.0]), (1, [1.0, np.inf]), (0, [np.nan, 1.0])], "resource 1 at step 1$"),
+        ([(0, [1.0, 1.0]), (1, [-1.0, 1.0]), (1, [np.nan, 1.0])], "resource 1 at step 1$"),
+    ])
+    def test_the_lowest_failed_step_is_named(self, events, message):
+        t = self.make()
+        with pytest.raises(NumericError, match=message):
+            feed(t, *events)
+
+    def test_the_lowest_failed_resource_of_a_step_is_named_and_nothing_changes(self):
+        t = self.make()
+        derivatives = np.array([[[1.0, 1.0], [1.0, 1.0]], [[np.inf, -1.0], [1.0, 1.0]]])
+        spread, dq = np.full((2, 2), np.nan), np.zeros((2, 2))
+        for bits, message in (([[1, 1], [1, 1]], "resource 0 at step 7$"),
+                              ([[1, 1], [0, 1]], "resource 1 at step 7$")):
+            with pytest.raises(NumericError, match=message):
+                t.update_all(np.array([3, 7]), derivatives, np.array(bits, dtype=np.uint8), spread, dq)
+            assert np.isnan(spread).all() and not dq.any() and t.events_seen == [0, 0]
+            assert not t.running_max.any() and not t.last_derivative.any()
+
+    @given(event_blocks())
+    @example(example_blocks(0, 1, [[1, 0], [0, 1], [1, 1], [1, 0], [1, 1]]))       # blocks of one step
+    @example(example_blocks(0, 2, [[1, 0]] * 5))        # blocks end between two events of a resource
+    @example(example_blocks(5, 3, [[1, 1]] * 9))        # the burn-in ends inside the second block
+    @example(example_blocks(2, 2, [[1, 1], [1, 0], [1, 0], [1, 0], [0, 1], [1, 1]]))   # resource 1 skips a block
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_equal_one_event_at_a_time(self, case):
+        fired, partials, steps = case["fired"], case["partials"], case["steps"]
+        k, n, m = partials.shape
+        rows = (steps[-1] + 1) if k else 0
+        reference = PerEventSensitivity(n, m, case["burn_in"])
+        want_spread, want_dq = np.full((rows, m), np.nan), np.full((rows, m), np.nan)
+        for i, j in zip(*np.nonzero(fired)):        # step order, then resource order
+            want_spread[steps[i], j] = reference.update(j, partials[i, :, j])
+            want_dq[steps[i], j] = reference.running_max[j]
+
+        tracker = SensitivityTracker(n, m, case["burn_in"])
+        spread, dq = np.full((rows, m), np.nan), np.full((rows, m), np.nan)
+        # unfired partials are never read: make any read show
+        blocks = np.where(fired[:, None, :], partials, np.nan)
+        for lo in range(0, k, case["block"]):
+            span = slice(lo, lo + case["block"])
+            tracker.update_all(steps[span], blocks[span], fired[span].view(np.uint8), spread, dq)
+        assert spread.tobytes() == want_spread.tobytes()
+        assert dq.tobytes() == want_dq.tobytes()
+        assert tracker.running_max.tobytes() == reference.running_max.tobytes()
+        assert tracker.last_derivative.tobytes() == reference.last_derivative.tobytes()
+        assert tracker.events_seen == reference.events_seen
 
 
 class TestEmpiricalPrivacy:
