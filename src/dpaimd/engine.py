@@ -20,6 +20,8 @@ from .privacy import NoiseSpec, SensitivityTracker, noise_sources
 
 LAMBDA_MIN = 1e-9
 TRACKER_BLOCK_CELLS = 1 << 16    # partials the loop holds for the sensitivity tracker
+# 0-d float64 operands: a Python float's bits, without its NEP 50 conversion on every call
+_LAMBDA_MIN, _ONE = np.array(LAMBDA_MIN), np.array(1.0)
 
 
 def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
@@ -28,7 +30,7 @@ def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
     A sum of demands x >= 0 is never negative, so NaN and +inf are its only
     failures, and one comparison of its max rejects both.
     """
-    if not np.maximum.reduce(aggregate) < np.inf:
+    if not float(np.maximum.reduce(aggregate)) < np.inf:
         raise NumericError("non-finite aggregate demand")
     return (aggregate >= capacities).view(np.uint8)
 
@@ -45,8 +47,8 @@ def compute_lambda_hat(gamma, noisy_derivative, xbar, out=None):
     lam = np.abs(noisy_derivative, out=out)
     lam = np.multiply(gamma, lam, out=out)
     lam = np.divide(lam, xbar, out=out)
-    lam = np.maximum(lam, LAMBDA_MIN, out=out)
-    return np.minimum(lam, 1.0, out=out)
+    lam = np.maximum(lam, _LAMBDA_MIN, out=out)
+    return np.minimum(lam, _ONE, out=out)
 
 
 def multiplicative_decrease(x, lam, beta, out=None):
@@ -55,7 +57,7 @@ def multiplicative_decrease(x, lam, beta, out=None):
     ``out``, if given, receives the result; it must not be ``x`` or ``lam``.
     """
     factor = np.multiply(lam, beta, out=out)
-    factor = np.add(factor, 1.0 - lam, out=out)
+    factor = np.add(factor, np.subtract(_ONE, lam), out=out)
     return np.multiply(factor, x, out=out)
 
 
@@ -172,24 +174,36 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
     its partials into a block that the tracker takes in one pass when it is
     full, when ``server_step`` fails and after the loop: a partial that failed
     first still wins. The tracker writes ``partial_spread`` and ``sensitivity``
-    on event steps, and ``sensitivity`` is forward-filled after the loop."""
+    on event steps, and ``sensitivity`` is forward-filled after the loop. Each
+    per-step call takes operands made once per run, and x-bar is divided out
+    only where it is read: at event steps and after the loop."""
     n, m, steps = config.n_agents, config.n_resources, config.steps
+    sources = noise_sources(config)
+    if not (isinstance(scales, np.ndarray) and scales.dtype == float and scales.shape == (m,)
+            and ((0 <= scales) & (scales < np.inf)).all()
+            and not scales[[source is None for source in sources]].any()):
+        raise ConfigurationError(f"noise scales must be a float array of {m} finite values >= 0, "
+                                 f"0 on each resource without noise, got {scales!r:.80}")
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
     # every agent's step, so the additive increase is a same-shape add
     alpha = np.tile(np.array([r.alpha for r in config.resources], dtype=float), (n, 1))
     gamma = np.array([r.gamma for r in config.resources], dtype=float)
-    # per resource, as Python floats: gamma, beta, the noise scale and the noise source
-    backoff = list(zip(gamma.tolist(), [float(r.beta) for r in config.resources],
-                       scales.tolist(), noise_sources(config)))
+    beta = np.array([r.beta for r in config.resources], dtype=float)
+    # per resource, as 0-d arrays: gamma, beta and the noise scale; then the noise source
+    backoff = [(gamma[j, ...], beta[j, ...], scales[j, ...], sources[j]) for j in range(m)]
 
-    gradient = PolyBatch(config.agents).gradient
+    gradient_rows = PolyBatch(config.agents).gradient_rows
     tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
 
     x = np.zeros((n, m))
     grown = np.empty((n, m))            # x + alpha, then the back-offs: the next x
-    xbar = np.zeros((n, m))
+    xbar_flat = np.zeros(n * m)         # x-bar as the kernel reads it
+    xbar = xbar_flat.reshape(n, m)      # up to date at event steps and after the loop
     x_sum = np.zeros((n, m))            # x(0) + x(1) + ... + x(nu + 1) after step nu
+    count = np.array(1.0)               # how many x the sum holds, at an event step
     lam = np.empty(n)                   # a fired resource's noisy partials, then lambda-hat
+    # per resource, the columns of x-bar, x and the next x, for each order of the two buffers
+    cols, cols_next = (list(zip(xbar.T, a.T, b.T)) for a, b in ((x, grown), (grown, x)))
 
     tr_x = tr_nderiv = None
     try:
@@ -224,30 +238,34 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
             np.add(x, alpha, out=grown)     # additive increase, replaced where an event fired
             fired = [j for j, bit in enumerate(bits.tolist()) if bit]
             if fired:
-                grads = block[len(event_steps)] = gradient(xbar)
+                # the running mean of the demand over every step so far, x(0) = 0 included
+                count[...] = nu + 1
+                np.divide(x_sum, count, out=xbar)
+                grads = gradient_rows(xbar_flat)
+                block[len(event_steps)] = grads.T
                 event_steps.append(nu)
                 for j in fired:
                     gamma_j, beta_j, scale_j, source = backoff[j]
-                    g = grads[:, j]
+                    xbar_j, x_j, grown_j = cols[j]
+                    g = grads[j]
                     nd = g
                     if source is not None:
                         nd = np.multiply(next(source), scale_j, out=lam)
                         nd += g
                     if dense:
                         tr_nderiv[nu, :, j] = nd
-                    compute_lambda_hat(gamma_j, nd, xbar[:, j], out=lam)
-                    multiplicative_decrease(x[:, j], lam, beta_j, out=grown[:, j])
+                    compute_lambda_hat(gamma_j, nd, xbar_j, out=lam)
+                    multiplicative_decrease(x_j, lam, beta_j, out=grown_j)
                 if len(event_steps) == len(block):
                     feed_tracker()
-            x, grown = grown, x
-            # running mean of the demand over every step, x(0) = 0 included
+            x, grown, cols, cols_next = grown, x, cols_next, cols
             x_sum += x
-            np.divide(x_sum, nu + 2, out=xbar)
             if dense:
                 tr_x[nu] = x
         feed_tracker()
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite demand at step {steps - 1}")
+    np.divide(x_sum, steps + 1, out=xbar)
     # the running max starts at 0 and never falls, so the max so far fills the event-free steps
     np.maximum.accumulate(tr_dq, axis=0, out=tr_dq)
 

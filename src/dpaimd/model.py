@@ -79,18 +79,21 @@ def _differentiate(coeffs: np.ndarray, exponents: np.ndarray, order: int):
     return weights, np.maximum(exponents - order * unit, 0)
 
 
-def _sum_terms(x: np.ndarray, weights: np.ndarray, exponents: np.ndarray,
-               index: np.ndarray) -> np.ndarray:
-    """sum_t weights[..., t] * prod_k x_flat[index[..., t, k]] ** exponents[..., t, k].
+def _merged(x: np.ndarray) -> np.ndarray:     # an (..., n, m) point as _sum_terms reads it
+    return x.reshape(x.shape[:-2] + (-1,))
 
-    The one polynomial evaluator, on one support table of ``_compact``: ``x``
-    (..., n, m) is gathered through ``index`` on its merged (n * m) axis, raised
-    to the table's exponents and multiplied over the support axis, and the term
-    axis is reduced with ``einsum``. The factors stay C-ordered whatever the
-    leading axes of ``x``, because einsum groups a sum of 3 or more terms by
-    memory layout: a point then gives the same bits alone or in a batch.
+
+def _sum_terms(flat: np.ndarray, weights: np.ndarray, exponents: np.ndarray,
+               index: np.ndarray) -> np.ndarray:
+    """sum_t weights[..., t] * prod_k flat[..., index[..., t, k]] ** exponents[..., t, k].
+
+    The one polynomial evaluator, on one support table of ``_compact``: a point
+    (..., n, m), merged to ``flat`` (..., n * m), is gathered through ``index``,
+    raised to the table's exponents and multiplied over the support axis, and
+    the term axis is reduced with ``einsum``. The factors stay C-ordered whatever
+    the leading axes of the point, because einsum groups a sum of 3 or more terms
+    by memory layout: a point then gives the same bits alone or in a batch.
     """
-    flat = x.reshape(x.shape[:-2] + (-1,))
     factors = np.power(flat.take(index, axis=-1), exponents, order="C")
     mono = factors[..., 0] if exponents.shape[-1] == 1 else np.multiply.reduce(factors, axis=-1)
     return np.einsum("...t,...t->...", weights, mono)
@@ -163,19 +166,21 @@ class PolyBatch:
             return _compact(*_differentiate(self._coeffs, self._exps, order))
 
     def value(self, x) -> np.ndarray:
-        return _sum_terms(x, *self._value)
+        return _sum_terms(_merged(x), *self._value)
 
     def partial(self, x, j: int) -> np.ndarray:
-        weights, exponents, index = self._first
-        return _sum_terms(x, weights[j], exponents[j], index[j])
+        return _sum_terms(_merged(x), *(table[j] for table in self._first))
 
     def second_partial(self, x, j: int) -> np.ndarray:
-        weights, exponents, index = self._second
-        return _sum_terms(x, weights[j], exponents[j], index[j])
+        return _sum_terms(_merged(x), *(table[j] for table in self._second))
 
     def gradient(self, x) -> np.ndarray:
         """(..., n, m) points -> (..., n, m) partial derivatives."""
-        return _sum_terms(x, *self._first).swapaxes(-1, -2)
+        return self.gradient_rows(_merged(x)).swapaxes(-1, -2)
+
+    def gradient_rows(self, flat) -> np.ndarray:
+        """(..., n * m) merged points -> (..., m, n) partials, row j those by x_j."""
+        return _sum_terms(flat, *self._first)
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,8 @@ class NoiseSpec:
                 and self.sensitivity is None)
 
     def noise_scale(self, pilot_dq: float, resource: int) -> float:
-        """The scale to draw with on ``resource``: 0 without noise, the fixed scale,
-        or the calibration formula on the sensitivity override, else on ``pilot_dq``."""
+        """The scale to draw with on ``resource``: 0 without noise, the fixed scale, or the
+        calibration on the sensitivity override, else on ``pilot_dq``; NumericError on overflow."""
         if self.kind is NoiseKind.NONE:
             return 0.0
         if self.scale_mode is ScaleMode.FIXED:
@@ -84,9 +84,11 @@ class NoiseSpec:
         dq = pilot_dq if self.sensitivity is None else self.sensitivity
         if not dq > 0:
             raise ConfigurationError(f"calibration found no positive sensitivity for resource {resource}")
-        if self.kind is NoiseKind.LAPLACE:
-            return dq / self.epsilon
-        return (dq / self.epsilon) * math.sqrt(2.0 * math.log(1.25 / self.delta))
+        scale = dq / self.epsilon * (1.0 if self.kind is NoiseKind.LAPLACE
+                                     else math.sqrt(2.0 * math.log(1.25 / self.delta)))
+        if not scale < math.inf:
+            raise NumericError(f"calibration overflows the noise scale of resource {resource}")
+        return scale
 
 
 def unit_noise(kind: NoiseKind, rng: np.random.Generator, size: int) -> np.ndarray:

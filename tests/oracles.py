@@ -13,7 +13,7 @@
   fed it blocks of event steps, one call per event.
 - ``simulate_oracle``: the engine loop as it was before noise was drawn in
   blocks, one draw per agent at each noisy event, on the dense kernel, with
-  ``PerEventSensitivity`` at each event.
+  ``PerEventSensitivity`` at each event and its own event rule and back-off.
 - ``write_trace_csv_oracle``: the trace CSV writer as it was before it wrote
   in chunks, one ``csv.writer`` row per (step, agent, resource) cell.
 """
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from dpaimd.baseline import OptimalAllocation, kkt_residual, project_simplex
-from dpaimd.engine import LAMBDA_MIN, Trace, multiplicative_decrease, server_step
+from dpaimd.engine import LAMBDA_MIN, Trace
 from dpaimd.model import NOISE_STREAM, ConfigurationError, NumericError, PolyBatch
 from dpaimd.privacy import NoiseKind
 
@@ -317,7 +317,8 @@ class PerEventSensitivity:
 def simulate_oracle(config, scales) -> Trace:
     """``engine._simulate`` with one ``rng.laplace(0, s)`` or ``rng.normal(0, s)``
     per agent stream at each noisy event, on the dense kernel, and the
-    sensitivity fed one event at a time."""
+    sensitivity fed one event at a time; the event rule and the back-off are
+    written out here, so the engine's own definitions are checked, not shared."""
     n, m = config.n_agents, config.n_resources
     steps = config.steps
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
@@ -340,7 +341,10 @@ def simulate_oracle(config, scales) -> Trace:
     tr_dq = np.empty((steps, m))
 
     for nu in range(steps):
-        bits = server_step(capacities, x.sum(axis=0))
+        aggregate = x.sum(axis=0)
+        if not np.isfinite(aggregate).all():
+            raise NumericError(f"non-finite aggregate demand at step {nu}")
+        bits = (aggregate >= capacities).astype(np.uint8)
         fired = np.nonzero(bits)[0]
         if fired.size:
             grads = batch.gradient(xbar)
@@ -357,7 +361,7 @@ def simulate_oracle(config, scales) -> Trace:
                     d = np.array([rng.normal(0.0, scales[j]) for rng in rngs])
                 tr_nderiv[nu, :, j] = grads[:, j] + d
                 lam = np.clip(gamma[j] * np.abs(grads[:, j] + d) / xbar[:, j], LAMBDA_MIN, 1.0)
-                x[:, j] = multiplicative_decrease(x[:, j], lam, beta[j])
+                x[:, j] = (lam * beta[j] + (1 - lam)) * x[:, j]
         grow = bits == 0
         if grow.any():
             x[:, grow] += alpha[grow]

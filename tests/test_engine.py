@@ -47,6 +47,12 @@ def square_cost(c=1.0):
     return CostFunction(np.array([c]), np.array([[2]]))
 
 
+# signed zeros, subnormals, infinities, NaN and the ends of the float range
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan,
+               1e308, -1e308, 1.0, 0.5]
+EDGE_FLOATS = st.sampled_from(EDGE_VALUES) | st.floats()
+
+
 class TestPrimitives:
     def test_server_step_threshold_inclusive(self):
         bits = server_step(np.array([5.0, 6.0]), np.array([5.0, 5.999]))
@@ -97,6 +103,25 @@ class TestPrimitives:
         assert y > 0 or Fraction(factor) * Fraction(x) <= Fraction(math.ulp(0.0)) / 2
         ys = multiplicative_decrease(np.array([x, 2 * x]), np.array([lam, lam]), beta)
         assert np.array_equal(ys, [y, multiplicative_decrease(2 * x, lam, beta)])
+
+    @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=8),
+           EDGE_FLOATS, EDGE_FLOATS)
+    @example(cells=list(zip(EDGE_VALUES, EDGE_VALUES[3:] + EDGE_VALUES[:3],
+                            EDGE_VALUES[7:] + EDGE_VALUES[:7])), gamma=-0.0, beta=5e-324)
+    @settings(max_examples=200, deadline=None)
+    def test_update_rules_take_any_scalar_type(self, cells, gamma, beta):
+        """The loop passes gamma and beta as 0-d arrays: a Python float, a numpy
+        scalar and a 0-d array give the same bytes, with or without ``out``."""
+        nd, xbar, x = np.array(cells).T.copy()      # one (noisy partial, x-bar, x) per agent
+        with np.errstate(all="ignore"):
+            lams = [compute_lambda_hat(g, nd, xbar)
+                    for g in (gamma, np.float64(gamma), np.array(gamma))]
+            lams.append(compute_lambda_hat(np.array(gamma), nd.copy(), xbar, out=np.empty_like(nd)))
+            ys = [multiplicative_decrease(x, lams[0], b)
+                  for b in (beta, np.float64(beta), np.array(beta))]
+            ys.append(multiplicative_decrease(x, lams[0], np.array(beta), out=np.empty_like(x)))
+        for got in (lams, ys):
+            assert all(v.dtype == np.float64 and v.tobytes() == got[0].tobytes() for v in got)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +243,37 @@ class TestRunBehaviour:
             event_steps = np.nonzero(trace.event_bits[:, j])[0]
             assert event_steps.size and event_steps[0] > 0
             assert (trace.xbar[event_steps - 1, :, j] > 0).all()
+
+
+class TestScalesCheck:
+    """``run(config, scales)`` takes the scales as one float array of m finite values
+    >= 0, 0 on each resource without noise, and refuses anything else at once."""
+
+    GAUSSIAN = NoiseSpec(kind=NoiseKind.GAUSSIAN, scale_mode=ScaleMode.FIXED, scale=20.5)
+
+    @pytest.mark.parametrize("noise,scales", [
+        ([GAUSSIAN] * 2, np.array([1.0])),
+        ([GAUSSIAN] * 2, np.array([1.0, 1.0, 1.0])),
+        ([GAUSSIAN] * 2, np.array([1.0, math.nan])),
+        ([GAUSSIAN] * 2, np.array([1.0, math.inf])),
+        ([GAUSSIAN] * 2, np.array([1.0, -1.0])),
+        ([GAUSSIAN] * 2, [1.0, 1.0]),
+        ([GAUSSIAN] * 2, np.array([1, 1])),
+        ([GAUSSIAN] * 2, np.array([[1.0, 1.0]])),
+        ([GAUSSIAN, NoiseSpec()], np.array([1.0, 1.0])),     # a scale where nothing is drawn
+    ], ids=["short", "long", "nan", "inf", "negative", "list", "int", "2-d", "noiseless-nonzero"])
+    def test_refused(self, noise, scales):
+        config = cli.reference_system_config(noise, steps=200)
+        with pytest.raises(ConfigurationError, match="noise scales must be a float array of 2"):
+            engine.run(config, scales)
+
+    def test_zero_and_positive_scales_run(self):
+        config = cli.reference_system_config([self.GAUSSIAN, NoiseSpec()], steps=200)
+        scales = np.array([0.0, 0.0])
+        trace = engine.run(config, scales)
+        scales[0] = 1.5         # the trace keeps its own copy
+        assert trace.noise_scales.tolist() == [0.0, 0.0]
+        assert engine.run(config, scales).noise_scales.tolist() == [1.5, 0.0]
 
 
 class TestCalibration:
@@ -386,10 +442,21 @@ def usable_scales(config):
         return np.array([0.0 if spec.kind is NoiseKind.NONE else 1.5 for spec in config.noise])
 
 
+def sawtooth_pair(steps):
+    """Two agents on one resource under Laplace noise: an event every third step
+    from step 8 on, so 20 steps end on an event and 19 end two steps after one."""
+    return one_resource_config([square_cost(), square_cost(2.0)], steps=steps,
+                               noise=[NOISE_CHOICES["laplace"]])
+
+
 class TestFinalXbar:
-    """The trace hands over the loop's own final x-bar, bit-equal to the derived one."""
+    """The trace hands over the loop's own final x-bar, bit-equal to the derived one.
+
+    The loop divides x-bar out only at event steps and once after the loop."""
 
     @given(small_configs())
+    @example(sawtooth_pair(19))     # the last two steps fire no event
+    @example(sawtooth_pair(20))     # the last step fires
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_last_derived_xbar(self, config):
         trace = engine.run(config, usable_scales(config), dense=True)
@@ -405,6 +472,10 @@ class TestFinalXbar:
                                                         gamma=0.05)], seed=3)
         trace = engine.run(config, dense=True)
         assert trace.final_xbar.tobytes() == trace.xbar[-1].tobytes()
+
+    def test_the_examples_end_as_named(self):
+        assert engine.run(sawtooth_pair(19)).event_bits[-3:, 0].tolist() == [1, 0, 0]
+        assert engine.run(sawtooth_pair(20)).event_bits[-1, 0] == 1
 
     def test_zeros_without_steps(self):
         trace = engine.run(one_resource_config([square_cost(), square_cost(2.0)], steps=0))

@@ -55,6 +55,14 @@ class TestCalibration:
         with pytest.raises(ConfigurationError):
             laplace_scale(1.0, -1.0)            # NoiseSpec: epsilon <= 0
 
+    def test_an_overflowing_scale_is_a_numeric_error(self):
+        """dq / epsilon past the float range is refused before any run draws with it."""
+        with pytest.raises(NumericError, match="overflows the noise scale of resource 0"):
+            laplace_scale(1.0, 5e-324)
+        with pytest.raises(NumericError, match="overflows the noise scale of resource 0"):
+            gaussian_sigma(1e308, 0.9, 0.01)    # a finite dq / epsilon, times the sqrt factor
+        assert laplace_scale(1e308, 1.0) == 1e308
+
 
 class TestSampling:
     def test_laplace_variance(self):
