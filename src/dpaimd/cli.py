@@ -291,16 +291,31 @@ def _problem_key(config: SystemConfig):
     return terms, tuple(float(r.capacity) for r in config.resources)
 
 
+def _pilot_key(config: SystemConfig):
+    """What a noiseless calibration pilot reads: the baseline problem, each
+    resource's alpha, beta and gamma as floats, the steps and the burn-in."""
+    return (_problem_key(config), config.steps, config.burn_in_events,
+            tuple((float(r.alpha), float(r.beta), float(r.gamma)) for r in config.resources))
+
+
 @contextlib.contextmanager
 def _job_map(jobs: int, n_jobs: int):
-    """``map`` returning a list: over a pool of ``min(jobs, n_jobs)`` processes
-    when there is more than one job to share out, otherwise in this process."""
-    if jobs > 1 and n_jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor     # only a pool needs its import time
-        with ProcessPoolExecutor(max_workers=min(jobs, n_jobs)) as pool:
-            yield lambda fn, *iterables: list(pool.map(fn, *iterables))
-    else:
-        yield lambda fn, *iterables: list(map(fn, *iterables))
+    """``map`` over lists, returning a list: a map of two or more items goes to
+    a pool of ``min(jobs, n_jobs)`` processes, started at the first such map
+    and reused after it; a lone item, or every item when ``jobs`` is 1, runs
+    in this process."""
+    with contextlib.ExitStack() as stack:
+        pool = None
+
+        def job_map(fn, *iterables):
+            nonlocal pool
+            if jobs < 2 or len(iterables[0]) < 2:
+                return list(map(fn, *iterables))
+            if pool is None:
+                from concurrent.futures import ProcessPoolExecutor     # only a pool needs its import time
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, n_jobs)))
+            return list(pool.map(fn, *iterables))
+        yield job_map
 
 
 def _json_text(doc) -> str:
@@ -365,18 +380,22 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"sweep cross-product: {len(work)} run(s)")
     # What jobs share is computed once: the optimum per distinct problem, and
-    # the noise scales per sweep point (its jobs differ only in the seed, which
-    # a noiseless calibration pilot never reads).
+    # one calibration per noiseless problem (_pilot_key), which gives each sweep
+    # point of it its scales: the pilot draws no noise, so it never reads the
+    # noise specs, the seed or the agent ids.
     keys = [_problem_key(config) for config in configs]
-    problems, points = {}, {}
+    problems, groups = {}, {}
     for (p_idx, _, _, _), key, config in zip(work, keys, configs):
         problems.setdefault(key, config)
-        points.setdefault(p_idx, config)
+        groups.setdefault(_pilot_key(config), (config, {}))[1].setdefault(p_idx, config.noise)
     with _job_map(jobs, len(work)) as job_map:
         optima = dict(zip(problems, job_map(baseline.solve_optimum,
                                             [c.agents for c in problems.values()],
                                             [c.resources for c in problems.values()])))
-        scales = dict(zip(points, job_map(engine.resolve_noise_scales, points.values())))
+        grouped = job_map(engine.resolve_noise_scales, [c for c, _ in groups.values()],
+                          [list(points.values()) for _, points in groups.values()])
+        scales = {p_idx: s for (_, points), group in zip(groups.values(), grouped)
+                  for p_idx, s in zip(points, group)}
         rows = job_map(_run_one, [
             (p_idx, overrides, config, optima[key], scales[p_idx], emit_trace, str(out_dir))
             for (p_idx, overrides, _, _), key, config in zip(work, keys, configs)])

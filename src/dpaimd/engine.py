@@ -140,16 +140,21 @@ class Trace:
         return self.final_xbar.shape[1]
 
 
-def resolve_noise_scales(config: SystemConfig) -> np.ndarray:
+def resolve_noise_scales(config: SystemConfig, noise_lists=None):
     """Per-resource noise scales, each from its spec; if a spec needs it, a
-    noiseless pilot with the config's seed and steps first measures dq."""
+    noiseless pilot with the config's agents, resources, steps and burn-in
+    (never its seed: it draws no noise) first measures dq. With ``noise_lists``
+    in place of ``config.noise``, a list of the scales of each list, all from one pilot."""
     m = config.n_resources
+    lists = [config.noise] if noise_lists is None else noise_lists
     dq = np.zeros(m)
-    if any(spec.needs_pilot for spec in config.noise):
+    if any(spec.needs_pilot for noise in lists for spec in noise):
         pilot = _simulate(replace(config, noise=[NoiseSpec()] * m), np.zeros(m))
         if pilot.steps:
             dq = pilot.sensitivity[-1]
-    return np.array([spec.noise_scale(float(dq[j]), j) for j, spec in enumerate(config.noise)])
+    scales = [np.array([spec.noise_scale(float(dq[j]), j) for j, spec in enumerate(noise)])
+              for noise in lists]
+    return scales[0] if noise_lists is None else scales
 
 
 def run(config: SystemConfig, scales: np.ndarray | None = None, *, dense: bool = False) -> Trace:

@@ -60,8 +60,9 @@ def test_every_workload_document_is_accepted(bench, tmp_path):
 def test_traced_sweep_meets_the_closed_forms(bench, tmp_path):
     """A calibrated sweep of 2 points x 2 seeds, traced three times, the second
     time with the dense trace: every closed-form check on the tracer's counts
-    holds, the step counts repeat exactly between the passes, and the third
-    pass repeats every count of the first that the benchmark requires to."""
+    holds, the step counts repeat exactly between the passes, every solve and
+    pilot has distinct inputs, and the third pass repeats every count of the
+    first that the benchmark requires to."""
     tracer = bench["tracer"]
     steps = 200
     doc = cli.serialize_config(cli.reference_system_config(
@@ -81,7 +82,9 @@ def test_traced_sweep_meets_the_closed_forms(bench, tmp_path):
         assert checks and all(checks.values()), checks
         passes.append(layers)
     assert tracer.installed_wrappers() == []
-    for key, expected in (("engine.steps", 4 * steps), ("engine.pilot_steps", 2 * steps)):
+    # the two points differ only in noise.0.epsilon, so they share one pilot
+    for key, expected in (("engine.steps", 4 * steps), ("engine.pilot_steps", steps),
+                          ("engine.pilot_useful_ratio", 1), ("baseline.solve_useful_ratio", 1)):
         assert passes[0][key] == passes[1][key] == passes[2][key] == expected, key
     assert passes[1]["cli.trace_rows"] == 4 * steps * 6 * 2
     for name in bench["run"].EXACT_COUNTS:

@@ -548,6 +548,32 @@ def lone_job_summaries():
     return texts
 
 
+@pytest.fixture
+def in_process_pools(monkeypatch):
+    """Fakes ``ProcessPoolExecutor`` with a pool that maps in this process and
+    starts no worker; each pool built is recorded as its size followed by the
+    name of each function it mapped."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.record = [max_workers]
+            pools.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            self.record.append(fn.__name__)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return pools
+
+
 class TestSharedSweepInputs:
     def run_sweep(self, tmp_path, jobs):
         path = tmp_path / "config.json"
@@ -565,7 +591,8 @@ class TestSharedSweepInputs:
         for tag, text in lone_job_summaries.items():
             assert (out / f"summary_{tag}.json").read_bytes() == text.encode("utf-8"), tag
 
-    def test_one_solve_per_problem_one_calibration_per_point(self, tmp_path, monkeypatch):
+    def test_one_solve_per_problem_one_calibration_per_noiseless_problem(self, tmp_path,
+                                                                         monkeypatch):
         calls = {"solve_optimum": 0, "resolve_noise_scales": 0}
 
         def counted(module, name):
@@ -579,34 +606,101 @@ class TestSharedSweepInputs:
         counted(baseline, "solve_optimum")
         counted(engine, "resolve_noise_scales")
         self.run_sweep(tmp_path, jobs=1)
-        assert calls == {"solve_optimum": 2, "resolve_noise_scales": 4}
+        assert calls == {"solve_optimum": 2, "resolve_noise_scales": 2}
 
-    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, monkeypatch):
-        workers = []
+    def test_grouped_scales_equal_each_points_lone_scales(self, tmp_path, monkeypatch):
+        """Points that mix calibrated Laplace and Gaussian noise, a sensitivity
+        override and a resource without noise share one calibration, and each
+        run draws with the bits of its own config's lone calibration."""
+        lone, calls, used = engine.resolve_noise_scales, [], []
 
-        class InProcessPool:
-            """Records its size and maps in this process: no worker is started."""
+        def grouped(*args, **kwargs):
+            calls.append(args)
+            return lone(*args, **kwargs)
 
-            def __init__(self, max_workers):
-                workers.append(max_workers)
+        def run(config, scales, **kwargs):
+            used.append((config, scales))
+            return engine_run(config, scales, **kwargs)
 
-            def __enter__(self):
-                return self
+        engine_run = engine.run
+        monkeypatch.setattr(engine, "resolve_noise_scales", grouped)
+        monkeypatch.setattr(engine, "run", run)
+        doc = calibrated_sweep_doc()
+        doc["sweep"]["axes"] = [
+            {"path": "noise.0.epsilon", "values": [0.3, 0.6]},
+            {"path": "noise.1", "values": [
+                {"kind": "laplace", "scale_mode": "calibrated", "epsilon": 0.4},
+                {"kind": "gaussian", "scale_mode": "calibrated", "epsilon": 0.4, "delta": 0.01,
+                 "sensitivity": 0.25},
+                {"kind": "none"}]}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1 and len(used) == 12
+        for config, scales in used:
+            expected = lone(config)
+            assert scales.dtype == expected.dtype and scales.tobytes() == expected.tobytes()
+        assert {float(scales[1]) for _, scales in used} >= {0.0, 0.25 / 0.4 * math.sqrt(
+            2 * math.log(1.25 / 0.01))}
 
-            def __exit__(self, *exc):
-                return False
+    @pytest.mark.parametrize("path, values, pilots", [
+        (None, None, 1),    # sweep seeds only
+        ("steps", [40, 60], 2),
+        ("burn_in_events", [2, 3], 2),
+        ("resources.0.capacity", [1.0, 1.2], 2),
+        ("resources.0.capacity", [1, 1.0], 1),      # held as floats, like the solver's
+        ("resources.0.alpha", [0.05, 0.04], 2),
+        ("resources.0.beta", [0.5, 0.6], 2),
+        ("resources.0.gamma", [1e-3, 2e-3], 2),
+        ("agents.0.terms.0.0", [1.0, 1.5], 2),
+        ("agents.0.terms.0.1", [[2], [3]], 2),
+        ("noise.0.epsilon", [0.3, 0.6], 1),
+        ("noise.0", [{"kind": "laplace", "scale_mode": "calibrated", "epsilon": 0.5},
+                     {"kind": "gaussian", "scale_mode": "calibrated", "epsilon": 0.5,
+                      "delta": 0.01}], 1),
+        ("agent_ids", [[0, 1], [5, 7]], 1),
+    ])
+    def test_one_pilot_per_value_of_what_the_pilot_reads(self, tmp_path, monkeypatch,
+                                                         path, values, pilots):
+        simulated = []
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+        def simulate(config, *args, **kwargs):
+            simulated.append(config)
+            return real(config, *args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        real = engine._simulate
+        monkeypatch.setattr(engine, "_simulate", simulate)
+        doc = small_doc()
+        doc["noise"] = [{"kind": "laplace", "scale_mode": "calibrated", "epsilon": 0.5}]
+        doc["sweep"] = {"seeds": [1, 2, 3]}
+        if path:
+            doc["sweep"]["axes"] = [{"path": path, "values": values}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        runs = 3 * len(values or [None])
+        assert len(simulated) == runs + pilots
+
+    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, in_process_pools):
         doc = small_doc(steps=20)
         doc["sweep"] = {"seeds": [1, 2]}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
                          "--jobs", "5"]) == 0
-        assert workers == [2]
+        assert in_process_pools == [[2, "_run_one"]]
+        assert len(list((tmp_path / "out").glob("summary_*.json"))) == 2
+
+    def test_lone_solve_and_pilot_run_in_this_process(self, tmp_path, in_process_pools):
+        """One point, two seeds: the one solve and the one pilot are no map to
+        share out, so the only pool is built for the runs."""
+        doc = calibrated_sweep_doc()
+        doc["sweep"] = {"seeds": [7, 8]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--jobs", "2"]) == 0
+        assert in_process_pools == [[2, "_run_one"]]
         assert len(list((tmp_path / "out").glob("summary_*.json"))) == 2
 
 
