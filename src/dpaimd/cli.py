@@ -195,7 +195,8 @@ def _apply_path(doc: dict, path: str, value):
 
 
 def expand_sweep(raw: dict):
-    """Yield (point_index, overrides, raw_config, seed) for the sweep cross product."""
+    """The list of (point_index, overrides, raw_config, seed), one per job of the
+    sweep cross product."""
     paths, value_lists, seeds = _checked_sweep(raw)
     points = list(itertools.product(*value_lists)) if paths else [()]
     jobs = []
@@ -300,22 +301,17 @@ def _pilot_key(config: SystemConfig):
 
 @contextlib.contextmanager
 def _job_map(jobs: int, n_jobs: int):
-    """``map`` over lists, returning a list: a map of two or more items goes to
-    a pool of ``min(jobs, n_jobs)`` processes, started at the first such map
-    and reused after it; a lone item, or every item when ``jobs`` is 1, runs
-    in this process."""
-    with contextlib.ExitStack() as stack:
-        pool = None
-
-        def job_map(fn, *iterables):
-            nonlocal pool
-            if jobs < 2 or len(iterables[0]) < 2:
-                return list(map(fn, *iterables))
-            if pool is None:
-                from concurrent.futures import ProcessPoolExecutor     # only a pool needs its import time
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, n_jobs)))
-            return list(pool.map(fn, *iterables))
-        yield job_map
+    """``map`` over lists, returning a list. With ``jobs`` > 1 and two or more
+    jobs, one pool of ``min(jobs, n_jobs)`` processes takes every map of two or
+    more items; a lone item, or every item without the pool, runs in this
+    process. The pool's workers start at its first map, so a lone solve or
+    pilot before it runs with no worker alive."""
+    if jobs < 2 or n_jobs < 2:
+        yield lambda fn, *iterables: list(map(fn, *iterables))
+        return
+    from concurrent.futures import ProcessPoolExecutor     # only a pool needs its import time
+    with ProcessPoolExecutor(max_workers=min(jobs, n_jobs)) as pool:
+        yield lambda fn, *items: list((pool.map if len(items[0]) > 1 else map)(fn, *items))
 
 
 def _json_text(doc) -> str:
@@ -327,13 +323,13 @@ def _json_text(doc) -> str:
 
 
 def _run_one(job):
-    """Worker for one sweep point x seed, given the optimum and noise scales it
-    shares with other jobs; returns its sweep_summary.csv row."""
-    p_idx, overrides, config, optimum, scales, emit_trace, out_dir = job
-    trace = engine.run(config, scales, dense=emit_trace)
+    """Worker for one sweep point x seed, given the optimum it shares with other
+    jobs and a config whose noise is calibrated; returns its sweep_summary.csv row."""
+    p_idx, overrides, config, optimum, emit_trace, out_dir = job
+    trace = engine.run(config, dense=emit_trace)
     summary = metrics.summarize(trace, config.agents, optimum)
     sdoc = summary_to_dict(summary, config, optimum)
-    sdoc["overrides"] = {k: overrides[k] for k in sorted(overrides)}
+    sdoc["overrides"] = overrides
     tag = f"p{p_idx:03d}_s{config.seed}"
     out_path = Path(out_dir) / f"summary_{tag}.json"
     out_path.write_text(_json_text(sdoc) + "\n", encoding="utf-8")
@@ -380,9 +376,9 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"sweep cross-product: {len(work)} run(s)")
     # What jobs share is computed once: the optimum per distinct problem, and
-    # one calibration per noiseless problem (_pilot_key), which gives each sweep
-    # point of it its scales: the pilot draws no noise, so it never reads the
-    # noise specs, the seed or the agent ids.
+    # one calibration per noiseless problem (_pilot_key), which writes its dq
+    # into the noise specs of each sweep point of it: the pilot draws no noise,
+    # so it never reads the noise specs, the seed or the agent ids.
     keys = [_problem_key(config) for config in configs]
     problems, groups = {}, {}
     for (p_idx, _, _, _), key, config in zip(work, keys, configs):
@@ -394,10 +390,11 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
                                             [c.resources for c in problems.values()])))
         grouped = job_map(engine.resolve_noise_scales, [c for c, _ in groups.values()],
                           [list(points.values()) for _, points in groups.values()])
-        scales = {p_idx: s for (_, points), group in zip(groups.values(), grouped)
-                  for p_idx, s in zip(points, group)}
+        noise = {p_idx: resolved for (_, points), group in zip(groups.values(), grouped)
+                 for p_idx, resolved in zip(points, group)}
         rows = job_map(_run_one, [
-            (p_idx, overrides, config, optima[key], scales[p_idx], emit_trace, str(out_dir))
+            (p_idx, overrides, dataclasses.replace(config, noise=noise[p_idx]), optima[key],
+             emit_trace, str(out_dir))
             for (p_idx, overrides, _, _), key, config in zip(work, keys, configs)])
     rows.sort(key=lambda r: (r["point"], r["seed"]))
     with open(out_dir / "sweep_summary.csv", "w", newline="", encoding="utf-8") as fh:

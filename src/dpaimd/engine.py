@@ -140,40 +140,45 @@ class Trace:
         return self.final_xbar.shape[1]
 
 
-def resolve_noise_scales(config: SystemConfig, noise_lists=None):
-    """Per-resource noise scales, each from its spec; if a spec needs it, a
+def resolve_noise_scales(config: SystemConfig, noise_lists: list) -> list:
+    """Each list of noise specs in ``noise_lists``, with every spec that needs a
+    pilot given the pilot's dq on its resource as its ``sensitivity``. One
     noiseless pilot with the config's agents, resources, steps and burn-in
-    (never its seed: it draws no noise) first measures dq. With ``noise_lists``
-    in place of ``config.noise``, a list of the scales of each list, all from one pilot."""
-    m = config.n_resources
-    lists = [config.noise] if noise_lists is None else noise_lists
-    dq = np.zeros(m)
-    if any(spec.needs_pilot for noise in lists for spec in noise):
-        pilot = _simulate(replace(config, noise=[NoiseSpec()] * m), np.zeros(m))
+    (never its seed: it draws no noise) serves all lists. Each spec's scale is
+    worked out once here, so a missing dq or an overflow fails before any run."""
+    dq = np.zeros(config.n_resources)
+    if any(spec.needs_pilot for noise in noise_lists for spec in noise):
+        pilot = _simulate(replace(config, noise=[NoiseSpec()] * config.n_resources))
         if pilot.steps:
             dq = pilot.sensitivity[-1]
-    scales = [np.array([spec.noise_scale(float(dq[j]), j) for j, spec in enumerate(noise)])
-              for noise in lists]
-    return scales[0] if noise_lists is None else scales
+    resolved = [[replace(spec, sensitivity=float(dq[j])) if spec.needs_pilot and dq[j] > 0
+                 else spec for j, spec in enumerate(noise)] for noise in noise_lists]
+    for noise in resolved:
+        for j, spec in enumerate(noise):
+            spec.noise_scale(j)
+    return resolved
 
 
-def run(config: SystemConfig, scales: np.ndarray | None = None, *, dense: bool = False) -> Trace:
+def run(config: SystemConfig, *, dense: bool = False) -> Trace:
     """Full simulation run; deterministic given config and seed.
 
-    ``scales`` are the per-resource noise scales to use; by default
-    ``resolve_noise_scales(config)`` works them out, running its pilot if needed.
-    The trace keeps the (steps, n, m) series ``x`` and ``noisy_derivative``
-    only with ``dense=True``; without it the run holds O(n m + steps m) memory
-    and every other field, the summary's inputs, has the same bits.
+    A calibrated spec without a ``sensitivity`` gets one from
+    ``resolve_noise_scales``, which runs its pilot. The trace keeps the
+    (steps, n, m) series ``x`` and ``noisy_derivative`` only with
+    ``dense=True``; without it the run holds O(n m + steps m) memory and every
+    other field, the summary's inputs, has the same bits.
     """
-    return _simulate(config, resolve_noise_scales(config) if scales is None else scales,
-                     dense=dense)
+    if any(spec.needs_pilot for spec in config.noise):
+        [noise] = resolve_noise_scales(config, [config.noise])
+        config = replace(config, noise=noise)
+    return _simulate(config, dense=dense)
 
 
-def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) -> Trace:
-    """The step loop, each check once a step: ``server_step`` rejects a non-finite
-    aggregate, the tracker a fired resource's non-finite partial, and one check
-    after the loop the last demand; the NumericError names the step it failed at.
+def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
+    """The step loop on the noise scales of the config's specs, each check once
+    a step: ``server_step`` rejects a non-finite aggregate, the tracker a fired
+    resource's non-finite partial, and one check after the loop the last
+    demand; the NumericError names the step it failed at.
 
     Nothing in the loop reads the sensitivity, so each event step only copies
     its partials into a block that the tracker takes in one pass when it is
@@ -184,11 +189,7 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
     only where it is read: at event steps and after the loop."""
     n, m, steps = config.n_agents, config.n_resources, config.steps
     sources = noise_sources(config)
-    if not (isinstance(scales, np.ndarray) and scales.dtype == float and scales.shape == (m,)
-            and ((0 <= scales) & (scales < np.inf)).all()
-            and not scales[[source is None for source in sources]].any()):
-        raise ConfigurationError(f"noise scales must be a float array of {m} finite values >= 0, "
-                                 f"0 on each resource without noise, got {scales!r:.80}")
+    scales = np.array([spec.noise_scale(j) for j, spec in enumerate(config.noise)])
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
     # every agent's step, so the additive increase is a same-shape add
     alpha = np.tile(np.array([r.alpha for r in config.resources], dtype=float), (n, 1))
@@ -276,5 +277,5 @@ def _simulate(config: SystemConfig, scales: np.ndarray, *, dense: bool = False) 
 
     return Trace(
         x=tr_x, final_xbar=xbar, event_bits=tr_bits, noisy_derivative=tr_nderiv,
-        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
+        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales, gamma=gamma,
     )

@@ -41,7 +41,7 @@ class NoiseSpec:
     delta: float | None = None
     scale_mode: ScaleMode = ScaleMode.FIXED
     scale: float | None = None          # fixed scale (sigma or Laplace b)
-    sensitivity: float | None = None    # optional fixed dq overriding the tracker
+    sensitivity: float | None = None    # dq to calibrate on, set or filled in by a pilot
 
     def __post_init__(self):
         for name, choice in (("kind", NoiseKind), ("scale_mode", ScaleMode)):
@@ -53,8 +53,8 @@ class NoiseSpec:
         if self.kind is NoiseKind.NONE:
             return
         if self.scale_mode is ScaleMode.FIXED:
-            if self.scale is None or not self.scale > 0:
-                raise ConfigurationError("fixed scale mode needs scale > 0")
+            if self.scale is None or not 0 < self.scale < math.inf:
+                raise ConfigurationError("fixed scale mode needs a finite scale > 0")
         else:
             if self.epsilon is None or not self.epsilon > 0:
                 raise ConfigurationError("calibrated mode needs epsilon > 0")
@@ -74,18 +74,17 @@ class NoiseSpec:
         return (self.kind is not NoiseKind.NONE and self.scale_mode is ScaleMode.CALIBRATED
                 and self.sensitivity is None)
 
-    def noise_scale(self, pilot_dq: float, resource: int) -> float:
+    def noise_scale(self, resource: int) -> float:
         """The scale to draw with on ``resource``: 0 without noise, the fixed scale, or the
-        calibration on the sensitivity override, else on ``pilot_dq``; NumericError on overflow."""
+        calibration on ``sensitivity``; NumericError on overflow."""
         if self.kind is NoiseKind.NONE:
             return 0.0
         if self.scale_mode is ScaleMode.FIXED:
             return float(self.scale)
-        dq = pilot_dq if self.sensitivity is None else self.sensitivity
-        if not dq > 0:
+        if self.sensitivity is None:
             raise ConfigurationError(f"calibration found no positive sensitivity for resource {resource}")
-        scale = dq / self.epsilon * (1.0 if self.kind is NoiseKind.LAPLACE
-                                     else math.sqrt(2.0 * math.log(1.25 / self.delta)))
+        scale = self.sensitivity / self.epsilon * (
+            1.0 if self.kind is NoiseKind.LAPLACE else math.sqrt(2.0 * math.log(1.25 / self.delta)))
         if not scale < math.inf:
             raise NumericError(f"calibration overflows the noise scale of resource {resource}")
         return scale

@@ -314,13 +314,14 @@ class PerEventSensitivity:
         return derivatives.max() - derivatives.min()
 
 
-def simulate_oracle(config, scales) -> Trace:
+def simulate_oracle(config) -> Trace:
     """``engine._simulate`` with one ``rng.laplace(0, s)`` or ``rng.normal(0, s)``
     per agent stream at each noisy event, on the dense kernel, and the
     sensitivity fed one event at a time; the event rule and the back-off are
     written out here, so the engine's own definitions are checked, not shared."""
     n, m = config.n_agents, config.n_resources
     steps = config.steps
+    scales = np.array([spec.noise_scale(j) for j, spec in enumerate(config.noise)])
     capacities = np.array([r.capacity for r in config.resources], dtype=float)
     alpha = np.array([r.alpha for r in config.resources], dtype=float)
     beta = np.array([r.beta for r in config.resources], dtype=float)
@@ -375,7 +376,7 @@ def simulate_oracle(config, scales) -> Trace:
 
     return Trace(
         x=tr_x, final_xbar=xbar, event_bits=tr_bits, noisy_derivative=tr_nderiv,
-        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales.copy(), gamma=gamma,
+        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales, gamma=gamma,
     )
 
 

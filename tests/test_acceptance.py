@@ -30,8 +30,8 @@ def report(criterion: int, ok: bool, detail: str = ""):
 def gaussian_sigma(dq, epsilon, delta):
     """The calibrated Gaussian sigma for sensitivity ``dq``, as a run computes it."""
     spec = NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=epsilon, delta=delta,
-                     scale_mode=ScaleMode.CALIBRATED)
-    return spec.noise_scale(dq, 0)
+                     scale_mode=ScaleMode.CALIBRATED, sensitivity=dq)
+    return spec.noise_scale(0)
 
 
 def noiseless_pair():

@@ -188,6 +188,18 @@ class TestSolver:
         opt = solve_optimum([power_cost(1.0, 2), power_cost(1e-200, 2)], tiny)
         assert opt.x_star.tolist() == [[0.0], [1e-200]]
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: Newton in _demand stops far above "
+                       "the root of a degree-39 partial, and the absolute KKT limit passes it")
+    def test_high_degree_partial_reaches_its_root(self):
+        # x0 = (3.21e-127 / 40)^(1/39) = 5.19396e-4 gives the optimum; the solver
+        # returns a total cost of 5.648e-91 with a KKT residual of 4.1e-87
+        opt = solve_optimum([power_cost(1.0, 40), power_cost(2.51e63, 1),
+                             power_cost(3.21e-127, 1)], res(1.0))
+        x0 = (3.21e-127 / 40) ** (1 / 39)
+        f_star = x0 ** 40 + 3.21e-127 * (1 - x0)
+        assert f_star == pytest.approx(3.2083744e-127, rel=1e-7, abs=0)
+        assert opt.total_cost == pytest.approx(f_star, rel=1e-9, abs=0)
+
 
 def small_problems(coupled):
     """Random strictly convex problems, n <= 4 agents and m <= 2 resources.

@@ -429,7 +429,7 @@ class TestRunCommand:
         assert "config error:" in err and "Traceback" not in err
 
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch, capsys):
-        def boom(config, scales=None, *, dense=False):
+        def boom(config, *, dense=False):
             raise NumericError("non-finite demand at step 7")
         monkeypatch.setattr(engine, "run", boom)
         path = self.write(tmp_path, small_doc())
@@ -618,9 +618,10 @@ class TestSharedSweepInputs:
             calls.append(args)
             return lone(*args, **kwargs)
 
-        def run(config, scales, **kwargs):
-            used.append((config, scales))
-            return engine_run(config, scales, **kwargs)
+        def run(config, **kwargs):
+            trace = engine_run(config, **kwargs)
+            used.append(trace.noise_scales)
+            return trace
 
         engine_run = engine.run
         monkeypatch.setattr(engine, "resolve_noise_scales", grouped)
@@ -637,10 +638,12 @@ class TestSharedSweepInputs:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1 and len(used) == 12
-        for config, scales in used:
-            expected = lone(config)
+        for (_, _, job, _), scales in zip(cli.expand_sweep(doc), used):
+            config = cli.parse_config(job)
+            [noise] = lone(config, [config.noise])
+            expected = np.array([spec.noise_scale(j) for j, spec in enumerate(noise)])
             assert scales.dtype == expected.dtype and scales.tobytes() == expected.tobytes()
-        assert {float(scales[1]) for _, scales in used} >= {0.0, 0.25 / 0.4 * math.sqrt(
+        assert {float(scales[1]) for scales in used} >= {0.0, 0.25 / 0.4 * math.sqrt(
             2 * math.log(1.25 / 0.01))}
 
     @pytest.mark.parametrize("path, values, pilots", [
@@ -682,14 +685,18 @@ class TestSharedSweepInputs:
         assert len(simulated) == runs + pilots
 
     def test_pool_is_no_larger_than_the_job_count(self, tmp_path, in_process_pools):
-        doc = small_doc(steps=20)
-        doc["sweep"] = {"seeds": [1, 2]}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
-                         "--jobs", "5"]) == 0
-        assert in_process_pools == [[2, "_run_one"]]
-        assert len(list((tmp_path / "out").glob("summary_*.json"))) == 2
+        # two jobs at --jobs 5 share one pool of 2; one job at --jobs 4 has none
+        for seeds, jobs, pools in (([1, 2], 5, [[2, "_run_one"]]), ([1], 4, [])):
+            in_process_pools.clear()
+            doc = small_doc(steps=20)
+            doc["sweep"] = {"seeds": seeds}
+            path = tmp_path / f"config{jobs}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out = tmp_path / f"out{jobs}"
+            assert cli.main(["run", "--config", str(path), "--out", str(out),
+                             "--jobs", str(jobs)]) == 0
+            assert in_process_pools == pools
+            assert len(list(out.glob("summary_*.json"))) == len(seeds)
 
     def test_lone_solve_and_pilot_run_in_this_process(self, tmp_path, in_process_pools):
         """One point, two seeds: the one solve and the one pilot are no map to

@@ -246,34 +246,31 @@ class TestRunBehaviour:
 
 
 class TestScalesCheck:
-    """``run(config, scales)`` takes the scales as one float array of m finite values
-    >= 0, 0 on each resource without noise, and refuses anything else at once."""
+    """A run draws with the scales of its noise specs alone: one spec per resource,
+    each fixed scale finite and > 0, or the config is refused at once."""
 
     GAUSSIAN = NoiseSpec(kind=NoiseKind.GAUSSIAN, scale_mode=ScaleMode.FIXED, scale=20.5)
 
-    @pytest.mark.parametrize("noise,scales", [
-        ([GAUSSIAN] * 2, np.array([1.0])),
-        ([GAUSSIAN] * 2, np.array([1.0, 1.0, 1.0])),
-        ([GAUSSIAN] * 2, np.array([1.0, math.nan])),
-        ([GAUSSIAN] * 2, np.array([1.0, math.inf])),
-        ([GAUSSIAN] * 2, np.array([1.0, -1.0])),
-        ([GAUSSIAN] * 2, [1.0, 1.0]),
-        ([GAUSSIAN] * 2, np.array([1, 1])),
-        ([GAUSSIAN] * 2, np.array([[1.0, 1.0]])),
-        ([GAUSSIAN, NoiseSpec()], np.array([1.0, 1.0])),     # a scale where nothing is drawn
-    ], ids=["short", "long", "nan", "inf", "negative", "list", "int", "2-d", "noiseless-nonzero"])
-    def test_refused(self, noise, scales):
-        config = cli.reference_system_config(noise, steps=200)
-        with pytest.raises(ConfigurationError, match="noise scales must be a float array of 2"):
-            engine.run(config, scales)
+    @pytest.mark.parametrize("specs,scale,message", [
+        (1, 20.5, "need one noise spec per resource"),
+        (3, 20.5, "need one noise spec per resource"),
+        (2, math.nan, "fixed scale mode needs a finite scale > 0"),
+        (2, math.inf, "fixed scale mode needs a finite scale > 0"),
+        (2, -1.0, "fixed scale mode needs a finite scale > 0"),
+    ], ids=["short", "long", "nan", "inf", "negative"])
+    def test_refused(self, specs, scale, message):
+        with pytest.raises(ConfigurationError, match=message):
+            cli.reference_system_config([replace(self.GAUSSIAN, scale=scale)] * specs, steps=200)
 
     def test_zero_and_positive_scales_run(self):
         config = cli.reference_system_config([self.GAUSSIAN, NoiseSpec()], steps=200)
-        scales = np.array([0.0, 0.0])
-        trace = engine.run(config, scales)
-        scales[0] = 1.5         # the trace keeps its own copy
-        assert trace.noise_scales.tolist() == [0.0, 0.0]
-        assert engine.run(config, scales).noise_scales.tolist() == [1.5, 0.0]
+        assert engine.run(config).noise_scales.tolist() == [20.5, 0.0]
+
+
+def calibrated_scales(config):
+    """The noise scales a run of ``config`` draws with, after a pilot if one is needed."""
+    [noise] = resolve_noise_scales(config, [config.noise])
+    return np.array([spec.noise_scale(j) for j, spec in enumerate(noise)])
 
 
 class TestCalibration:
@@ -322,22 +319,22 @@ class TestCalibration:
         assert dq > 0
         cfg = self.base([NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
                                    scale_mode=ScaleMode.CALIBRATED)])
-        assert resolve_noise_scales(cfg)[0] == pytest.approx(dq / 0.5)
+        assert calibrated_scales(cfg)[0] == pytest.approx(dq / 0.5)
 
     def test_sensitivity_override_skips_pilot(self):
         cfg = self.base([NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
                                    scale_mode=ScaleMode.CALIBRATED, sensitivity=2.0)])
-        assert resolve_noise_scales(cfg)[0] == pytest.approx(4.0)
+        assert calibrated_scales(cfg)[0] == pytest.approx(4.0)
 
     def test_fixed_scale_passthrough(self):
         cfg = self.base([NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.2, delta=0.01,
                                    scale_mode=ScaleMode.FIXED, scale=7.5)])
-        assert resolve_noise_scales(cfg)[0] == 7.5
+        assert calibrated_scales(cfg)[0] == 7.5
 
     def test_calibration_fails_without_events(self):
         cfg = self.two_resources([self.SPECS["fixed"][0], self.SPECS["laplace"][0]], steps=3)
         with pytest.raises(ConfigurationError, match="sensitivity for resource 1"):
-            resolve_noise_scales(cfg)
+            resolve_noise_scales(cfg, [cfg.noise])
 
     @pytest.mark.parametrize("names,pilots", [
         (("none", "fixed"), 0), (("fixed", "override"), 0), (("override", "none-calibrated"), 0),
@@ -352,9 +349,22 @@ class TestCalibration:
         simulate = engine._simulate
         monkeypatch.setattr(engine, "_simulate",
                             lambda *a, **kw: runs.append(1) or simulate(*a, **kw))
-        scales = resolve_noise_scales(self.two_resources([spec for spec, _ in specs]))
+        scales = calibrated_scales(self.two_resources([spec for spec, _ in specs]))
         assert scales.tolist() == [expected(float(dq[j])) for j, (_, expected) in enumerate(specs)]
         assert len(runs) == pilots
+
+    def test_resolved_spec_carries_the_pilot_dq(self):
+        """The pilot's dq becomes a calibrated spec's sensitivity, an override
+        stays, and a run on the resolved specs is the run that calibrates itself."""
+        specs = [self.SPECS["laplace"][0], self.SPECS["override"][0]]
+        config = self.two_resources(specs)
+        dq = dpaimd.run(self.two_resources([NoiseSpec()] * 2)).sensitivity[-1]
+        [noise] = resolve_noise_scales(config, [config.noise])
+        assert noise == [replace(specs[0], sensitivity=float(dq[0])), specs[1]]
+        resolved, calibrated = engine.run(replace(config, noise=noise)), engine.run(config)
+        for name, value in vars(calibrated).items():
+            if value is not None:
+                assert getattr(resolved, name).tobytes() == value.tobytes(), name
 
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
            kind=st.sampled_from([NoiseKind.LAPLACE, NoiseKind.GAUSSIAN]),
@@ -366,7 +376,7 @@ class TestCalibration:
         # the invariant that lets a sweep calibrate each point once for all its seeds
         spec = NoiseSpec(kind=kind, epsilon=epsilon, delta=0.01, scale_mode=ScaleMode.CALIBRATED)
         scales = [
-            resolve_noise_scales(SystemConfig(
+            calibrated_scales(SystemConfig(
                 agents=[square_cost(c) for c in coeffs],
                 resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5, gamma=1e-3)],
                 noise=[spec], steps=steps, seed=seed, burn_in_events=2))
@@ -433,13 +443,15 @@ def noise_stream(seed, agent_id, *tag):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_STREAM, agent_id) + tag))
 
 
-def usable_scales(config):
-    """The config's noise scales, or 1.5 for each noisy resource if a short pilot
-    saw no sensitivity."""
+def usable_config(config):
+    """The config with its noise calibrated, or with a fixed scale of 1.5 on each
+    noisy resource if a short pilot saw no sensitivity."""
     try:
-        return resolve_noise_scales(config)
+        [noise] = resolve_noise_scales(config, [config.noise])
     except ConfigurationError:
-        return np.array([0.0 if spec.kind is NoiseKind.NONE else 1.5 for spec in config.noise])
+        noise = [spec if spec.kind is NoiseKind.NONE else NoiseSpec(kind=spec.kind, scale=1.5)
+                 for spec in config.noise]
+    return replace(config, noise=noise)
 
 
 def sawtooth_pair(steps):
@@ -459,7 +471,7 @@ class TestFinalXbar:
     @example(sawtooth_pair(20))     # the last step fires
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_last_derived_xbar(self, config):
-        trace = engine.run(config, usable_scales(config), dense=True)
+        trace = engine.run(usable_config(config), dense=True)
         assert trace.final_xbar.shape == (config.n_agents, config.n_resources)
         expected = trace.xbar[-1] if trace.steps else np.zeros_like(trace.final_xbar)
         assert trace.final_xbar.tobytes() == expected.tobytes()
@@ -490,8 +502,8 @@ class TestNoiseBlocks:
     @example(wide_separable_config())
     @settings(max_examples=60, deadline=None)
     def test_trace_is_byte_equal_to_per_event_draws(self, config):
-        scales = usable_scales(config)
-        got, expected = engine.run(config, scales, dense=True), simulate_oracle(config, scales)
+        config = usable_config(config)
+        got, expected = engine.run(config, dense=True), simulate_oracle(config)
         for name, value in vars(expected).items():
             assert getattr(got, name).dtype == value.dtype, name
             assert getattr(got, name).tobytes() == value.tobytes(), name
@@ -564,8 +576,8 @@ class TestLeanTrace:
     @given(small_configs())
     @settings(max_examples=60, deadline=None)
     def test_lean_run_equals_dense_run(self, config):
-        scales = usable_scales(config)
-        lean, dense = engine.run(config, scales), engine.run(config, scales, dense=True)
+        config = usable_config(config)
+        lean, dense = engine.run(config), engine.run(config, dense=True)
         assert lean.x is None and lean.noisy_derivative is None
         for name in ("event_bits", "partial_spread", "sensitivity", "final_xbar", "noise_scales"):
             assert getattr(lean, name).dtype == getattr(dense, name).dtype, name
@@ -609,7 +621,7 @@ class TestInvariants:
     @given(small_configs())
     @settings(max_examples=60, deadline=None)
     def test_hold_at_every_step(self, config):
-        trace = engine.run(config, usable_scales(config), dense=True)
+        trace = engine.run(usable_config(config), dense=True)
         capacity = np.array([r.capacity for r in config.resources])
         alpha = np.array([r.alpha for r in config.resources])
         # a resource below capacity grows by n alpha at most; one at it backs off
@@ -631,6 +643,26 @@ class TestInvariants:
         assert (np.diff(trace.sensitivity, axis=0) >= 0).all()
 
 
+class TestTrackerBlocks:
+    """The loop hands the tracker TRACKER_BLOCK_CELLS // (n m) event steps at a
+    time; blocks of 1, 2 or 3 steps, flushed full many times in a short run,
+    give the default block's bits and the per-event oracle's."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @given(small_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_trace_is_bit_equal_at_any_block_size(self, rows, config):
+        config = usable_config(config)
+        default = engine.run(config, dense=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "TRACKER_BLOCK_CELLS", rows * config.n_agents * config.n_resources)
+            blocked = engine.run(config, dense=True)
+        for name, value in vars(simulate_oracle(config)).items():
+            assert getattr(blocked, name).dtype == value.dtype, name
+            assert getattr(blocked, name).tobytes() == value.tobytes(), name
+            assert getattr(default, name).tobytes() == value.tobytes(), name
+
+
 class TestNumericFailures:
     """A non-finite value mid-run raises NumericError naming the step that met it."""
 
@@ -645,10 +677,10 @@ class TestNumericFailures:
         with pytest.raises(NumericError, match="derivative for resource 0 at step 5$"):
             self.run(agents, capacity=10.0, alpha=1.0)
 
-    def test_a_failed_partial_wins_over_a_later_demand_error(self):
+    def test_a_failed_partial_wins_over_a_later_demand_error(self, monkeypatch):
         """The loop runs past a bad partial: the failed server step takes the
         pending block first, so the partial's error wins as it did when it was
-        checked at its own step."""
+        checked at its own step. So it does when each block is one step."""
         # resource 0 as above; on resource 1 the two demands climb 1e307 a step,
         # and their sum overflows at step 9 before it reaches capacity
         agents = [CostFunction(np.array([1.0, 1.0]), np.array([[2, 0], [0, 2]])),
@@ -657,11 +689,14 @@ class TestNumericFailures:
             agents=agents, noise=[NoiseSpec()] * 2, steps=20, seed=0,
             resources=[ResourceConfig(capacity=10.0, alpha=1.0, beta=0.5, gamma=1e-3),
                        ResourceConfig(capacity=1.79e308, alpha=1e307, beta=0.5, gamma=1e-3)])
-        with pytest.raises(NumericError, match="derivative for resource 0 at step 5$"):
-            engine.run(config)
-        agents[1] = CostFunction(np.array([1.0, 1.0]), np.array([[40, 0], [0, 2]]))
-        with pytest.raises(NumericError, match="non-finite aggregate demand at step 9$"):
-            engine.run(replace(config, agents=agents))
+        fixed = replace(config, agents=[agents[0], CostFunction(np.array([1.0, 1.0]),
+                                                                 np.array([[40, 0], [0, 2]]))])
+        for cells in (engine.TRACKER_BLOCK_CELLS, 2 * 2):     # the default block, then n m
+            monkeypatch.setattr(engine, "TRACKER_BLOCK_CELLS", cells)
+            with pytest.raises(NumericError, match="derivative for resource 0 at step 5$"):
+                engine.run(config)
+            with pytest.raises(NumericError, match="non-finite aggregate demand at step 9$"):
+                engine.run(fixed)
 
     def test_an_infinite_partial_with_infinite_noise(self):
         """At seed 13 agent 1's first Laplace draw times 1e308 is -inf: its noisy

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_a_run_and_a_summary_each_build_only_the_table_they_read(monkeypatch):
     built = []
     compact = model._compact
     monkeypatch.setattr(model, "_compact", lambda *tables: built.append(1) or compact(*tables))
-    trace = engine.run(config, np.zeros(2))
+    trace = engine.run(config)
     assert len(built) == 1
     built.clear()
     assert summarize(trace, config.agents, optimum).cost_ratio is not None
@@ -290,9 +291,10 @@ def test_summary_needs_no_dense_trace(noise, tmp_path):
     """Summary JSON and sweep row of a lean run equal those of a dense run."""
     config = reference_system_config(noise, steps=2_000)
     optimum = dpaimd.solve_optimum(config.agents, config.resources)
-    scales = engine.resolve_noise_scales(config)
-    assert (scales > 0).all()
-    dense, lean = (engine.run(config, scales, dense=flag) for flag in (True, False))
+    [noise] = engine.resolve_noise_scales(config, [config.noise])
+    config = replace(config, noise=noise)
+    dense, lean = (engine.run(config, dense=flag) for flag in (True, False))
+    assert (lean.noise_scales > 0).all()
     assert lean.x is None and lean.noisy_derivative is None
     texts = [cli._json_text(cli.summary_to_dict(summarize(t, config.agents, optimum), config,
                                                 optimum)) for t in (dense, lean)]
@@ -302,6 +304,6 @@ def test_summary_needs_no_dense_trace(noise, tmp_path):
     for emit_trace in (True, False):    # --emit-trace runs dense, a plain run lean
         out = tmp_path / str(len(outputs))
         out.mkdir()
-        row = cli._run_one((0, {}, config, optimum, scales, emit_trace, str(out)))
+        row = cli._run_one((0, {}, config, optimum, emit_trace, str(out)))
         outputs.append((row, (out / f"summary_p000_s{config.seed}.json").read_text()))
     assert outputs[0] == outputs[1]

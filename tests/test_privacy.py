@@ -18,13 +18,14 @@ from oracles import PerEventSensitivity, empirical_dp_ratio, empirical_dp_violat
 
 def gaussian_sigma(dq, epsilon, delta):
     spec = NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=epsilon, delta=delta,
-                     scale_mode=ScaleMode.CALIBRATED)
-    return spec.noise_scale(dq, 0)
+                     scale_mode=ScaleMode.CALIBRATED, sensitivity=dq)
+    return spec.noise_scale(0)
 
 
 def laplace_scale(dq, epsilon):
-    spec = NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=epsilon, scale_mode=ScaleMode.CALIBRATED)
-    return spec.noise_scale(dq, 0)
+    spec = NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=epsilon, scale_mode=ScaleMode.CALIBRATED,
+                     sensitivity=dq)
+    return spec.noise_scale(0)
 
 
 class TestCalibration:
@@ -40,7 +41,7 @@ class TestCalibration:
 
     def test_gaussian_sigma_invalid(self):
         with pytest.raises(ConfigurationError):
-            gaussian_sigma(0.0, 0.2, 0.01)      # noise_scale: no positive sensitivity
+            gaussian_sigma(0.0, 0.2, 0.01)      # NoiseSpec: no positive sensitivity
         with pytest.raises(ConfigurationError):
             gaussian_sigma(1.0, 0.2, 1.3)       # NoiseSpec: delta outside (0, 1)
 
@@ -51,9 +52,12 @@ class TestCalibration:
 
     def test_laplace_scale_invalid(self):
         with pytest.raises(ConfigurationError):
-            laplace_scale(0.0, 0.1)             # noise_scale: no positive sensitivity
+            laplace_scale(0.0, 0.1)             # NoiseSpec: no positive sensitivity
         with pytest.raises(ConfigurationError):
             laplace_scale(1.0, -1.0)            # NoiseSpec: epsilon <= 0
+        unmeasured = NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.1, scale_mode=ScaleMode.CALIBRATED)
+        with pytest.raises(ConfigurationError, match="no positive sensitivity for resource 3"):
+            unmeasured.noise_scale(3)           # noise_scale: no dq set or measured
 
     def test_an_overflowing_scale_is_a_numeric_error(self):
         """dq / epsilon past the float range is refused before any run draws with it."""
