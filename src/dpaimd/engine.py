@@ -6,8 +6,8 @@ agents holding a 1-bit back off multiplicatively using a noisy scaling factor
 computed from their average allocation (the running mean of their demand over
 every step so far), all other demands grow additively.
 Runs are deterministic given the config and seed. At an event the engine adds
-the resource's noise scale times the next column of its ``privacy.noise_sources``
-iterator; it never branches on the mechanism.
+the resource's next pre-scaled noise row from its ``privacy.noise_sources``
+generator; it never branches on the mechanism.
 """
 from __future__ import annotations
 
@@ -24,15 +24,21 @@ TRACKER_BLOCK_CELLS = 1 << 16    # partials the loop holds for the sensitivity t
 _LAMBDA_MIN, _ONE = np.array(LAMBDA_MIN), np.array(1.0)
 
 
-def server_step(capacities: np.ndarray, aggregate: np.ndarray) -> np.ndarray:
-    """Event bits S_j = 1 iff aggregate_j >= C_j.
+def server_step(limits, aggregate, pair, patterns) -> tuple:
+    """(fired resources, uint8 event bits) with S_j = 1 iff aggregate_j >= C_j.
 
-    A sum of demands x >= 0 is never negative, so NaN and +inf are its only
-    failures, and one comparison of its max rejects both.
-    """
-    if not float(np.maximum.reduce(aggregate)) < np.inf:
-        raise NumericError("non-finite aggregate demand")
-    return (aggregate >= capacities).view(np.uint8)
+    One compare with ``limits``, the capacities over +inf, fills the (2, m) bool
+    ``pair``: the bits' complement over the finiteness check (a sum of x >= 0
+    fails only as NaN or +inf). ``patterns`` caches answers by the bytes of an
+    all-finite ``pair``, so a non-finite aggregate never hits it."""
+    np.less(aggregate, limits, out=pair)
+    found = patterns.get(pair.tobytes())
+    if found is None:
+        if not pair[1].all():
+            raise NumericError("non-finite aggregate demand")
+        bits = np.logical_not(pair[0]).view(np.uint8)
+        found = patterns[pair.tobytes()] = (np.flatnonzero(bits).tolist(), bits)
+    return found
 
 
 def compute_lambda_hat(gamma, noisy_derivative, xbar, out=None):
@@ -180,23 +186,24 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     resource's non-finite partial, and one check after the loop the last
     demand; the NumericError names the step it failed at.
 
-    Nothing in the loop reads the sensitivity, so each event step only copies
-    its partials into a block that the tracker takes in one pass when it is
-    full, when ``server_step`` fails and after the loop: a partial that failed
-    first still wins. The tracker writes ``partial_spread`` and ``sensitivity``
-    on event steps, and ``sensitivity`` is forward-filled after the loop. Each
+    Nothing in the loop reads the sensitivity, so each event step writes its
+    gradient into a block that the tracker takes in one pass when it is full,
+    when ``server_step`` fails and after the loop: a partial that failed first
+    still wins. The tracker writes ``partial_spread`` and ``sensitivity`` on
+    event steps, and ``sensitivity`` is forward-filled after the loop. Each
     per-step call takes operands made once per run, and x-bar is divided out
     only where it is read: at event steps and after the loop."""
     n, m, steps = config.n_agents, config.n_resources, config.steps
-    sources = noise_sources(config)
     scales = np.array([spec.noise_scale(j) for j, spec in enumerate(config.noise)])
-    capacities = np.array([r.capacity for r in config.resources], dtype=float)
+    sources = noise_sources(config, scales)
+    limits = np.array([[r.capacity for r in config.resources], [np.inf] * m])
+    aggregate, pair, patterns = np.empty(m), np.empty((2, m), dtype=bool), {}
     # every agent's step, so the additive increase is a same-shape add
     alpha = np.tile(np.array([r.alpha for r in config.resources], dtype=float), (n, 1))
     gamma = np.array([r.gamma for r in config.resources], dtype=float)
     beta = np.array([r.beta for r in config.resources], dtype=float)
-    # per resource, as 0-d arrays: gamma, beta and the noise scale; then the noise source
-    backoff = [(gamma[j, ...], beta[j, ...], scales[j, ...], sources[j]) for j in range(m)]
+    # per resource, as 0-d arrays: gamma and beta; then the noise source
+    backoff = [(gamma[j, ...], beta[j, ...], sources[j]) for j in range(m)]
 
     gradient_rows = PolyBatch(config.agents).gradient_rows
     tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
@@ -222,8 +229,8 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"steps={steps} gives a trace numpy cannot allocate: {exc}") from exc
 
-    # the partials of the event steps the tracker has not taken yet
-    block = np.empty((max(1, min(steps, TRACKER_BLOCK_CELLS // (n * m))), n, m))
+    # the (m, n) partials of the event steps the tracker has not taken yet
+    block = np.empty((max(1, min(steps, TRACKER_BLOCK_CELLS // (n * m))), m, n))
     event_steps = []
 
     def feed_tracker():
@@ -236,28 +243,23 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     # NaN of an inf partial plus -inf noise, which the tracker rejects with its block
     with np.errstate(over="ignore", invalid="ignore"):
         for nu in range(steps):
+            np.add.reduce(x, 0, None, aggregate)
             try:
-                tr_bits[nu] = bits = server_step(capacities, np.add.reduce(x))
+                fired, tr_bits[nu] = server_step(limits, aggregate, pair, patterns)
             except NumericError as exc:
                 feed_tracker()              # a partial that failed at an earlier step wins
                 raise NumericError(f"{exc} at step {nu}") from exc
             np.add(x, alpha, out=grown)     # additive increase, replaced where an event fired
-            fired = [j for j, bit in enumerate(bits.tolist()) if bit]
             if fired:
                 # the running mean of the demand over every step so far, x(0) = 0 included
                 count[...] = nu + 1
                 np.divide(x_sum, count, out=xbar)
-                grads = gradient_rows(xbar_flat)
-                block[len(event_steps)] = grads.T
+                grads = gradient_rows(xbar_flat, out=block[len(event_steps)])
                 event_steps.append(nu)
                 for j in fired:
-                    gamma_j, beta_j, scale_j, source = backoff[j]
+                    gamma_j, beta_j, source = backoff[j]
                     xbar_j, x_j, grown_j = cols[j]
-                    g = grads[j]
-                    nd = g
-                    if source is not None:
-                        nd = np.multiply(next(source), scale_j, out=lam)
-                        nd += g
+                    nd = grads[j] if source is None else np.add(grads[j], source.send(j), out=lam)
                     if dense:
                         tr_nderiv[nu, :, j] = nd
                     compute_lambda_hat(gamma_j, nd, xbar_j, out=lam)

@@ -84,7 +84,7 @@ def _merged(x: np.ndarray) -> np.ndarray:     # an (..., n, m) point as _sum_ter
 
 
 def _sum_terms(flat: np.ndarray, weights: np.ndarray, exponents: np.ndarray,
-               index: np.ndarray) -> np.ndarray:
+               index: np.ndarray, out=None) -> np.ndarray:
     """sum_t weights[..., t] * prod_k flat[..., index[..., t, k]] ** exponents[..., t, k].
 
     The one polynomial evaluator, on one support table of ``_compact``: a point
@@ -96,7 +96,7 @@ def _sum_terms(flat: np.ndarray, weights: np.ndarray, exponents: np.ndarray,
     """
     factors = np.power(flat.take(index, axis=-1), exponents, order="C")
     mono = factors[..., 0] if exponents.shape[-1] == 1 else np.multiply.reduce(factors, axis=-1)
-    return np.einsum("...t,...t->...", weights, mono)
+    return np.einsum("...t,...t->...", weights, mono, out=out)
 
 
 def _compact(weights: np.ndarray, exponents: np.ndarray):
@@ -178,9 +178,9 @@ class PolyBatch:
         """(..., n, m) points -> (..., n, m) partial derivatives."""
         return self.gradient_rows(_merged(x)).swapaxes(-1, -2)
 
-    def gradient_rows(self, flat) -> np.ndarray:
-        """(..., n * m) merged points -> (..., m, n) partials, row j those by x_j."""
-        return _sum_terms(flat, *self._first)
+    def gradient_rows(self, flat, out=None) -> np.ndarray:
+        """(..., n * m) merged points -> (..., m, n) partials, row j those by x_j, into ``out``."""
+        return _sum_terms(flat, *self._first, out=out)
 
 
 @dataclass(frozen=True)

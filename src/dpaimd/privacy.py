@@ -3,9 +3,9 @@
 Each resource's NoiseSpec turns the sensitivity dq of the partial derivatives
 into its noise scale: Laplace uses scale = dq / epsilon (pure epsilon-LDP),
 Gaussian uses sigma = (dq / epsilon) * sqrt(2 ln(1.25 / delta)) for
-(epsilon, delta)-LDP. ``noise_sources`` draws every noise column: each agent's
-noise comes from its own stream, one per noise kind, drawn ahead in blocks of
-scale-1 draws; an event takes the next column, times the resource's scale.
+(epsilon, delta)-LDP. ``noise_sources`` draws all noise: each agent's noise
+comes from its own stream, one per noise kind, drawn ahead in blocks of scale-1
+draws, which each resource of the kind scales once; an event takes the next row.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import numpy as np
 from .model import NOISE_STREAM, ConfigurationError, NumericError, SystemConfig
 
 NOISE_BLOCK = 1024      # draws per agent stream taken ahead at a time
+SCALED_ROWS = 64        # rows of a block scaled at a time, once per resource of the kind
 
 
 class NoiseKind(str, Enum):
@@ -102,25 +103,30 @@ def unit_noise(kind: NoiseKind, rng: np.random.Generator, size: int) -> np.ndarr
     return rng.standard_normal(size)
 
 
-def _noise_columns(kind: NoiseKind, rngs: list, limit: int):
-    """Yield each agent stream's next scale-1 draw of ``kind``, one (n,) column at a time.
+def _scaled_rows(kind: NoiseKind, rngs: list, limit: int, scales: dict):
+    """Generator whose ``send(j)`` returns resource j's next (n,) row of ``kind`` noise.
 
-    Blocks of up to NOISE_BLOCK draws per stream are taken ahead, lazily and
-    at most ``limit`` per stream in all.
-    """
+    (size, n) blocks of up to NOISE_BLOCK draws per agent stream are drawn lazily,
+    at most ``limit`` per stream in all. Each resource j of the kind scales them
+    once, by ``scales[j]``, SCALED_ROWS rows at a time, and takes the rows its events reach."""
+    j = yield
     while limit > 0:
         size = min(NOISE_BLOCK, limit)
         limit -= size
-        yield from np.stack([unit_noise(kind, rng, size) for rng in rngs], axis=1)
+        unit = np.stack([unit_noise(kind, rng, size) for rng in rngs], axis=1)
+        for part in np.split(unit, range(SCALED_ROWS, size, SCALED_ROWS)):
+            rows = {r: part * scale for r, scale in scales.items()}
+            for i in range(len(part)):
+                j = yield rows[j][i]
+        del unit, part      # free this block before the next one is drawn
 
 
-def noise_sources(config: SystemConfig) -> list:
-    """Per resource, the iterator of its scale-1 noise columns, or None without noise.
+def noise_sources(config: SystemConfig, scales) -> list:
+    """Per resource, the ``_scaled_rows`` of its kind on ``scales``, primed, or None.
 
     Each agent has one stream per noise kind, which the resources of that kind
     share in event order. The first noisy resource's kind keeps the agent's
-    original stream, so a config with one kind draws as per-event draws would.
-    """
+    original stream, so a config with one kind draws as per-event draws would."""
     kinds = [spec.kind for spec in config.noise]
     noisy = dict.fromkeys(kind for kind in kinds if kind is not NoiseKind.NONE)   # first seen first
     sources = {}
@@ -128,7 +134,9 @@ def noise_sources(config: SystemConfig) -> list:
         tag = (stream,) if stream else ()
         rngs = [np.random.default_rng(np.random.SeedSequence(
                     config.seed, spawn_key=(NOISE_STREAM, aid) + tag)) for aid in config.agent_ids]
-        sources[kind] = _noise_columns(kind, rngs, config.steps * kinds.count(kind))
+        sources[kind] = _scaled_rows(kind, rngs, config.steps * kinds.count(kind),
+                                     {j: scales[j] for j, k in enumerate(kinds) if k is kind})
+        next(sources[kind])
     return [sources.get(kind) for kind in kinds]
 
 
@@ -155,7 +163,7 @@ class SensitivityTracker:
                    spread: np.ndarray, dq: np.ndarray):
         """Feed every agent's noiseless partials at a block of event steps, in step order.
 
-        Row i of the (k, n, m) ``derivatives`` holds the partials at step
+        Row i of the (k, m, n) ``derivatives`` holds the partials at step
         ``steps[i]``, and row i of the (k, m) ``bits`` the resources that fired
         there; the partials of the others are not read. Each fired cell (i, j)
         is one event of resource j, and may raise ``running_max[j]``. At row
@@ -166,7 +174,7 @@ class SensitivityTracker:
         changes.
         """
         fired = np.asarray(bits, dtype=bool)
-        lo, hi = np.minimum.reduce(derivatives, axis=1), np.maximum.reduce(derivatives, axis=1)
+        lo, hi = np.minimum.reduce(derivatives, axis=2), np.maximum.reduce(derivatives, axis=2)
         # one comparison each way rejects NaN, infinities and negatives
         bad = fired & ~((0 <= lo) & (hi < math.inf))
         if bad.any():
@@ -179,7 +187,7 @@ class SensitivityTracker:
             at = steps[rows]
             spread[at, j] = hi[rows, j] - lo[rows, j]
             # each event's partials after the previous event's, the block's first after the last fed
-            partials = np.concatenate([self.last_derivative[None, :, j], derivatives[rows, :, j]])
+            partials = np.concatenate([self.last_derivative[None, :, j], derivatives[rows, j]])
             diffs = np.subtract(partials[1:], partials[:-1])
             jumps = np.maximum.reduce(np.abs(diffs, out=diffs), axis=1)
             jumps[:max(self.first_counted - 1 - self.events_seen[j], 0)] = 0.0     # burn-in events

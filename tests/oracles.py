@@ -12,7 +12,7 @@
 - ``PerEventSensitivity``: the sensitivity tracker as it was before the loop
   fed it blocks of event steps, one call per event.
 - ``simulate_oracle``: the engine loop as it was before noise was drawn in
-  blocks, one draw per agent at each noisy event, on the dense kernel, with
+  blocks, one draw per agent stream at each noisy event, on the dense kernel, with
   ``PerEventSensitivity`` at each event and its own event rule and back-off.
 - ``write_trace_csv_oracle``: the trace CSV writer as it was before it wrote
   in chunks, one ``csv.writer`` row per (step, agent, resource) cell.
@@ -328,8 +328,11 @@ def simulate_oracle(config) -> Trace:
     gamma = np.array([r.gamma for r in config.resources], dtype=float)
 
     batch = DensePolyBatch(config.agents)
-    rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(NOISE_STREAM, aid)))
-            for aid in config.agent_ids]
+    # one stream per agent and noise kind; the first noisy kind keeps the untagged one
+    kinds = dict.fromkeys(spec.kind for spec in config.noise if spec.kind is not NoiseKind.NONE)
+    rngs = {kind: [np.random.default_rng(np.random.SeedSequence(
+                config.seed, spawn_key=(NOISE_STREAM, aid) + ((tag,) if tag else ())))
+                   for aid in config.agent_ids] for tag, kind in enumerate(kinds)}
     tracker = PerEventSensitivity(n, m, config.burn_in_events)
 
     x = np.zeros((n, m))
@@ -357,9 +360,9 @@ def simulate_oracle(config) -> Trace:
                 if kind is NoiseKind.NONE:
                     d = np.zeros(n)
                 elif kind is NoiseKind.LAPLACE:
-                    d = np.array([rng.laplace(0.0, scales[j]) for rng in rngs])
+                    d = np.array([rng.laplace(0.0, scales[j]) for rng in rngs[kind]])
                 else:
-                    d = np.array([rng.normal(0.0, scales[j]) for rng in rngs])
+                    d = np.array([rng.normal(0.0, scales[j]) for rng in rngs[kind]])
                 tr_nderiv[nu, :, j] = grads[:, j] + d
                 lam = np.clip(gamma[j] * np.abs(grads[:, j] + d) / xbar[:, j], LAMBDA_MIN, 1.0)
                 x[:, j] = (lam * beta[j] + (1 - lam)) * x[:, j]

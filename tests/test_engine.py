@@ -53,14 +53,25 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.n
 EDGE_FLOATS = st.sampled_from(EDGE_VALUES) | st.floats()
 
 
+def step_server(capacities, aggregate, patterns=None):
+    """``server_step`` on one aggregate, with the operands a run makes once."""
+    limits = np.array([capacities, [np.inf] * len(capacities)])
+    return server_step(limits, np.array(aggregate), np.empty(limits.shape, dtype=bool),
+                       {} if patterns is None else patterns)
+
+
 class TestPrimitives:
     def test_server_step_threshold_inclusive(self):
-        bits = server_step(np.array([5.0, 6.0]), np.array([5.0, 5.999]))
-        assert bits.tolist() == [1, 0]
+        patterns = {}
+        fired, bits = step_server([5.0, 6.0], [5.0, 5.999], patterns)
+        assert fired == [0] and bits.tolist() == [1, 0]
+        # a repeated pattern is looked up, with the same result
+        assert step_server([5.0, 6.0], [7.0, 1.0], patterns) is patterns.popitem()[1]
 
     def test_server_step_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            server_step(np.array([1.0]), np.array([np.nan]))
+        for aggregate in ([np.nan], [np.inf]):
+            with pytest.raises(NumericError, match="^non-finite aggregate demand$"):
+                step_server([1.0], aggregate)
 
     def test_lambda_hat_examples(self):
         # each takes the noisy derivative f' + d
@@ -401,9 +412,10 @@ NOISE_CHOICES = {
 
 
 @st.composite
-def small_configs(draw):
+def small_configs(draw, mixed=False):
     """1-4 agents, 1-3 resources; every partial keeps at most 2 terms, and every
-    noisy resource draws one kind of noise, mixed only with none."""
+    noisy resource draws one kind of noise, mixed only with none; with ``mixed``,
+    each resource draws any of NOISE_CHOICES."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
     row = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
@@ -417,7 +429,8 @@ def small_configs(draw):
                  for _ in range(m)]
     kind = draw(st.sampled_from(["laplace", "gaussian", "laplace-calibrated",
                                  "gaussian-calibrated"]))
-    noise = [NOISE_CHOICES[draw(st.sampled_from(["none", kind]))] for _ in range(m)]
+    choices = list(NOISE_CHOICES) if mixed else ["none", kind]
+    noise = [NOISE_CHOICES[draw(st.sampled_from(choices))] for _ in range(m)]
     return SystemConfig(agents=agents, resources=resources, noise=noise,
                         steps=draw(st.integers(0, 300)), seed=draw(st.integers(0, 2**32 - 1)),
                         burn_in_events=draw(st.integers(0, 3)),
@@ -437,6 +450,17 @@ def wide_separable_config():
         resources=[ResourceConfig(capacity=0.3 * n * (1 + 0.1 * j), alpha=0.01,
                                   beta=0.7 - 0.05 * j, gamma=1e-3) for j in range(m)],
         noise=[NOISE_CHOICES["laplace"]] * m, steps=1_000, seed=17)
+
+
+def mixed_config(steps=400, seed=4):
+    """Three agents on a Laplace and a Gaussian resource, with ids out of order."""
+    return SystemConfig(
+        agents=[CostFunction(np.array([c, 2.0 * c]), np.array([[2, 0], [0, 2]]))
+                for c in (1.0, 3.0, 2.0)],
+        resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5, gamma=1e-3),
+                   ResourceConfig(capacity=1.5, alpha=0.05, beta=0.6, gamma=1e-3)],
+        noise=[NOISE_CHOICES["laplace"], NOISE_CHOICES["gaussian"]],
+        steps=steps, seed=seed, agent_ids=[7, 2, 5])
 
 
 def noise_stream(seed, agent_id, *tag):
@@ -508,24 +532,32 @@ class TestNoiseBlocks:
             assert getattr(got, name).dtype == value.dtype, name
             assert getattr(got, name).tobytes() == value.tobytes(), name
 
-    def mixed(self, steps=400, seed=4):
-        return SystemConfig(
-            agents=[CostFunction(np.array([c, 2.0 * c]), np.array([[2, 0], [0, 2]]))
-                    for c in (1.0, 3.0, 2.0)],
-            resources=[ResourceConfig(capacity=1.0, alpha=0.05, beta=0.5, gamma=1e-3),
-                       ResourceConfig(capacity=1.5, alpha=0.05, beta=0.6, gamma=1e-3)],
-            noise=[NOISE_CHOICES["laplace"], NOISE_CHOICES["gaussian"]],
-            steps=steps, seed=seed, agent_ids=[7, 2, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @given(config=small_configs(mixed=True))
+    @example(config=mixed_config(steps=60))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_refill_at_any_block_size(self, rows, config):
+        """Blocks of 1, 2 or 3 draws per stream, scaled 2 rows at a time, refill
+        the scaled rows at almost every event, of one kind or of two, and change
+        no bit."""
+        config = usable_config(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(privacy, "NOISE_BLOCK", rows)
+            patch.setattr(privacy, "SCALED_ROWS", 2)
+            got = engine.run(config, dense=True)
+        for name, value in vars(simulate_oracle(config)).items():
+            assert getattr(got, name).dtype == value.dtype, name
+            assert getattr(got, name).tobytes() == value.tobytes(), name
 
     def test_mixed_kinds_are_deterministic(self):
-        a, b = dpaimd.run(self.mixed(), dense=True), dpaimd.run(self.mixed(), dense=True)
+        a, b = dpaimd.run(mixed_config(), dense=True), dpaimd.run(mixed_config(), dense=True)
         for name, value in vars(a).items():
             assert getattr(b, name).tobytes() == value.tobytes(), name
-        assert not np.array_equal(a.x, dpaimd.run(self.mixed(seed=5), dense=True).x)
+        assert not np.array_equal(a.x, dpaimd.run(mixed_config(seed=5), dense=True).x)
 
     def test_mixed_kinds_draw_from_one_stream_per_agent_and_kind(self):
         """The first noisy resource's kind keeps the agent's stream, the other gets its own."""
-        config = self.mixed()
+        config = mixed_config()
         trace = dpaimd.run(config, dense=True)
         batch = PolyBatch(config.agents)
         prev_xbar = np.concatenate([np.zeros_like(trace.x[:1]), trace.xbar[:-1]])
@@ -543,7 +575,7 @@ class TestNoiseBlocks:
         draw = privacy.unit_noise
         monkeypatch.setattr(privacy, "unit_noise",
                             lambda kind, rng, size: blocks.append((kind, size)) or draw(kind, rng, size))
-        config = self.mixed(steps=3000)
+        config = mixed_config(steps=3000)
         dpaimd.run(replace(config, noise=[NoiseSpec()] * 2))
         assert blocks == []                 # a noiseless run, such as a pilot, draws nothing
         trace = dpaimd.run(config)
@@ -698,6 +730,35 @@ class TestNumericFailures:
             with pytest.raises(NumericError, match="non-finite aggregate demand at step 9$"):
                 engine.run(fixed)
 
+    def test_a_cached_pattern_cannot_hide_an_overflow(self, monkeypatch):
+        """By step 4 the patterns of each resource firing alone are cached. There
+        resource 1's four finite demands sum to inf while resource 0 is quiet, so
+        its event row equals the cached one of step 2; only the finiteness row
+        sends it to the check, which fails at the oracle's step."""
+        # resource 0: the sum climbs 4 a step and halves at its events, steps 1 and 3;
+        # resource 1: the sum climbs 3/8 of 2**1024 a step, meets its capacity of 3/4
+        # of it at step 2, keeps 0.9 of it and overflows at step 4. Its cost is
+        # linear, so no power of a huge demand overflows first
+        alpha = 3.0 * 2.0 ** 1019
+        config = SystemConfig(
+            agents=[CostFunction(np.array([1.0, 1.0]), np.array([[2, 0], [0, 1]]))] * 4,
+            noise=[NoiseSpec()] * 2, steps=20, seed=0,
+            resources=[ResourceConfig(capacity=4.0, alpha=1.0, beta=0.5, gamma=1e3),
+                       ResourceConfig(capacity=8 * alpha, alpha=alpha, beta=0.9, gamma=1e308)])
+        with pytest.raises(NumericError) as oracle, np.errstate(over="ignore"):
+            simulate_oracle(config)
+        assert str(oracle.value) == "non-finite aggregate demand at step 4"
+        cached = []
+        step = engine.server_step
+        monkeypatch.setattr(engine, "server_step",
+                            lambda *args: cached.append(set(args[3])) or step(*args))
+        with pytest.raises(NumericError, match=f"^{oracle.value}$"):
+            engine.run(config)
+        # (aggregate < capacity, aggregate < inf) of resource 0 alone firing, then resource 1 alone
+        alone = {np.array([[False, True], [True, True]]).tobytes(),
+                 np.array([[True, False], [True, True]]).tobytes()}
+        assert len(cached) == 5 and alone <= cached[-1]
+
     def test_an_infinite_partial_with_infinite_noise(self):
         """At seed 13 agent 1's first Laplace draw times 1e308 is -inf: its noisy
         partial inf + -inf is NaN, and the loop must not warn about it."""
@@ -719,3 +780,45 @@ class TestNumericFailures:
     def test_overflowing_demand(self, agents, alpha, steps, step, what):
         with pytest.raises(NumericError, match=f"non-finite {what} at step {step}$"):
             self.run([square_cost()] * agents, capacity=1.5e308, alpha=alpha, steps=steps)
+
+
+def rescaled(config, k, q):
+    """``config`` in other units: x, C and alpha times s = 2**k, a degree-d term's
+    coefficient times s**(2 - d) * r with r = 2**q, gamma over r, and each fixed
+    scale or sensitivity times s * r, so that every partial scales by s * r."""
+    agents = [CostFunction(np.ldexp(f.coeffs, k * (2 - f.exponents.sum(axis=1)) + q), f.exponents)
+              for f in config.agents]
+    resources = [ResourceConfig(capacity=math.ldexp(r.capacity, k), alpha=math.ldexp(r.alpha, k),
+                                beta=r.beta, gamma=math.ldexp(r.gamma, -q)) for r in config.resources]
+    noise = [replace(spec, **{name: math.ldexp(getattr(spec, name), k + q)
+                              for name in ("scale", "sensitivity") if getattr(spec, name)})
+             for spec in config.noise]
+    return replace(config, agents=agents, resources=resources, noise=noise)
+
+
+class TestMetamorphic:
+    """Relations between two runs, on derandomized examples: numpy's pow is not
+    exactly scale-commuting at every point, so a random search could meet one."""
+
+    @given(small_configs(), st.integers(-20, 20), st.integers(-20, 20))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_power_of_two_units(self, config, k, q):
+        """x, x-bar and the bits follow the units; dq, a partial, scales by s * r."""
+        config = usable_config(config)
+        base, moved = engine.run(config, dense=True), engine.run(rescaled(config, k, q), dense=True)
+        assert moved.event_bits.tobytes() == base.event_bits.tobytes()
+        assert moved.x.tobytes() == np.ldexp(base.x, k).tobytes()
+        assert moved.final_xbar.tobytes() == np.ldexp(base.final_xbar, k).tobytes()
+        assert moved.sensitivity.tobytes() == np.ldexp(base.sensitivity, k + q).tobytes()
+
+    @given(small_configs(), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_relabeled_agents(self, config, data):
+        """Agents and their ids permuted together: each agent keeps its noise stream."""
+        config = usable_config(config)
+        order = data.draw(st.permutations(range(config.n_agents)))
+        moved = replace(config, agents=[config.agents[i] for i in order],
+                        agent_ids=[config.agent_ids[i] for i in order])
+        base, got = engine.run(config), engine.run(moved)
+        assert got.event_bits.tobytes() == base.event_bits.tobytes()
+        assert got.final_xbar.tobytes() == base.final_xbar[order].tobytes()

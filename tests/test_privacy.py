@@ -125,10 +125,10 @@ def feed(tracker, *events):
     """Feed ``events``, one (resource, partials) pair per step from step 0, as
     one block; returns its (spread, dq) rows, NaN where no resource fired."""
     k, (n, m) = len(events), tracker.last_derivative.shape
-    derivatives = np.full((k, n, m), np.nan)    # the partials of unfired resources are never read
+    derivatives = np.full((k, m, n), np.nan)    # the partials of unfired resources are never read
     bits = np.zeros((k, m), dtype=np.uint8)
     for i, (j, partials) in enumerate(events):
-        derivatives[i, :, j], bits[i, j] = partials, 1
+        derivatives[i, j], bits[i, j] = partials, 1
     spread, dq = np.full((k, m), np.nan), np.full((k, m), np.nan)
     tracker.update_all(np.arange(k), derivatives, bits, spread, dq)
     return spread, dq
@@ -224,7 +224,8 @@ class TestSensitivityTracker:
 
     def test_the_lowest_failed_resource_of_a_step_is_named_and_nothing_changes(self):
         t = self.make()
-        derivatives = np.array([[[1.0, 1.0], [1.0, 1.0]], [[np.inf, -1.0], [1.0, 1.0]]])
+        # (step, agent, resource), handed over as (step, resource, agent) like the engine's block
+        derivatives = np.array([[[1.0, 1.0], [1.0, 1.0]], [[np.inf, -1.0], [1.0, 1.0]]]).swapaxes(1, 2)
         spread, dq = np.full((2, 2), np.nan), np.zeros((2, 2))
         for bits, message in (([[1, 1], [1, 1]], "resource 0 at step 7$"),
                               ([[1, 1], [0, 1]], "resource 1 at step 7$")):
@@ -252,7 +253,7 @@ class TestSensitivityTracker:
         tracker = SensitivityTracker(n, m, case["burn_in"])
         spread, dq = np.full((rows, m), np.nan), np.full((rows, m), np.nan)
         # unfired partials are never read: make any read show
-        blocks = np.where(fired[:, None, :], partials, np.nan)
+        blocks = np.where(fired[:, :, None], partials.swapaxes(1, 2), np.nan)
         for lo in range(0, k, case["block"]):
             span = slice(lo, lo + case["block"])
             tracker.update_all(steps[span], blocks[span], fired[span].view(np.uint8), spread, dq)
