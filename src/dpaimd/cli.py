@@ -7,10 +7,12 @@ wrong experiment. Exit codes: 0 ok, 2 config error, 3 numeric abort.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import copy
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import reprlib
@@ -219,8 +221,8 @@ def expand_sweep(raw: dict):
 def _downsample(series: np.ndarray):
     if series.shape[0] <= MAX_SERIES_POINTS:
         idx = np.arange(series.shape[0])
-    else:
-        idx = np.unique(np.linspace(0, series.shape[0] - 1, MAX_SERIES_POINTS).astype(int))
+    else:   # steps over 1 repeat no index, so no np.unique (numpy 2.4's imports numpy.ma)
+        idx = np.linspace(0, series.shape[0] - 1, MAX_SERIES_POINTS).astype(int)
     return idx, series[idx]
 
 
@@ -305,13 +307,19 @@ def _job_map(jobs: int, n_jobs: int):
     jobs, one pool of ``min(jobs, n_jobs)`` processes takes every map of two or
     more items; a lone item, or every item without the pool, runs in this
     process. The pool's workers start at its first map, so a lone solve or
-    pilot before it runs with no worker alive."""
+    pilot before it runs with no worker alive. They fork with numpy.random loaded and the
+    heap frozen, so their collections never walk (and copy) it; it thaws as the pool closes."""
     if jobs < 2 or n_jobs < 2:
         yield lambda fn, *iterables: list(map(fn, *iterables))
         return
     from concurrent.futures import ProcessPoolExecutor     # only a pool needs its import time
-    with ProcessPoolExecutor(max_workers=min(jobs, n_jobs)) as pool:
-        yield lambda fn, *items: list((pool.map if len(items[0]) > 1 else map)(fn, *items))
+    import numpy.random     # noqa: F401 (imported for the workers to inherit)
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_jobs)) as pool:
+            yield lambda fn, *items: list((pool.map if len(items[0]) > 1 else map)(fn, *items))
+    finally:
+        gc.unfreeze()
 
 
 def _json_text(doc) -> str:
@@ -492,6 +500,9 @@ def main(argv=None) -> int:
     p_solve.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
+    # one hook per process: at exit the frozen heap's module cycles go uncollected
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         if args.command == "run":
             return run_experiment(args.config, seed=args.seed, steps=args.steps,

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -218,6 +219,24 @@ class TestDownsample:
         idx, out = cli._downsample(series)
         assert out.size <= cli.MAX_SERIES_POINTS
         assert idx[0] == 0 and idx[-1] == series.size - 1
+
+    @pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 514, 1023, 1024, 50_000, 200_000])
+    def test_indices_are_those_of_np_unique(self, length):
+        idx, out = cli._downsample(np.arange(float(length)))
+        if length <= cli.MAX_SERIES_POINTS:
+            expected = np.arange(length)
+        else:
+            expected = np.unique(np.linspace(0, length - 1, cli.MAX_SERIES_POINTS).astype(int))
+        assert idx.dtype == expected.dtype and idx.tobytes() == expected.tobytes()
+        assert (np.diff(idx) > 0).all()     # no index repeats: np.unique would drop nothing
+        assert out.tobytes() == expected.astype(float).tobytes()
+
+
+def fresh_python(*args, cwd=None):
+    """``python *args`` in a new interpreter that imports this checkout's dpaimd."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, cwd=cwd)
 
 
 class TestRunCommand:
@@ -713,12 +732,82 @@ class TestSharedSweepInputs:
 
     def test_importing_the_cli_leaves_out_the_process_pool(self):
         """Only a sweep that starts a pool imports ``concurrent.futures.process``."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = "import sys, dpaimd.cli; print('concurrent.futures.process' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                              check=True)
-        assert done.stdout == "False\n"
+        done = fresh_python("-c", probe)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+class TestFixedCosts:
+    """What each process pays besides its runs: imports, the pool's fork, the exit."""
+
+    def test_importing_the_cli_changes_no_gc_or_atexit_state(self):
+        probe = ("import atexit, gc, numpy; hooks = []; atexit.register = hooks.append; "
+                 "frozen = gc.get_freeze_count(); import dpaimd.cli; "
+                 "print(len(hooks), gc.get_freeze_count() - frozen, gc.isenabled())")
+        done = fresh_python("-c", probe)
+        assert (done.returncode, done.stdout) == (0, "0 0 True\n"), done.stderr
+
+    def test_a_run_and_a_traced_run_leave_out_numpy_ma(self, tmp_path):
+        """A summary of more than MAX_SERIES_POINTS steps is downsampled without np.unique."""
+        (tmp_path / "config.json").write_text(json.dumps(small_doc(steps=600)), encoding="utf-8")
+        probe = ("import sys; from dpaimd import cli; "
+                 "codes = [cli.main(['run', '--config', 'config.json', '--out', out, *extra]) "
+                 "for out, extra in (('a', []), ('b', ['--emit-trace']))]; "
+                 "print(codes, 'numpy.ma' in sys.modules)")
+        done = fresh_python("-c", probe, cwd=tmp_path)
+        assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "[0, 0] False"), done.stderr
+        assert len(json.loads((tmp_path / "b" / "summary_p000_s4.json").read_text())
+                   ["sensitivity"]["steps"]) == cli.MAX_SERIES_POINTS
+
+    def test_a_forked_sweep_writes_what_one_process_writes(self, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(calibrated_sweep_doc()), encoding="utf-8")
+        outputs = []
+        for jobs in ("1", "2"):
+            done = fresh_python("-m", "dpaimd.cli", "run", "--config", "config.json",
+                                "--out", jobs, "--jobs", jobs, cwd=tmp_path)
+            assert done.returncode == 0, done.stderr
+            files = sorted((tmp_path / jobs).iterdir())
+            outputs.append((done.stdout, [(f.name, f.read_bytes()) for f in files]))
+        assert len(outputs[1][1]) == 9      # eight summaries and sweep_summary.csv
+        assert outputs[1] == outputs[0]
+
+    def test_a_forked_sweep_that_overflows_exits_3_naming_the_step(self, tmp_path):
+        doc = small_doc()
+        doc["agents"] = [{"terms": [[1.0, [1]]]}, {"terms": [[2.0, [1]]]}]
+        doc["resources"][0].update(capacity=1.5e308, alpha=1.5e308)
+        doc["sweep"] = {"seeds": [1, 2]}
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        done = fresh_python("-m", "dpaimd.cli", "run", "--config", "config.json",
+                            "--out", "out", "--jobs", "2", cwd=tmp_path)
+        assert done.returncode == 3
+        assert done.stderr == "numeric abort: non-finite aggregate demand at step 1\n"
+
+    def test_the_pool_forks_from_a_frozen_heap_and_thaws_it(self, tmp_path, monkeypatch):
+        frozen_at_fork = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                frozen_at_fork.append(gc.get_freeze_count())
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        doc = small_doc(steps=20)
+        doc["sweep"] = {"seeds": [1, 2]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        before = gc.get_freeze_count()
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--jobs", "2"]) == 0
+        assert len(frozen_at_fork) == 1 and frozen_at_fork[0] > before
+        assert gc.get_freeze_count() == before and gc.isenabled()
+
+    def test_one_exit_hook_however_often_main_runs(self, tmp_path):
+        """The hook is ``gc.freeze``, here a stand-in that says when it runs."""
+        probe = ("import gc, types; from dpaimd import cli; "
+                 "cli.gc = types.SimpleNamespace(freeze=lambda: print('freeze'), unfreeze=gc.unfreeze); "
+                 "print([cli.main(['paper-suite', '--out', 'suite']) for _ in range(2)])")
+        done = fresh_python("-c", probe, cwd=tmp_path)
+        assert (done.returncode, done.stdout.splitlines()[-2:]) == (0, ["[0, 0]", "freeze"]), done.stderr
 
 
 class TestSuiteAndSolve:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dpaimd
 from dpaimd import cli, engine, metrics, privacy
-from dpaimd.baseline import OptimalAllocation
+from dpaimd.baseline import OptimalAllocation, solve_optimum
 from dpaimd.engine import (
     LAMBDA_MIN,
     compute_lambda_hat,
@@ -822,3 +822,37 @@ class TestMetamorphic:
         base, got = engine.run(config), engine.run(moved)
         assert got.event_bits.tobytes() == base.event_bits.tobytes()
         assert got.final_xbar.tobytes() == base.final_xbar[order].tobytes()
+
+    # the (k, q) of rescaled at which the solver converges, and (0, 30), at which it
+    # refuses an x* it already had: its KKT residual mixes a price gap in cost
+    # units with an absolute limit
+    @pytest.mark.parametrize("k,q", [
+        (1, 0), (0, 1), (3, -2), (-5, 7), (10, -10), (20, 5), (40, -30),
+        pytest.param(0, 30, marks=pytest.mark.xfail(
+            strict=True, raises=RuntimeError,
+            reason="ROADMAP item 13: the absolute KKT limit refuses the optimum in cost units x 2**30")),
+    ])
+    def test_power_of_two_units_scale_the_optimum(self, k, q):
+        """x* follows the units and the total cost, a sum of costs, scales by s**2 * r."""
+        config = cli.reference_system_config([NoiseSpec()] * 2)
+        base = solve_optimum(config.agents, config.resources)
+        moved = rescaled(config, k, q)
+        got = solve_optimum(moved.agents, moved.resources)
+        assert got.x_star.tobytes() == np.ldexp(base.x_star, k).tobytes()
+        assert got.total_cost == math.ldexp(base.total_cost, 2 * k + q)
+
+    @pytest.mark.parametrize("factor", [
+        1e3, 1e6, 1e8,
+        pytest.param(1e9, marks=pytest.mark.xfail(
+            strict=True, raises=RuntimeError,
+            reason="ROADMAP item 13: the absolute KKT limit refuses the optimum in cost units x 1e9")),
+    ])
+    def test_decimal_cost_units_keep_the_optimum(self, factor):
+        """The paper-suite agents' coefficients times ``factor``: x* moves by at
+        most one last bit and the total cost scales to within 1e-15."""
+        config = cli.reference_system_config([NoiseSpec()] * 2)
+        base = solve_optimum(config.agents, config.resources)
+        got = solve_optimum([replace(f, coeffs=f.coeffs * factor) for f in config.agents],
+                            config.resources)
+        assert (abs(got.x_star - base.x_star) <= np.spacing(base.x_star)).all()
+        assert got.total_cost == pytest.approx(base.total_cost * factor, rel=1e-15, abs=0)
