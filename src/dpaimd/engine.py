@@ -21,23 +21,24 @@ from .privacy import NoiseSpec, SensitivityTracker, noise_sources
 LAMBDA_MIN = 1e-9
 TRACKER_BLOCK_CELLS = 1 << 16    # partials the loop holds for the sensitivity tracker
 # 0-d float64 operands: a Python float's bits, without its NEP 50 conversion on every call
-_LAMBDA_MIN, _ONE = np.array(LAMBDA_MIN), np.array(1.0)
+_LAMBDA_MIN, _ONE, _ZERO = np.array(LAMBDA_MIN), np.array(1.0), np.array(0.0)
 
 
-def server_step(limits, aggregate, pair, patterns) -> tuple:
-    """(fired resources, uint8 event bits) with S_j = 1 iff aggregate_j >= C_j.
+def server_step(limits, aggregate, pair, patterns, n_agents) -> tuple:
+    """(fired resources, uint8 event bits, back-off mask) with S_j = 1 iff aggregate_j >= C_j.
 
-    One compare with ``limits``, the capacities over +inf, fills the (2, m) bool
-    ``pair``: the bits' complement over the finiteness check (a sum of x >= 0
-    fails only as NaN or +inf). ``patterns`` caches answers by the bytes of an
-    all-finite ``pair``, so a non-finite aggregate never hits it."""
+    One compare with ``limits``, the capacities over +inf, fills the (2, m) bool ``pair``: the bits'
+    complement over the finiteness check (a sum of x >= 0 fails only as NaN or +inf). ``patterns``
+    caches answers by the bytes of an all-finite ``pair``, so a non-finite aggregate never hits it.
+    The mask is the fired rows of the (m, n) state, or True when every resource fired."""
     np.less(aggregate, limits, out=pair)
     found = patterns.get(pair.tobytes())
     if found is None:
         if not pair[1].all():
             raise NumericError("non-finite aggregate demand")
         bits = np.logical_not(pair[0]).view(np.uint8)
-        found = patterns[pair.tobytes()] = (np.flatnonzero(bits).tolist(), bits)
+        where = True if bits.all() else np.repeat(bits.view(bool)[:, None], n_agents, axis=1)
+        found = patterns[pair.tobytes()] = (np.flatnonzero(bits).tolist(), bits, where)
     return found
 
 
@@ -57,14 +58,12 @@ def compute_lambda_hat(gamma, noisy_derivative, xbar, out=None):
     return np.minimum(lam, _ONE, out=out)
 
 
-def multiplicative_decrease(x, lam, beta, out=None):
+def multiplicative_decrease(x, lam, beta, out=None, where=True):
     """Back-off x <- (lam * beta + 1 - lam) * x, elementwise over agents.
 
-    ``out``, if given, receives the result; it must not be ``x`` or ``lam``.
+    ``out``, if given, receives the result where ``where`` is True.
     """
-    factor = np.multiply(lam, beta, out=out)
-    factor = np.add(factor, np.subtract(_ONE, lam), out=out)
-    return np.multiply(factor, x, out=out)
+    return np.multiply(np.add(np.multiply(lam, beta), np.subtract(_ONE, lam)), x, out=out, where=where)
 
 
 @dataclass
@@ -197,26 +196,24 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     scales = np.array([spec.noise_scale(j) for j, spec in enumerate(config.noise)])
     sources = noise_sources(config, scales)
     limits = np.array([[r.capacity for r in config.resources], [np.inf] * m])
-    aggregate, pair, patterns = np.empty(m), np.empty((2, m), dtype=bool), {}
-    # every agent's step, so the additive increase is a same-shape add
-    alpha = np.tile(np.array([r.alpha for r in config.resources], dtype=float), (n, 1))
-    gamma = np.array([r.gamma for r in config.resources], dtype=float)
-    beta = np.array([r.beta for r in config.resources], dtype=float)
-    # per resource, as 0-d arrays: gamma and beta; then the noise source
-    backoff = [(gamma[j, ...], beta[j, ...], sources[j]) for j in range(m)]
+    pair, patterns = np.empty((2, m), dtype=bool), {}
+    alpha, gamma, beta = (np.repeat([[float(getattr(r, name))] for r in config.resources], n, axis=1)
+                          for name in ("alpha", "gamma", "beta"))   # over each resource's agents
+    # summed over agents as numpy sums an (n, m) state: left to right (a running sum's
+    # last column) for m >= 2, pairwise over the one contiguous row for m = 1
+    add_up, sums = (np.add.reduce, np.empty(1)) if m == 1 else (np.add.accumulate, np.empty((m, n)))
+    aggregate = sums if m == 1 else sums[:, -1]
 
-    gradient_rows = PolyBatch(config.agents).gradient_rows
+    gradient = PolyBatch(config.agents).gradient_kernel()
     tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
 
-    x = np.zeros((n, m))
-    grown = np.empty((n, m))            # x + alpha, then the back-offs: the next x
-    xbar_flat = np.zeros(n * m)         # x-bar as the kernel reads it
-    xbar = xbar_flat.reshape(n, m)      # up to date at event steps and after the loop
-    x_sum = np.zeros((n, m))            # x(0) + x(1) + ... + x(nu + 1) after step nu
+    x = np.zeros((m, n))                # resource-major: row j is resource j's agents
+    grown = np.empty((m, n))            # x + alpha, then the back-offs: the next x
+    xbar_flat = np.zeros(m * n)         # x-bar as the kernel reads it
+    xbar = xbar_flat.reshape(m, n)      # up to date at event steps and after the loop
+    x_sum = np.zeros((m, n))            # x(0) + x(1) + ... + x(nu + 1) after step nu
     count = np.array(1.0)               # how many x the sum holds, at an event step
-    lam = np.empty(n)                   # a fired resource's noisy partials, then lambda-hat
-    # per resource, the columns of x-bar, x and the next x, for each order of the two buffers
-    cols, cols_next = (list(zip(xbar.T, a.T, b.T)) for a, b in ((x, grown), (grown, x)))
+    lam = np.zeros((m, n))              # the noisy partials, then lambda-hat, of the fired rows
 
     tr_x = tr_nderiv = None
     try:
@@ -243,9 +240,9 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     # NaN of an inf partial plus -inf noise, which the tracker rejects with its block
     with np.errstate(over="ignore", invalid="ignore"):
         for nu in range(steps):
-            np.add.reduce(x, 0, None, aggregate)
+            add_up(x, 1, None, sums)
             try:
-                fired, tr_bits[nu] = server_step(limits, aggregate, pair, patterns)
+                fired, tr_bits[nu], where = server_step(limits, aggregate, pair, patterns, n)
             except NumericError as exc:
                 feed_tracker()              # a partial that failed at an earlier step wins
                 raise NumericError(f"{exc} at step {nu}") from exc
@@ -254,22 +251,21 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
                 # the running mean of the demand over every step so far, x(0) = 0 included
                 count[...] = nu + 1
                 np.divide(x_sum, count, out=xbar)
-                grads = gradient_rows(xbar_flat, out=block[len(event_steps)])
+                grads = gradient(xbar_flat, block[len(event_steps)])
                 event_steps.append(nu)
-                for j in fired:
-                    gamma_j, beta_j, source = backoff[j]
-                    xbar_j, x_j, grown_j = cols[j]
-                    nd = grads[j] if source is None else np.add(grads[j], source.send(j), out=lam)
-                    if dense:
-                        tr_nderiv[nu, :, j] = nd
-                    compute_lambda_hat(gamma_j, nd, xbar_j, out=lam)
-                    multiplicative_decrease(x_j, lam, beta_j, out=grown_j)
+                for j in fired:             # each fired row's partials plus its next noise row
+                    np.add(grads[j], _ZERO if sources[j] is None else sources[j].send(j), out=lam[j])
+                if dense:
+                    np.copyto(tr_nderiv[nu].T, lam, where=where)
+                # every row at once; the mask keeps x + alpha in the rows that did not fire
+                compute_lambda_hat(gamma, lam, xbar, out=lam)
+                multiplicative_decrease(x, lam, beta, out=grown, where=where)
                 if len(event_steps) == len(block):
                     feed_tracker()
-            x, grown, cols, cols_next = grown, x, cols_next, cols
+            x, grown = grown, x
             x_sum += x
             if dense:
-                tr_x[nu] = x
+                tr_x[nu] = x.T
         feed_tracker()
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite demand at step {steps - 1}")
@@ -278,6 +274,6 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     np.maximum.accumulate(tr_dq, axis=0, out=tr_dq)
 
     return Trace(
-        x=tr_x, final_xbar=xbar, event_bits=tr_bits, noisy_derivative=tr_nderiv,
-        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales, gamma=gamma,
+        x=tr_x, final_xbar=np.ascontiguousarray(xbar.T), event_bits=tr_bits, noisy_derivative=tr_nderiv,
+        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales, gamma=gamma[:, 0].copy(),
     )

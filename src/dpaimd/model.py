@@ -79,24 +79,27 @@ def _differentiate(coeffs: np.ndarray, exponents: np.ndarray, order: int):
     return weights, np.maximum(exponents - order * unit, 0)
 
 
-def _merged(x: np.ndarray) -> np.ndarray:     # an (..., n, m) point as _sum_terms reads it
-    return x.reshape(x.shape[:-2] + (-1,))
+def _merged(x: np.ndarray) -> np.ndarray:     # an (..., n, m) point as a kernel reads it
+    return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (-1,))
 
 
-def _sum_terms(flat: np.ndarray, weights: np.ndarray, exponents: np.ndarray,
-               index: np.ndarray, out=None) -> np.ndarray:
-    """sum_t weights[..., t] * prod_k flat[..., index[..., t, k]] ** exponents[..., t, k].
+def _sum_terms(weights: np.ndarray, exponents: np.ndarray, index: np.ndarray):
+    """kernel(flat) = sum_t weights[..., t] * prod_k flat[..., index[..., t, k]] ** exponents[..., t, k].
 
-    The one polynomial evaluator, on one support table of ``_compact``: a point
-    (..., n, m), merged to ``flat`` (..., n * m), is gathered through ``index``,
-    raised to the table's exponents and multiplied over the support axis, and
+    The one polynomial evaluator, bound once to a support table of ``_compact``
+    (``kernel(flat, out=None)``): a point (..., n, m), merged resource-major to
+    ``flat`` (..., m * n), is gathered through ``index``, raised to the table's
+    exponents and multiplied over the support axis (no product when s = 1), and
     the term axis is reduced with ``einsum``. The factors stay C-ordered whatever
     the leading axes of the point, because einsum groups a sum of 3 or more terms
     by memory layout: a point then gives the same bits alone or in a batch.
     """
-    factors = np.power(flat.take(index, axis=-1), exponents, order="C")
-    mono = factors[..., 0] if exponents.shape[-1] == 1 else np.multiply.reduce(factors, axis=-1)
-    return np.einsum("...t,...t->...", weights, mono, out=out)
+    if exponents.shape[-1] == 1:        # one factor a term: no product over the support axis
+        exponents, index = exponents[..., 0], index[..., 0]
+        return lambda flat, out=None: np.einsum("...t,...t->...", weights, np.power(
+            flat.take(index, axis=-1), exponents, order="C"), out=out)
+    return lambda flat, out=None: np.einsum("...t,...t->...", weights, np.multiply.reduce(
+        np.power(flat.take(index, axis=-1), exponents, order="C"), axis=-1), out=out)
 
 
 def _compact(weights: np.ndarray, exponents: np.ndarray):
@@ -106,7 +109,7 @@ def _compact(weights: np.ndarray, exponents: np.ndarray):
     padded to T', the largest kept count, with weight-0 terms, which add
     exactly 0 at any point. Each kept term keeps only its positive exponents,
     in resource order, padded to s, the largest such count, with exponent 0;
-    ``index`` points each factor into the merged (n * m) axis of the point.
+    ``index`` points each factor into the merged, resource-major (m * n) axis.
     A dropped factor is x ** 0 = 1.0, so the product keeps its bits.
     Returns (..., n, T') weights, (..., n, T', s) exponents as floats (numpy
     raises a float by a float exponent; a table of ints costs a cast per call)
@@ -125,7 +128,7 @@ def _compact(weights: np.ndarray, exponents: np.ndarray):
         # which the m factors of the term did not take: keep a second, x ** 0
         s = 2
     support = np.argsort(~positive, axis=-1, kind="stable")[..., :s]   # positives first, in order
-    index = support + m * np.arange(n)[:, None, None]
+    index = support * n + np.arange(n)[:, None, None]
     return weights, np.take_along_axis(exponents, support, axis=-1).astype(float), index
 
 
@@ -150,7 +153,7 @@ class PolyBatch:
 
     @cached_property
     def _value(self):
-        return _compact(self._coeffs, self._exps)
+        return _sum_terms(*_compact(self._coeffs, self._exps))
 
     @cached_property
     def _first(self):
@@ -163,24 +166,25 @@ class PolyBatch:
     def _derivative(self, order: int):
         # a huge coefficient times its exponent overflows to inf; callers check finiteness
         with np.errstate(over="ignore"):
-            return _compact(*_differentiate(self._coeffs, self._exps, order))
+            table = _compact(*_differentiate(self._coeffs, self._exps, order))
+        return _sum_terms(*table), [_sum_terms(*(t[j] for t in table)) for j in range(len(table[0]))]
 
     def value(self, x) -> np.ndarray:
-        return _sum_terms(_merged(x), *self._value)
+        return self._value(_merged(x))
 
     def partial(self, x, j: int) -> np.ndarray:
-        return _sum_terms(_merged(x), *(table[j] for table in self._first))
+        return self._first[1][j](_merged(x))
 
     def second_partial(self, x, j: int) -> np.ndarray:
-        return _sum_terms(_merged(x), *(table[j] for table in self._second))
+        return self._second[1][j](_merged(x))
 
     def gradient(self, x) -> np.ndarray:
         """(..., n, m) points -> (..., n, m) partial derivatives."""
-        return self.gradient_rows(_merged(x)).swapaxes(-1, -2)
+        return self._first[0](_merged(x)).swapaxes(-1, -2)
 
-    def gradient_rows(self, flat, out=None) -> np.ndarray:
-        """(..., n * m) merged points -> (..., m, n) partials, row j those by x_j, into ``out``."""
-        return _sum_terms(flat, *self._first, out=out)
+    def gradient_kernel(self):
+        """The gradient's bound kernel: (..., m * n) resource-major points -> (..., m, n) rows."""
+        return self._first[0]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -53,18 +54,21 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.n
 EDGE_FLOATS = st.sampled_from(EDGE_VALUES) | st.floats()
 
 
-def step_server(capacities, aggregate, patterns=None):
+def step_server(capacities, aggregate, patterns=None, n_agents=3):
     """``server_step`` on one aggregate, with the operands a run makes once."""
     limits = np.array([capacities, [np.inf] * len(capacities)])
     return server_step(limits, np.array(aggregate), np.empty(limits.shape, dtype=bool),
-                       {} if patterns is None else patterns)
+                       {} if patterns is None else patterns, n_agents)
 
 
 class TestPrimitives:
     def test_server_step_threshold_inclusive(self):
         patterns = {}
-        fired, bits = step_server([5.0, 6.0], [5.0, 5.999], patterns)
+        fired, bits, where = step_server([5.0, 6.0], [5.0, 5.999], patterns)
         assert fired == [0] and bits.tolist() == [1, 0]
+        # the back-off mask is the fired rows of the (m, n) state, or True when all fire
+        assert where.tolist() == [[True] * 3, [False] * 3]
+        assert step_server([5.0, 6.0], [5.0, 6.0])[2] is True
         # a repeated pattern is looked up, with the same result
         assert step_server([5.0, 6.0], [7.0, 1.0], patterns) is patterns.popitem()[1]
 
@@ -693,6 +697,71 @@ class TestTrackerBlocks:
             assert getattr(blocked, name).dtype == value.dtype, name
             assert getattr(blocked, name).tobytes() == value.tobytes(), name
             assert getattr(default, name).tobytes() == value.tobytes(), name
+
+
+def separable_config(n, m, steps=300, coefficient=1.0, noise=("none",) * 3):
+    """n agents of distinct costs a_i/2 x_j^2 + b_i/4 x_j^4 on each of m resources,
+    no noise by default. Resource 0 fires from about step 40 on; resource 1 has
+    a capacity that no demand reaches in ``steps``, and x_1^40 in place of x_1^4,
+    with agent 0's weight times ``coefficient``."""
+    eye = np.eye(m, dtype=int)
+    exponents = np.concatenate([2 * eye, 4 * eye])
+    exponents[m + 1:m + 2] *= 10
+    agents = [CostFunction(np.concatenate([np.full(m, (1.0 + 0.37 * i) / 2),
+                                           np.full(m, (0.5 + 0.11 * i) / 4)]), exponents)
+              for i in range(n)]
+    for f in agents[:1] if m > 1 else ():
+        f.coeffs[m + 1] *= coefficient
+    limits = [(0.4 * n, 0.01)] + [(1e6, 0.1)] * (m - 1)     # capacity and alpha
+    return SystemConfig(
+        agents=agents, noise=[NOISE_CHOICES[kind] for kind in noise[:m]], steps=steps, seed=5,
+        resources=[ResourceConfig(capacity=c, alpha=a, beta=0.7, gamma=1e-3) for c, a in limits])
+
+
+class TestResourceMajorLoop:
+    """The loop keeps its state as (m, n) arrays, row j resource j's agents, and
+    backs off every fired row in one set of calls over the whole array."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_the_aggregate_sums_agents_in_the_order_of_an_n_by_m_sum(self, monkeypatch, n, m):
+        """numpy sums the columns of an (n, m) array left to right for m >= 2, and
+        pairwise for m = 1, where the column is contiguous; the two orders part
+        from 8 agents on. Each step hands ``server_step`` the sum of the trace's
+        x before it, bit for bit, and the other order misses at some step."""
+        seen = []
+        step = engine.server_step
+        monkeypatch.setattr(engine, "server_step",
+                            lambda *args: seen.append(args[1].copy()) or step(*args))
+        trace = engine.run(separable_config(n, m), dense=True)
+        assert len(seen) == trace.steps and trace.event_counts[0] > 50
+        other = (lambda x: np.add.accumulate(x, axis=0)[-1]) if m == 1 else (
+            lambda x: np.ascontiguousarray(x.T).sum(axis=1))
+        misses = 0
+        for nu, aggregate in enumerate(seen[1:], start=1):
+            expected = trace.x[nu - 1].sum(axis=0)
+            assert aggregate.tobytes() == expected.tobytes(), nu
+            misses += other(trace.x[nu - 1]).tobytes() != expected.tobytes()
+        assert misses > 0
+
+    @pytest.mark.parametrize("noise", [("none", "none"), ("laplace", "laplace"),
+                                       ("laplace", "none")], ids="-".join)
+    def test_an_unfired_resource_with_infinite_partials_changes_nothing(self, noise):
+        """Resource 1 never fires, and agent 0's partial 40e300 x_1**39 on it is inf
+        from early on, while resource 0 fires. lambda-hat over every row computes
+        that row and the mask drops it, without a warning: every field of the
+        trace equals the run's with a coefficient of 1."""
+        huge, unit = (separable_config(9, 2, coefficient=c, noise=noise) for c in (1e300, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, expected = engine.run(huge, dense=True), engine.run(unit, dense=True)
+        events = np.nonzero(got.event_bits[:, 0])[0]
+        assert events.size > 50 and not got.event_bits[:, 1].any()
+        with np.errstate(over="ignore"):
+            partials = PolyBatch(huge.agents).partial(got.xbar[events - 1], 1)
+        assert np.isinf(partials[:, 0]).mean() > 0.8
+        for name, value in vars(expected).items():
+            assert getattr(got, name).tobytes() == value.tobytes(), name
 
 
 class TestNumericFailures:

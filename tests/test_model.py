@@ -118,17 +118,17 @@ def naive_derivative(f, x, j, order):
 
 
 @st.composite
-def agents_and_point(draw, separable=st.booleans()):
+def agents_and_point(draw, separable=st.booleans(), powers=st.integers(1, 4)):
     """2-4 agents over 1-10 resources, with distinct term counts, so every batch
     pads some agent.
 
-    A separable cost has one positive exponent per term; a coupled one may
-    mix up to 4 resources in a term.
+    A separable cost has one positive exponent per term, drawn from ``powers``;
+    a coupled one may mix up to 4 resources in a term.
     """
     m = draw(st.integers(1, 10))
     counts = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4, unique=True))
     width = 1 if draw(separable) else min(4, m)
-    exponent_row = st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 4)), min_size=1,
+    exponent_row = st.lists(st.tuples(st.integers(0, m - 1), powers), min_size=1,
                             max_size=width, unique_by=lambda pair: pair[0]).map(
         lambda pairs: [dict(pairs).get(k, 0) for k in range(m)])
     agents = [
@@ -197,6 +197,50 @@ def test_a_lone_term_of_a_lone_agent_matches_the_dense_kernel():
             assert np.array_equal(batch.value(x), dense.value(x))
             assert np.array_equal(batch.partial(x, 1), dense.partial(x, 1))
             assert np.array_equal(batch.second_partial(x, 1), dense.second_partial(x, 1))
+
+
+def merged(x):
+    """An (..., n, m) point merged resource-major, as the engine's x-bar is laid out."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2)).reshape(x.shape[:-2] + (-1,))
+
+
+def exact_where_two_terms(got, expected, agents, j):
+    """Bit for bit where the agent's partial by x_j keeps at most 2 terms (einsum
+    may group 3 or more differently), within 1e-15 relative elsewhere."""
+    exact = np.array([np.count_nonzero(f.exponents[:, j]) <= 2 for f in agents])
+    assert np.array_equal(got[..., exact], expected[..., exact])
+    assert (np.abs(got - expected) <= 1e-15 * np.abs(expected)).all()
+
+
+@given(agents_and_point(powers=st.integers(1, 40)))
+@settings(max_examples=200, deadline=None)
+def test_bound_gradient_kernel_matches_the_partials_and_the_dense_kernel(case):
+    """The kernel the engine binds once per run: its row j equals ``partial(x, j)``
+    bit for bit, alone, into ``out`` and in a batch, and the padded dense kernel."""
+    agents, x = case
+    batch, dense = PolyBatch(agents), DensePolyBatch(agents)
+    kernel = batch.gradient_kernel()
+    rows = kernel(merged(x))
+    out = np.empty((x.shape[1], x.shape[0]))
+    assert kernel(merged(x), out) is out and out.tobytes() == rows.tobytes()
+    assert kernel(merged(np.stack([0.5 * x, x])))[1].tobytes() == rows.tobytes()
+    expected = dense.gradient(x)
+    for j in range(x.shape[1]):
+        assert rows[j].tobytes() == batch.partial(x, j).tobytes()
+        exact_where_two_terms(rows[j], expected[:, j], agents, j)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_the_bound_kernel_of_a_lone_term_of_a_lone_agent_matches_the_dense_kernel(m):
+    """The lone-term case above through the bound gradient kernel: its one-element
+    support block, squeezed when s = 1, takes numpy's scalar shortcut as the
+    dense kernel does, or keeps a second factor where the dense one has m."""
+    points = np.random.default_rng(5).uniform(0.0, 3.0, (1000, 1, m))
+    for e in (2, 3, 4, 40):
+        f = CostFunction(np.array([1.5]), np.array([[0] * (m > 1) + [e] + [0] * (m - 2)]))
+        kernel, dense = PolyBatch([f]).gradient_kernel(), DensePolyBatch([f])
+        for x in (points, points[0]):
+            assert np.array_equal(kernel(merged(x)), np.swapaxes(dense.gradient(x), -1, -2))
 
 
 def test_zero_weight_term_that_overflows_leaves_the_partial_finite():
