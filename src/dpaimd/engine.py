@@ -58,12 +58,16 @@ def compute_lambda_hat(gamma, noisy_derivative, xbar, out=None):
     return np.minimum(lam, _ONE, out=out)
 
 
-def multiplicative_decrease(x, lam, beta, out=None, where=True):
+def multiplicative_decrease(x, lam, beta, out=None, where=True, factor=None):
     """Back-off x <- (lam * beta + 1 - lam) * x, elementwise over agents.
 
-    ``out``, if given, receives the result where ``where`` is True.
+    ``out``, if given, receives the result where ``where`` is True. ``factor``,
+    if given, an array of lam's shape, takes the factor in place of fresh
+    temporaries, and then ``lam`` is spent: it holds 1 - lam.
     """
-    return np.multiply(np.add(np.multiply(lam, beta), np.subtract(_ONE, lam)), x, out=out, where=where)
+    spent = None if factor is None else lam
+    return np.multiply(np.add(np.multiply(lam, beta, out=factor), np.subtract(_ONE, lam, out=spent),
+                              out=factor), x, out=out, where=where)
 
 
 @dataclass
@@ -214,6 +218,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     x_sum = np.zeros((m, n))            # x(0) + x(1) + ... + x(nu + 1) after step nu
     count = np.array(1.0)               # how many x the sum holds, at an event step
     lam = np.zeros((m, n))              # the noisy partials, then lambda-hat, of the fired rows
+    factor = np.empty((m, n))           # the back-off factor
 
     tr_x = tr_nderiv = None
     try:
@@ -246,7 +251,8 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
             except NumericError as exc:
                 feed_tracker()              # a partial that failed at an earlier step wins
                 raise NumericError(f"{exc} at step {nu}") from exc
-            np.add(x, alpha, out=grown)     # additive increase, replaced where an event fired
+            if where is not True:           # additive increase: the back-off writes only fired rows
+                np.add(x, alpha, out=grown)
             if fired:
                 # the running mean of the demand over every step so far, x(0) = 0 included
                 count[...] = nu + 1
@@ -259,7 +265,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
                     np.copyto(tr_nderiv[nu].T, lam, where=where)
                 # every row at once; the mask keeps x + alpha in the rows that did not fire
                 compute_lambda_hat(gamma, lam, xbar, out=lam)
-                multiplicative_decrease(x, lam, beta, out=grown, where=where)
+                multiplicative_decrease(x, lam, beta, out=grown, where=where, factor=factor)
                 if len(event_steps) == len(block):
                     feed_tracker()
             x, grown = grown, x

@@ -89,17 +89,52 @@ def _sum_terms(weights: np.ndarray, exponents: np.ndarray, index: np.ndarray):
     The one polynomial evaluator, bound once to a support table of ``_compact``
     (``kernel(flat, out=None)``): a point (..., n, m), merged resource-major to
     ``flat`` (..., m * n), is gathered through ``index``, raised to the table's
-    exponents and multiplied over the support axis (no product when s = 1), and
-    the term axis is reduced with ``einsum``. The factors stay C-ordered whatever
-    the leading axes of the point, because einsum groups a sum of 3 or more terms
-    by memory layout: a point then gives the same bits alone or in a batch.
+    exponents with ``order="C"`` and multiplied over the support axis (no product
+    when s = 1). How the terms are summed is chosen here, from T':
+    - T' <= 2, as every partial of the paper's cost families keeps: the table is
+      held term-major, one multiply weights the products and the two term rows
+      are added (at T' = 1 the multiply writes the result). These are the bits
+      of einsum's sum of 1 or 2 products. A lone point, ``flat`` of one axis,
+      is raised into a block bound with the kernel, so two threads must not
+      call one kernel at once.
+    - T' >= 3 (or 0, a partial of linear costs): ``einsum`` sums them, and
+      groups a sum of 3 or more by memory layout, so the factors stay C-ordered
+      whatever the leading axes of the point.
+    Either way a point gives the same bits alone or in a batch. ``order="C"``
+    also keeps numpy's scalar shortcut (x * x for x ** 2) on a one-element block
+    of 2 or more axes, which the dense evaluation takes too; a block of 1 axis
+    never takes it, so the term axis stays at T' = 1.
     """
-    if exponents.shape[-1] == 1:        # one factor a term: no product over the support axis
+    product = exponents.shape[-1] > 1   # more than one factor a term: a product over the support axis
+    if not product:
         exponents, index = exponents[..., 0], index[..., 0]
-        return lambda flat, out=None: np.einsum("...t,...t->...", weights, np.power(
-            flat.take(index, axis=-1), exponents, order="C"), out=out)
-    return lambda flat, out=None: np.einsum("...t,...t->...", weights, np.multiply.reduce(
-        np.power(flat.take(index, axis=-1), exponents, order="C"), axis=-1), out=out)
+    if not 1 <= weights.shape[-1] <= 2:
+        if not product:
+            return lambda flat, out=None: np.einsum("...t,...t->...", weights, np.power(
+                flat.take(index, axis=-1), exponents, order="C"), out=out)
+        return lambda flat, out=None: np.einsum("...t,...t->...", weights, np.multiply.reduce(
+            np.power(flat.take(index, axis=-1), exponents, order="C"), axis=-1), out=out)
+
+    term_axis = -2 if product else -1
+    weights = np.ascontiguousarray(np.moveaxis(weights, -1, 0))
+    exponents, index = (np.ascontiguousarray(np.moveaxis(a, term_axis, 0)) for a in (exponents, index))
+    lone = np.empty(weights.shape)      # the raised, then weighted, terms at a lone point
+    lone_rows, weight = list(lone), weights[0]
+    at = [(..., t) + (slice(None),) * (weights.ndim - 1) for t in range(len(weights))]
+
+    def kernel(flat, out=None):
+        block = lone if flat.ndim == 1 else None
+        if product:
+            block = np.multiply.reduce(np.power(flat.take(index, axis=-1), exponents, order="C"),
+                                       axis=-1, out=block)
+        else:
+            block = np.power(flat.take(index, axis=-1), exponents, out=block, order="C")
+        rows = lone_rows if block is lone else [block[t] for t in at]
+        if len(rows) == 1:
+            return np.multiply(weight, rows[0], out=out)
+        np.multiply(weights, block, out=block)
+        return np.add(*rows, out=out)
+    return kernel
 
 
 def _compact(weights: np.ndarray, exponents: np.ndarray):

@@ -126,7 +126,8 @@ class TestPrimitives:
     @settings(max_examples=200, deadline=None)
     def test_update_rules_take_any_scalar_type(self, cells, gamma, beta):
         """The loop passes gamma and beta as 0-d arrays: a Python float, a numpy
-        scalar and a 0-d array give the same bytes, with or without ``out``."""
+        scalar and a 0-d array give the same bytes, with or without ``out``, and
+        the back-off with its ``factor`` buffer, which spends the lambda-hat given."""
         nd, xbar, x = np.array(cells).T.copy()      # one (noisy partial, x-bar, x) per agent
         with np.errstate(all="ignore"):
             lams = [compute_lambda_hat(g, nd, xbar)
@@ -135,6 +136,8 @@ class TestPrimitives:
             ys = [multiplicative_decrease(x, lams[0], b)
                   for b in (beta, np.float64(beta), np.array(beta))]
             ys.append(multiplicative_decrease(x, lams[0], np.array(beta), out=np.empty_like(x)))
+            ys.append(multiplicative_decrease(x, lams[0].copy(), np.array(beta), out=np.empty_like(x),
+                                              factor=np.empty_like(x)))
         for got in (lams, ys):
             assert all(v.dtype == np.float64 and v.tobytes() == got[0].tobytes() for v in got)
 

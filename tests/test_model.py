@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpaimd.model import (
@@ -154,13 +155,39 @@ def test_poly_batch_matches_naive_terms(case):
     assert np.array_equal(batch.gradient(x)[:, 0], batch.partial(x, 0))
 
 
+def agents_at(point, *agents):
+    """Agents given as {exponent tuple: coefficient} dicts, and an (n, m) point."""
+    return ([CostFunction(np.array(list(f.values())), np.array(list(f))) for f in agents],
+            np.array(point))
+
+
+# tables whose partials keep 1 term (T' = 1), 2 terms, or 3 beside 2 (a gradient
+# summed by einsum and second partials by the two-term kernel), separable or coupled
+KERNEL_CASES = (
+    agents_at([[0.7, 2.5], [1.9, 0.0]], {(2, 0): 1.5, (0, 3): 2.0}, {(4, 0): 0.5, (0, 2): 3.0}),
+    agents_at([[0.7, 2.5], [1.9, 0.3]], {(2, 0): 1.5, (4, 0): 0.25, (0, 2): 2.0},
+              {(3, 0): 0.5, (0, 2): 3.0, (0, 5): 0.1}),
+    agents_at([[0.7, 2.5], [1.9, 0.3]], {(1, 0): 1.5, (2, 0): 0.25, (3, 0): 2.0, (0, 2): 1.0},
+              {(2, 0): 0.5, (4, 0): 3.0, (0, 3): 0.1}),
+    agents_at([[0.7, 2.5], [1.9, 0.3]], {(1, 2): 1.5, (3, 0): 0.25}, {(2, 2): 0.5, (0, 4): 3.0}),
+)
+
+
+def cases(test):
+    for case in KERNEL_CASES:
+        test = example(case)(test)
+    return test
+
+
 @given(agents_and_point())
+@cases
 @settings(max_examples=200, deadline=None)
 def test_poly_batch_matches_dense_kernel(case):
     """The compacted kernel against the padded one it replaced.
 
     Bit for bit where a derivative of an agent keeps at most 2 terms; with 3 or
-    more, einsum may group the shorter term axis differently.
+    more, einsum may group the shorter term axis differently. A point gives the
+    same bits alone and in a batch of one or two leading axes.
     """
     agents, x = case
     batch, dense = PolyBatch(agents), DensePolyBatch(agents)
@@ -177,26 +204,29 @@ def test_poly_batch_matches_dense_kernel(case):
         agrees(batch.partial(x, j), dense.partial(x, j), 1, j)
         agrees(batch.second_partial(x, j), dense.second_partial(x, j), 2, j)
         agrees(grad[:, j], dense.gradient(x)[:, j], 1, j)
-    points = np.stack([x, 0.5 * x])         # a leading batch axis
-    assert np.array_equal(batch.gradient(points)[1], batch.gradient(0.5 * x))
-    assert np.array_equal(batch.value(points)[1], batch.value(0.5 * x))
-    for j in range(x.shape[1]):
-        assert np.array_equal(batch.partial(points, j)[1], batch.partial(0.5 * x, j))
-        assert np.array_equal(batch.second_partial(points, j)[1], batch.second_partial(0.5 * x, j))
+    for points in (np.stack([x, 0.5 * x]), np.stack([[x, 2.0 * x], [x, 0.5 * x]])):
+        at = (1,) * (points.ndim - 2)       # 0.5 * x, behind one or two leading axes
+        assert np.array_equal(batch.gradient(points)[at], batch.gradient(0.5 * x))
+        assert np.array_equal(batch.value(points)[at], batch.value(0.5 * x))
+        for j in range(x.shape[1]):
+            assert np.array_equal(batch.partial(points, j)[at], batch.partial(0.5 * x, j))
+            assert np.array_equal(batch.second_partial(points, j)[at], batch.second_partial(0.5 * x, j))
 
 
 def test_a_lone_term_of_a_lone_agent_matches_the_dense_kernel():
-    """One agent whose one term raises one of 3 resources: numpy raises a
-    one-element block by a scalar shortcut (x * x for x ** 2), which the m
-    factors of the dense kernel do not take, so the support keeps a second."""
-    points = np.random.default_rng(5).uniform(0.0, 3.0, (1000, 1, 3))
-    for e in (2, 3, 4):
-        f = CostFunction(np.array([1.5]), np.array([[0, e, 0]]))
+    """One agent whose one term raises one of m resources: numpy raises a
+    one-element block of 2 or more axes by a scalar shortcut (x * x for x ** 2).
+    At m = 3 the m factors of the dense kernel do not take it, so the support
+    keeps a second; at m = 1 both take it, for a lone point and in a batch."""
+    for m, e in itertools.product((1, 3), (2, 3, 4)):
+        points = np.random.default_rng(5).uniform(0.0, 3.0, (1000, 1, m))
+        f = CostFunction(np.array([1.5]), np.array([[0] * (m > 1) + [e] + [0] * (m - 2)]))
         batch, dense = PolyBatch([f]), DensePolyBatch([f])
-        for x in (points, points[0]):
+        j = int(m > 1)
+        for x in (points, points.reshape(10, 100, 1, m), points[:1], points[0]):
             assert np.array_equal(batch.value(x), dense.value(x))
-            assert np.array_equal(batch.partial(x, 1), dense.partial(x, 1))
-            assert np.array_equal(batch.second_partial(x, 1), dense.second_partial(x, 1))
+            assert np.array_equal(batch.partial(x, j), dense.partial(x, j))
+            assert np.array_equal(batch.second_partial(x, j), dense.second_partial(x, j))
 
 
 def merged(x):
@@ -213,17 +243,23 @@ def exact_where_two_terms(got, expected, agents, j):
 
 
 @given(agents_and_point(powers=st.integers(1, 40)))
+@cases
 @settings(max_examples=200, deadline=None)
 def test_bound_gradient_kernel_matches_the_partials_and_the_dense_kernel(case):
     """The kernel the engine binds once per run: its row j equals ``partial(x, j)``
-    bit for bit, alone, into ``out`` and in a batch, and the padded dense kernel."""
+    bit for bit, alone and in a batch of one or two leading axes, with and
+    without ``out``, and the padded dense kernel."""
     agents, x = case
     batch, dense = PolyBatch(agents), DensePolyBatch(agents)
     kernel = batch.gradient_kernel()
     rows = kernel(merged(x))
     out = np.empty((x.shape[1], x.shape[0]))
     assert kernel(merged(x), out) is out and out.tobytes() == rows.tobytes()
-    assert kernel(merged(np.stack([0.5 * x, x])))[1].tobytes() == rows.tobytes()
+    for points in (np.stack([0.5 * x, x]), np.stack([[0.5 * x, 2.0 * x], [x, x]])):
+        out = np.empty(points.shape[:-2] + rows.shape)
+        assert kernel(merged(points), out) is out
+        assert out.tobytes() == kernel(merged(points)).tobytes()
+        assert out[(1,) * (points.ndim - 2)].tobytes() == rows.tobytes()
     expected = dense.gradient(x)
     for j in range(x.shape[1]):
         assert rows[j].tobytes() == batch.partial(x, j).tobytes()
@@ -239,8 +275,10 @@ def test_the_bound_kernel_of_a_lone_term_of_a_lone_agent_matches_the_dense_kerne
     for e in (2, 3, 4, 40):
         f = CostFunction(np.array([1.5]), np.array([[0] * (m > 1) + [e] + [0] * (m - 2)]))
         kernel, dense = PolyBatch([f]).gradient_kernel(), DensePolyBatch([f])
-        for x in (points, points[0]):
-            assert np.array_equal(kernel(merged(x)), np.swapaxes(dense.gradient(x), -1, -2))
+        for x in (points, points.reshape(10, 100, 1, m), points[:1], points[0]):
+            expected = np.swapaxes(dense.gradient(x), -1, -2)
+            assert np.array_equal(kernel(merged(x)), expected)
+            assert np.array_equal(kernel(merged(x), np.empty(expected.shape)), expected)
 
 
 def test_zero_weight_term_that_overflows_leaves_the_partial_finite():
