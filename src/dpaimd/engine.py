@@ -203,10 +203,8 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     pair, patterns = np.empty((2, m), dtype=bool), {}
     alpha, gamma, beta = (np.repeat([[float(getattr(r, name))] for r in config.resources], n, axis=1)
                           for name in ("alpha", "gamma", "beta"))   # over each resource's agents
-    # summed over agents as numpy sums an (n, m) state: left to right (a running sum's
-    # last column) for m >= 2, pairwise over the one contiguous row for m = 1
-    add_up, sums = (np.add.reduce, np.empty(1)) if m == 1 else (np.add.accumulate, np.empty((m, n)))
-    aggregate = sums if m == 1 else sums[:, -1]
+    sums = np.empty((m, n))             # running sums over each row's agents, left to right
+    aggregate = sums[:, -1]
 
     gradient = PolyBatch(config.agents).gradient_kernel()
     tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
@@ -245,7 +243,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     # NaN of an inf partial plus -inf noise, which the tracker rejects with its block
     with np.errstate(over="ignore", invalid="ignore"):
         for nu in range(steps):
-            add_up(x, 1, None, sums)
+            np.add.accumulate(x, 1, None, sums)
             try:
                 fired, tr_bits[nu], where = server_step(limits, aggregate, pair, patterns, n)
             except NumericError as exc:

@@ -90,36 +90,24 @@ def _sum_terms(weights: np.ndarray, exponents: np.ndarray, index: np.ndarray):
     (``kernel(flat, out=None)``): a point (..., n, m), merged resource-major to
     ``flat`` (..., m * n), is gathered through ``index``, raised to the table's
     exponents with ``order="C"`` and multiplied over the support axis (no product
-    when s = 1). How the terms are summed is chosen here, from T':
-    - T' <= 2, as every partial of the paper's cost families keeps: the table is
-      held term-major, one multiply weights the products and the two term rows
-      are added (at T' = 1 the multiply writes the result). These are the bits
-      of einsum's sum of 1 or 2 products. A lone point, ``flat`` of one axis,
-      is raised into a block bound with the kernel, so two threads must not
-      call one kernel at once.
-    - T' >= 3 (or 0, a partial of linear costs): ``einsum`` sums them, and
-      groups a sum of 3 or more by memory layout, so the factors stay C-ordered
-      whatever the leading axes of the point.
-    Either way a point gives the same bits alone or in a batch. ``order="C"``
-    also keeps numpy's scalar shortcut (x * x for x ** 2) on a one-element block
-    of 2 or more axes, which the dense evaluation takes too; a block of 1 axis
-    never takes it, so the term axis stays at T' = 1.
+    when s = 1). The table is held term-major: one multiply weights the T' term
+    rows, and they are summed left to right into the result, rows 0 and 1 by one
+    ``np.add`` and each further row by one more (at T' = 1 the multiply writes
+    the result), so a point gives the same bits alone or in a batch. A lone
+    point, ``flat`` of one axis, is raised into a block bound with the kernel,
+    so two threads must not call one kernel at once. ``order="C"`` keeps
+    numpy's scalar shortcut (x * x for x ** 2) on a one-element block of 2 or
+    more axes, which the dense evaluation takes too; a block of 1 axis never
+    takes it, so the term axis stays at T' = 1.
     """
     product = exponents.shape[-1] > 1   # more than one factor a term: a product over the support axis
     if not product:
         exponents, index = exponents[..., 0], index[..., 0]
-    if not 1 <= weights.shape[-1] <= 2:
-        if not product:
-            return lambda flat, out=None: np.einsum("...t,...t->...", weights, np.power(
-                flat.take(index, axis=-1), exponents, order="C"), out=out)
-        return lambda flat, out=None: np.einsum("...t,...t->...", weights, np.multiply.reduce(
-            np.power(flat.take(index, axis=-1), exponents, order="C"), axis=-1), out=out)
-
     term_axis = -2 if product else -1
     weights = np.ascontiguousarray(np.moveaxis(weights, -1, 0))
     exponents, index = (np.ascontiguousarray(np.moveaxis(a, term_axis, 0)) for a in (exponents, index))
     lone = np.empty(weights.shape)      # the raised, then weighted, terms at a lone point
-    lone_rows, weight = list(lone), weights[0]
+    lone_rows, weight, more = list(lone), weights[0], range(2, len(weights))
     at = [(..., t) + (slice(None),) * (weights.ndim - 1) for t in range(len(weights))]
 
     def kernel(flat, out=None):
@@ -133,7 +121,10 @@ def _sum_terms(weights: np.ndarray, exponents: np.ndarray, index: np.ndarray):
         if len(rows) == 1:
             return np.multiply(weight, rows[0], out=out)
         np.multiply(weights, block, out=block)
-        return np.add(*rows, out=out)
+        out = np.add(rows[0], rows[1], out=out)
+        for t in more:
+            np.add(out, rows[t], out=out)
+        return out
     return kernel
 
 
@@ -141,9 +132,10 @@ def _compact(weights: np.ndarray, exponents: np.ndarray):
     """Support table of (..., n, T) weights and (..., n, T, m) exponents.
 
     Terms of weight 0 are dropped; kept terms stay in order, and each row is
-    padded to T', the largest kept count, with weight-0 terms, which add
-    exactly 0 at any point. Each kept term keeps only its positive exponents,
-    in resource order, padded to s, the largest such count, with exponent 0;
+    padded to T', the largest kept count but at least 1, with weight-0 terms
+    (x ** 0 where no term is kept), which add exactly 0 at any point. Each kept
+    term keeps only its positive exponents, in resource order, padded to s, the
+    largest such count, with exponent 0;
     ``index`` points each factor into the merged, resource-major (m * n) axis.
     A dropped factor is x ** 0 = 1.0, so the product keeps its bits.
     Returns (..., n, T') weights, (..., n, T', s) exponents as floats (numpy
@@ -152,7 +144,7 @@ def _compact(weights: np.ndarray, exponents: np.ndarray):
     """
     n, m = exponents.shape[-3], exponents.shape[-1]
     keep = weights != 0
-    order = np.argsort(~keep, axis=-1, kind="stable")[..., :int(keep.sum(axis=-1).max())]
+    order = np.argsort(~keep, axis=-1, kind="stable")[..., :max(1, int(keep.sum(axis=-1).max()))]
     pad = ~np.take_along_axis(keep, order, axis=-1)
     weights = np.where(pad, 0.0, np.take_along_axis(weights, order, axis=-1))
     exponents = np.where(pad[..., None], 0, np.take_along_axis(exponents, order[..., None], axis=-2))

@@ -20,6 +20,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 
@@ -252,8 +253,12 @@ def linear_fit_r2(series: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _dense_sum_terms(x, weights, exponents):
+    """Every padded term, summed left to right."""
     mono = np.prod(x[..., None, :] ** exponents, axis=-1)
-    return np.einsum("...t,...t->...", weights, mono)
+    total = weights[..., 0] * mono[..., 0]
+    for t in range(1, weights.shape[-1]):
+        total = total + weights[..., t] * mono[..., t]
+    return total
 
 
 class DensePolyBatch:
@@ -345,7 +350,7 @@ def simulate_oracle(config) -> Trace:
     tr_dq = np.empty((steps, m))
 
     for nu in range(steps):
-        aggregate = x.sum(axis=0)
+        aggregate = functools.reduce(np.add, x)     # left to right over the agents
         if not np.isfinite(aggregate).all():
             raise NumericError(f"non-finite aggregate demand at step {nu}")
         bits = (aggregate >= capacities).astype(np.uint8)

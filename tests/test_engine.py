@@ -420,14 +420,13 @@ NOISE_CHOICES = {
 
 @st.composite
 def small_configs(draw, mixed=False):
-    """1-4 agents, 1-3 resources; every partial keeps at most 2 terms, and every
-    noisy resource draws one kind of noise, mixed only with none; with ``mixed``,
-    each resource draws any of NOISE_CHOICES."""
+    """1-4 agents, 1-3 resources, 1-4 terms a cost; every noisy resource draws
+    one kind of noise, mixed only with none; with ``mixed``, each resource draws
+    any of NOISE_CHOICES."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
     row = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
-    terms = st.lists(row, min_size=1, max_size=4).filter(
-        lambda rows: (np.count_nonzero(rows, axis=0) <= 2).all())
+    terms = st.lists(row, min_size=1, max_size=4)
     agents = [CostFunction(np.array(draw(st.lists(st.floats(0.5, 20.0), min_size=len(t),
                                                   max_size=len(t)))), np.array(t))
               for t in (draw(terms) for _ in range(n))]
@@ -457,6 +456,17 @@ def wide_separable_config():
         resources=[ResourceConfig(capacity=0.3 * n * (1 + 0.1 * j), alpha=0.01,
                                   beta=0.7 - 0.05 * j, gamma=1e-3) for j in range(m)],
         noise=[NOISE_CHOICES["laplace"]] * m, steps=1_000, seed=17)
+
+
+def nine_agents_three_terms():
+    """9 agents of distinct costs c_i (x^2 + x^3 + x^4) on one resource under Laplace
+    noise: each partial keeps 3 terms, and at 115 of the 300 steps numpy's pairwise
+    sum of the demands rounds unlike the left-to-right one (no event bit moves
+    here; ``TestResourceMajorLoop`` pins the order itself)."""
+    agents = [CostFunction(np.array([1.0, 0.5, 0.25]) * (1 + 0.3 * i), np.array([[2], [3], [4]]))
+              for i in range(9)]
+    return SystemConfig(agents=agents, noise=[NOISE_CHOICES["laplace"]], steps=300, seed=11,
+                        resources=[ResourceConfig(capacity=3.0, alpha=0.05, beta=0.6, gamma=1e-3)])
 
 
 def mixed_config(steps=400, seed=4):
@@ -531,6 +541,7 @@ class TestNoiseBlocks:
 
     @given(small_configs())
     @example(wide_separable_config())
+    @example(nine_agents_three_terms())
     @settings(max_examples=60, deadline=None)
     def test_trace_is_byte_equal_to_per_event_draws(self, config):
         config = usable_config(config)
@@ -727,24 +738,25 @@ class TestResourceMajorLoop:
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n", [9, 16])
-    def test_the_aggregate_sums_agents_in_the_order_of_an_n_by_m_sum(self, monkeypatch, n, m):
-        """numpy sums the columns of an (n, m) array left to right for m >= 2, and
-        pairwise for m = 1, where the column is contiguous; the two orders part
-        from 8 agents on. Each step hands ``server_step`` the sum of the trace's
-        x before it, bit for bit, and the other order misses at some step."""
+    def test_the_aggregate_sums_agents_left_to_right(self, monkeypatch, n, m):
+        """Each step hands ``server_step`` the sum of the trace's x before it,
+        agent 0 first and each next agent added to the running sum, bit for bit
+        at any m. numpy's pairwise sum of a contiguous row parts from it from 8
+        agents on, and misses at some step."""
         seen = []
         step = engine.server_step
         monkeypatch.setattr(engine, "server_step",
                             lambda *args: seen.append(args[1].copy()) or step(*args))
         trace = engine.run(separable_config(n, m), dense=True)
         assert len(seen) == trace.steps and trace.event_counts[0] > 50
-        other = (lambda x: np.add.accumulate(x, axis=0)[-1]) if m == 1 else (
-            lambda x: np.ascontiguousarray(x.T).sum(axis=1))
         misses = 0
         for nu, aggregate in enumerate(seen[1:], start=1):
-            expected = trace.x[nu - 1].sum(axis=0)
+            expected = np.zeros(m)
+            for demands in trace.x[nu - 1]:
+                expected = expected + demands
             assert aggregate.tobytes() == expected.tobytes(), nu
-            misses += other(trace.x[nu - 1]).tobytes() != expected.tobytes()
+            pairwise = np.ascontiguousarray(trace.x[nu - 1].T).sum(axis=1)
+            misses += pairwise.tobytes() != expected.tobytes()
         assert misses > 0
 
     @pytest.mark.parametrize("noise", [("none", "none"), ("laplace", "laplace"),
