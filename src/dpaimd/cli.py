@@ -15,6 +15,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import os
 import reprlib
 import sys
 from enum import Enum
@@ -301,22 +302,30 @@ def _pilot_key(config: SystemConfig):
             tuple((float(r.alpha), float(r.beta), float(r.gamma)) for r in config.resources))
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "process_cpu_count"):    # Python >= 3.13
+        return os.process_cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @contextlib.contextmanager
-def _job_map(jobs: int, n_jobs: int):
-    """``map`` over lists, returning a list. With ``jobs`` > 1 and two or more
-    jobs, one pool of ``min(jobs, n_jobs)`` processes takes every map of two or
-    more items; a lone item, or every item without the pool, runs in this
-    process. The pool's workers start at its first map, so a lone solve or
-    pilot before it runs with no worker alive. They fork with numpy.random loaded and the
-    heap frozen, so their collections never walk (and copy) it; it thaws as the pool closes."""
-    if jobs < 2 or n_jobs < 2:
+def _job_map(workers: int):
+    """``map`` over lists, returning a list. With ``workers`` > 1, one pool of that
+    many processes takes every map of two or more items; a lone item, or every item
+    without the pool, runs in this process. ``run_experiment`` asks for
+    ``min(jobs, n_jobs, usable CPUs)``: on one CPU a pool runs nothing in parallel.
+    The pool's workers start at its first map, so a lone solve or pilot before it
+    runs with no worker alive. They fork with numpy.random loaded and the heap
+    frozen, so their collections never walk (and copy) it; it thaws as the pool closes."""
+    if workers < 2:
         yield lambda fn, *iterables: list(map(fn, *iterables))
         return
     from concurrent.futures import ProcessPoolExecutor     # only a pool needs its import time
     import numpy.random     # noqa: F401 (imported for the workers to inherit)
     gc.freeze()
     try:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_jobs)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield lambda fn, *items: list((pool.map if len(items[0]) > 1 else map)(fn, *items))
     finally:
         gc.unfreeze()
@@ -392,7 +401,7 @@ def run_experiment(config_path, seed=None, steps=None, jobs=1,
     for (p_idx, _, _, _), key, config in zip(work, keys, configs):
         problems.setdefault(key, config)
         groups.setdefault(_pilot_key(config), (config, {}))[1].setdefault(p_idx, config.noise)
-    with _job_map(jobs, len(work)) as job_map:
+    with _job_map(min(jobs, len(work), _usable_cpus())) as job_map:
         optima = dict(zip(problems, job_map(baseline.solve_optimum,
                                             [c.agents for c in problems.values()],
                                             [c.resources for c in problems.values()])))

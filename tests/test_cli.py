@@ -593,6 +593,18 @@ def in_process_pools(monkeypatch):
     return pools
 
 
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets how many CPUs the CLI finds this process may run on."""
+    return lambda count: monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+
+def cli_on_cpus(count):
+    """A ``python -c`` program that runs ``dpaimd`` on its arguments, finding ``count`` usable CPUs."""
+    return ("import sys; from dpaimd import cli; "
+            f"cli._usable_cpus = lambda: {count}; sys.exit(cli.main(sys.argv[1:]))")
+
+
 class TestSharedSweepInputs:
     def run_sweep(self, tmp_path, jobs):
         path = tmp_path / "config.json"
@@ -703,23 +715,44 @@ class TestSharedSweepInputs:
         runs = 3 * len(values or [None])
         assert len(simulated) == runs + pilots
 
-    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, in_process_pools):
-        # two jobs at --jobs 5 share one pool of 2; one job at --jobs 4 has none
-        for seeds, jobs, pools in (([1, 2], 5, [[2, "_run_one"]]), ([1], 4, [])):
+    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, in_process_pools, usable_cpus):
+        # with 8 usable CPUs, two jobs at --jobs 5 share one pool of 2 and one job at
+        # --jobs 4 has none; with 3, four jobs at --jobs 5 share one pool of 3
+        for cpus, seeds, jobs, pools in ((8, [1, 2], 5, [[2, "_run_one"]]), (8, [1], 4, []),
+                                         (3, [1, 2, 3, 4], 5, [[3, "_run_one"]])):
+            usable_cpus(cpus)
             in_process_pools.clear()
             doc = small_doc(steps=20)
             doc["sweep"] = {"seeds": seeds}
-            path = tmp_path / f"config{jobs}.json"
+            path = tmp_path / f"config{cpus}_{jobs}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
-            out = tmp_path / f"out{jobs}"
+            out = tmp_path / f"out{cpus}_{jobs}"
             assert cli.main(["run", "--config", str(path), "--out", str(out),
                              "--jobs", str(jobs)]) == 0
             assert in_process_pools == pools
             assert len(list(out.glob("summary_*.json"))) == len(seeds)
 
-    def test_lone_solve_and_pilot_run_in_this_process(self, tmp_path, in_process_pools):
+    def test_one_usable_cpu_runs_the_sweep_in_this_process(self, tmp_path, capsys, monkeypatch,
+                                                           in_process_pools, usable_cpus):
+        """At --jobs 2 on one CPU: no pool, no pool module, and every byte that
+        --jobs 1 writes."""
+        usable_cpus(1)
+        monkeypatch.delitem(sys.modules, "concurrent.futures.process", raising=False)
+        outputs = []
+        for jobs in (1, 2):
+            (tmp_path / str(jobs)).mkdir()
+            out = self.run_sweep(tmp_path / str(jobs), jobs)
+            outputs.append((capsys.readouterr().out,
+                            [(f.name, f.read_bytes()) for f in sorted(out.iterdir())]))
+        assert in_process_pools == []
+        assert "concurrent.futures.process" not in sys.modules
+        assert len(outputs[1][1]) == 9      # eight summaries and sweep_summary.csv
+        assert outputs[1] == outputs[0]
+
+    def test_lone_solve_and_pilot_run_in_this_process(self, tmp_path, in_process_pools, usable_cpus):
         """One point, two seeds: the one solve and the one pilot are no map to
         share out, so the only pool is built for the runs."""
+        usable_cpus(2)
         doc = calibrated_sweep_doc()
         doc["sweep"] = {"seeds": [7, 8]}
         path = tmp_path / "config.json"
@@ -763,7 +796,7 @@ class TestFixedCosts:
         (tmp_path / "config.json").write_text(json.dumps(calibrated_sweep_doc()), encoding="utf-8")
         outputs = []
         for jobs in ("1", "2"):
-            done = fresh_python("-m", "dpaimd.cli", "run", "--config", "config.json",
+            done = fresh_python("-c", cli_on_cpus(2), "run", "--config", "config.json",
                                 "--out", jobs, "--jobs", jobs, cwd=tmp_path)
             assert done.returncode == 0, done.stderr
             files = sorted((tmp_path / jobs).iterdir())
@@ -777,12 +810,14 @@ class TestFixedCosts:
         doc["resources"][0].update(capacity=1.5e308, alpha=1.5e308)
         doc["sweep"] = {"seeds": [1, 2]}
         (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
-        done = fresh_python("-m", "dpaimd.cli", "run", "--config", "config.json",
+        done = fresh_python("-c", cli_on_cpus(2), "run", "--config", "config.json",
                             "--out", "out", "--jobs", "2", cwd=tmp_path)
         assert done.returncode == 3
         assert done.stderr == "numeric abort: non-finite aggregate demand at step 1\n"
 
-    def test_the_pool_forks_from_a_frozen_heap_and_thaws_it(self, tmp_path, monkeypatch):
+    def test_the_pool_forks_from_a_frozen_heap_and_thaws_it(self, tmp_path, monkeypatch,
+                                                           usable_cpus):
+        usable_cpus(2)
         frozen_at_fork = []
 
         class Recorded(concurrent.futures.ProcessPoolExecutor):
@@ -800,6 +835,24 @@ class TestFixedCosts:
                          "--jobs", "2"]) == 0
         assert len(frozen_at_fork) == 1 and frozen_at_fork[0] > before
         assert gc.get_freeze_count() == before and gc.isenabled()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
+    def test_a_sweep_pinned_to_one_cpu_never_imports_the_pool(self, tmp_path, capsys):
+        """The process binds itself to one CPU, as taskset or a cpuset would, and
+        its --jobs 2 sweep writes the bytes of a --jobs 1 sweep."""
+        (tmp_path / "config.json").write_text(json.dumps(calibrated_sweep_doc()), encoding="utf-8")
+        probe = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                 "from dpaimd import cli; "
+                 "code = cli.main(['run', '--config', 'config.json', '--out', 'pinned', '--jobs', '2']); "
+                 "print(code, 'concurrent.futures.process' in sys.modules)")
+        done = fresh_python("-c", probe, cwd=tmp_path)
+        assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "0 False"), done.stderr
+        assert cli.main(["run", "--config", str(tmp_path / "config.json"),
+                         "--out", str(tmp_path / "one"), "--jobs", "1"]) == 0
+        assert done.stdout.splitlines()[:-1] == capsys.readouterr().out.splitlines()
+        written = [sorted((f.name, f.read_bytes()) for f in (tmp_path / out).iterdir())
+                   for out in ("pinned", "one")]
+        assert len(written[0]) == 9 and written[0] == written[1]
 
     def test_one_exit_hook_however_often_main_runs(self, tmp_path):
         """The hook is ``gc.freeze``, here a stand-in that says when it runs."""

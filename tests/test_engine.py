@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 import warnings
@@ -777,6 +778,115 @@ class TestResourceMajorLoop:
         assert np.isinf(partials[:, 0]).mean() > 0.8
         for name, value in vars(expected).items():
             assert getattr(got, name).tobytes() == value.tobytes(), name
+
+
+class CountedCall:
+    """A numpy function or ufunc that logs its name at each call; a ufunc's
+    methods log as ``name.method``, such as ``add.accumulate``."""
+
+    def __init__(self, fn, name, log):
+        self.fn, self.name, self.log = fn, name, log
+
+    def __call__(self, *args, **kwargs):
+        self.log.append(self.name)
+        return self.fn(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        value = getattr(self.fn, attr)
+        return CountedCall(value, f"{self.name}.{attr}", self.log) if callable(value) else value
+
+
+class CountingNumpy:
+    """Stands in for ``np`` in a module: its functions and ufuncs are counted,
+    its types, constants and submodules are numpy's own."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        if callable(value) and not isinstance(value, type):
+            return CountedCall(value, name, self.log)
+        return value
+
+
+class TestCallBudget:
+    """The step loop's module-level numpy calls, pinned exactly.
+
+    A step's cost is mostly the overhead of its calls, and their number is
+    deterministic, so a call added to or dropped from the loop changes these
+    counts. A ``CountingNumpy`` stands in for ``engine.np`` and ``model.np`` (the
+    gradient kernel's calls), so the tracker's and the noise streams' own numpy
+    calls are not counted. It sees module-level calls only: ndarray methods
+    (``take``, ``tobytes``, ``all``), in-place operators (``x_sum += x``),
+    item assignment and a generator's ``send`` are invisible to it, so work
+    moved there leaves these counts and must be named where it is moved.
+
+    A step starts with the aggregate's ``add.accumulate``, the one such call in
+    the loop. The last step is left out: the calls after the loop follow it.
+    Both configs hold two-term partials of one factor each, so their gradient
+    kernel makes one ``power``, one weighting ``multiply`` and one ``add``.
+    """
+
+    QUIET = collections.Counter({"add.accumulate": 1, "less": 1, "add": 1})
+    # every resource fired: the x-bar divide, the kernel (power, multiply, add),
+    # lambda-hat (abs, multiply, divide, maximum, minimum) and the back-off
+    # (multiply, subtract, add, multiply)
+    ALL_FIRED = collections.Counter({"add.accumulate": 1, "less": 1, "divide": 2, "power": 1,
+                                     "multiply": 4, "add": 2, "abs": 1, "maximum": 1,
+                                     "minimum": 1, "subtract": 1})
+    SOME_FIRED = ALL_FIRED + collections.Counter({"add": 1})    # plus the additive increase
+    PER_FIRED_RESOURCE = collections.Counter({"add": 1})        # partials plus the noise row
+    # the first step of each bit pattern, before ``server_step`` caches its answer
+    CACHE_MISS = collections.Counter({"logical_not": 1, "flatnonzero": 1})
+    MASK = collections.Counter({"repeat": 1})       # the back-off mask, unless every resource fired
+
+    def counted_steps(self, monkeypatch, config):
+        """(fired resources, cache miss, Counter of the step's calls) per step but the last."""
+        log, fired = [], []
+        step = engine.server_step
+
+        def recorded(limits, aggregate, pair, patterns, n_agents):
+            cached = len(patterns)
+            found = step(limits, aggregate, pair, patterns, n_agents)
+            fired.append((len(found[0]), len(patterns) > cached))
+            return found
+
+        proxy = CountingNumpy(log)
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "np", proxy)
+            patched.setattr(dpaimd.model, "np", proxy)
+            patched.setattr(engine, "server_step", recorded)
+            counted = engine.run(config)
+        plain = engine.run(config)
+        for name, value in vars(plain).items():    # the proxy changes no bit
+            assert value is None or getattr(counted, name).tobytes() == value.tobytes(), name
+        starts = [k for k, name in enumerate(log) if name == "add.accumulate"]
+        assert len(starts) == len(fired) == config.steps
+        return [(k, miss, collections.Counter(log[lo:hi]))
+                for (k, miss), lo, hi in zip(fired, starts, starts[1:])]
+
+    def expected(self, k, m, miss):
+        calls = self.QUIET if k == 0 else self.ALL_FIRED if k == m else self.SOME_FIRED
+        calls = calls + collections.Counter({name: k * count
+                                             for name, count in self.PER_FIRED_RESOURCE.items()})
+        if miss:
+            calls = calls + self.CACHE_MISS + (self.MASK if k < m else collections.Counter())
+        return calls
+
+    @pytest.mark.parametrize("config, totals", [
+        (cli.reference_system_config(cli._gaussian_pair(20.50, 39.31), steps=2_000),
+         {0: 3, 1: 17, 2: 17}),
+        (wide_separable_config(), {0: 3, 1: 17, 2: 18, 3: 18}),
+    ], ids=["reference", "16x3"])
+    def test_calls_per_step(self, monkeypatch, config, totals):
+        m = config.n_resources
+        steps = self.counted_steps(monkeypatch, config)
+        assert {k: sum(self.expected(k, m, False).values()) for k in range(m + 1)} == totals
+        for nu, (k, miss, calls) in enumerate(steps):
+            assert calls == self.expected(k, m, miss), (nu, k, miss)
+        seen = collections.Counter(k for k, miss, _ in steps if not miss)
+        assert set(seen) == set(totals) and min(seen.values()) > 10, seen
 
 
 class TestNumericFailures:
