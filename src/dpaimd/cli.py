@@ -31,7 +31,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-MAX_SERIES_POINTS = 512
 TRACE_CHUNK_ROWS = 1200     # trace CSV rows per write; more raises the writer's peak memory
 # A sweep value may nest lists and objects this deep: far more than any job
 # field takes (an agents list, the deepest, nests 5) and far less than the
@@ -219,26 +218,13 @@ def expand_sweep(raw: dict):
 # Output emission
 # ---------------------------------------------------------------------------
 
-def _downsample(series: np.ndarray):
-    if series.shape[0] <= MAX_SERIES_POINTS:
-        idx = np.arange(series.shape[0])
-    else:   # steps over 1 repeat no index, so no np.unique (numpy 2.4's imports numpy.ma)
-        idx = np.linspace(0, series.shape[0] - 1, MAX_SERIES_POINTS).astype(int)
-    return idx, series[idx]
-
-
 def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
                     optimum: baseline.OptimalAllocation) -> dict:
+    """The summary document; its series are the trace's values on ``engine.series_grid``."""
     trace = summary.trace
-    bits_idx, bits = _downsample(trace.cum_bits)
-    sens_idx, sens = _downsample(trace.sensitivity)
-    spread = {}
-    for j, (steps_j, spread_j) in summary.derivative_spread.items():
-        s_idx, s_val = _downsample(spread_j)
-        spread[str(j)] = {
-            "event_steps": steps_j[s_idx].tolist(),
-            "spread": s_val.tolist(),
-        }
+    grid = engine.series_grid(trace.steps).tolist()
+    spread = {str(j): {"event_steps": steps_j.tolist(), "spread": spread_j.tolist()}
+              for j, (steps_j, spread_j) in summary.derivative_spread.items()}
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": config.seed,
@@ -246,11 +232,13 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
         "final_xbar": trace.final_xbar.tolist(),
         "abs_error": summary.abs_error.tolist(),
         "cost_ratio": summary.cost_ratio,
+        "feasibility_gap": (trace.final_xbar.sum(axis=0)
+                            - [r.capacity for r in config.resources]).tolist(),
         "event_counts": trace.event_counts.tolist(),
         "broadcast_bits_total": trace.broadcast_bits_total,
         "noise_scales": trace.noise_scales.tolist(),
-        "comm_bits": {"steps": bits_idx.tolist(), "values": bits.tolist()},
-        "sensitivity": {"steps": sens_idx.tolist(), "values": sens.tolist()},
+        "comm_bits": {"steps": grid, "values": trace.grid_events.sum(axis=1).tolist()},
+        "sensitivity": {"steps": grid, "values": trace.grid_sensitivity.tolist()},
         "derivative_spread": spread,
         "x_star": optimum.x_star.tolist(),
         "optimal_total_cost": optimum.total_cost,
@@ -357,6 +345,7 @@ def _run_one(job):
         "tag": tag, "point": p_idx, "seed": config.seed,
         "overrides": json.dumps(sdoc["overrides"], sort_keys=True),
         "cost_ratio": summary.cost_ratio,
+        "feasibility_gap": json.dumps(sdoc["feasibility_gap"]),
         "max_rel_error": float((summary.abs_error[share] / optimum.x_star[share]).max()),
         "broadcast_bits_total": trace.broadcast_bits_total,
     }

@@ -20,8 +20,17 @@ from .privacy import NoiseSpec, SensitivityTracker, noise_sources
 
 LAMBDA_MIN = 1e-9
 TRACKER_BLOCK_CELLS = 1 << 16    # partials the loop holds for the sensitivity tracker
+MAX_SERIES_POINTS = 512         # most steps at which a run records, and a summary reads, its series
 # 0-d float64 operands: a Python float's bits, without its NEP 50 conversion on every call
 _LAMBDA_MIN, _ONE, _ZERO = np.array(LAMBDA_MIN), np.array(1.0), np.array(0.0)
+
+
+def series_grid(steps: int) -> np.ndarray:
+    """Every step, or MAX_SERIES_POINTS steps evenly from the first to the last, which
+    then never repeat: no ``np.unique``, which in numpy 2.4 imports numpy.ma."""
+    if steps <= MAX_SERIES_POINTS:
+        return np.arange(steps)
+    return np.linspace(0, steps - 1, MAX_SERIES_POINTS).astype(int)
 
 
 def server_step(limits, aggregate, pair, patterns, n_agents) -> tuple:
@@ -74,18 +83,22 @@ def multiplicative_decrease(x, lam, beta, out=None, where=True, factor=None):
 class Trace:
     """Struct-of-arrays record of a run, each fact stored once.
 
-    The dense per-agent series ``x`` and ``noisy_derivative`` are kept only by
-    a run with ``dense=True`` and are None otherwise; a summary reads only the
-    loop's own final x-bar and the (steps, m) arrays. x-bar, lambda-hat and the
-    bit counts are derived on each read, bit for bit the values the engine used.
+    A run with ``dense=True`` keeps the per-step series, None otherwise; a summary
+    reads only the loop's own final x-bar, the bits and the values at the g steps
+    of ``series_grid(steps)``. x-bar, lambda-hat and the bit counts are derived on
+    each read, bit for bit the values the engine used.
     """
 
     x: np.ndarray | None                 # (steps, n, m), None unless dense
     final_xbar: np.ndarray               # (n, m) x-bar after the last step, zeros at 0 steps
+    final_sensitivity: np.ndarray        # (m,) running max dq after the last step
     event_bits: np.ndarray               # (steps, m) uint8
     noisy_derivative: np.ndarray | None  # (steps, n, m), NaN off-event, None unless dense
-    partial_spread: np.ndarray           # (steps, m) max - min of noiseless partials, NaN off-event
-    sensitivity: np.ndarray              # (steps, m) running max dq
+    sensitivity: np.ndarray | None       # (steps, m) running max dq, None unless dense
+    grid_sensitivity: np.ndarray         # (g, m) running max dq
+    grid_events: np.ndarray              # (g, m) int64 events so far
+    grid_spread: np.ndarray              # (g, m) max - min of noiseless partials at the last event
+    grid_spread_step: np.ndarray         # (g, m) int64 its step; NaN and -1 before the first
     noise_scales: np.ndarray             # (m,) scales actually used (0 where none)
     gamma: np.ndarray                    # (m,) back-off normalization per resource
 
@@ -157,9 +170,7 @@ def resolve_noise_scales(config: SystemConfig, noise_lists: list) -> list:
     worked out once here, so a missing dq or an overflow fails before any run."""
     dq = np.zeros(config.n_resources)
     if any(spec.needs_pilot for noise in noise_lists for spec in noise):
-        pilot = _simulate(replace(config, noise=[NoiseSpec()] * config.n_resources))
-        if pilot.steps:
-            dq = pilot.sensitivity[-1]
+        dq = _simulate(replace(config, noise=[NoiseSpec()] * config.n_resources)).final_sensitivity
     resolved = [[replace(spec, sensitivity=float(dq[j])) if spec.needs_pilot and dq[j] > 0
                  else spec for j, spec in enumerate(noise)] for noise in noise_lists]
     for noise in resolved:
@@ -173,9 +184,9 @@ def run(config: SystemConfig, *, dense: bool = False) -> Trace:
 
     A calibrated spec without a ``sensitivity`` gets one from
     ``resolve_noise_scales``, which runs its pilot. The trace keeps the
-    (steps, n, m) series ``x`` and ``noisy_derivative`` only with
-    ``dense=True``; without it the run holds O(n m + steps m) memory and every
-    other field, the summary's inputs, has the same bits.
+    per-step series only with ``dense=True``; without it the run holds
+    O(n m + MAX_SERIES_POINTS m) memory plus the byte a step and resource of
+    ``event_bits``, and every other field, the summary's inputs, has the same bits.
     """
     if any(spec.needs_pilot for spec in config.noise):
         [noise] = resolve_noise_scales(config, [config.noise])
@@ -192,8 +203,8 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     Nothing in the loop reads the sensitivity, so each event step writes its
     gradient into a block that the tracker takes in one pass when it is full,
     when ``server_step`` fails and after the loop: a partial that failed first
-    still wins. The tracker writes ``partial_spread`` and ``sensitivity`` on
-    event steps, and ``sensitivity`` is forward-filled after the loop. Each
+    still wins. The tracker keeps the ``grid_`` values; a dense run's
+    ``sensitivity`` is written on event steps and forward-filled after the loop. Each
     per-step call takes operands made once per run, and x-bar is divided out
     only where it is read: at event steps and after the loop."""
     n, m, steps = config.n_agents, config.n_resources, config.steps
@@ -207,7 +218,6 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     aggregate = sums[:, -1]
 
     gradient = PolyBatch(config.agents).gradient_kernel()
-    tracker = SensitivityTracker(n_agents=n, n_resources=m, burn_in_events=config.burn_in_events)
 
     x = np.zeros((m, n))                # resource-major: row j is resource j's agents
     grown = np.empty((m, n))            # x + alpha, then the back-offs: the next x
@@ -218,16 +228,16 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     lam = np.zeros((m, n))              # the noisy partials, then lambda-hat, of the fired rows
     factor = np.empty((m, n))           # the back-off factor
 
-    tr_x = tr_nderiv = None
+    tr_x = tr_nderiv = tr_dq = None
     try:
         tr_bits = np.empty((steps, m), dtype=np.uint8)
-        tr_spread = np.full((steps, m), np.nan)
-        tr_dq = np.zeros((steps, m))
         if dense:
             tr_x = np.empty((steps, n, m))
             tr_nderiv = np.full((steps, n, m), np.nan)
+            tr_dq = np.zeros((steps, m))
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"steps={steps} gives a trace numpy cannot allocate: {exc}") from exc
+    tracker = SensitivityTracker(n, m, config.burn_in_events, series_grid(steps))
 
     # the (m, n) partials of the event steps the tracker has not taken yet
     block = np.empty((max(1, min(steps, TRACKER_BLOCK_CELLS // (n * m))), m, n))
@@ -237,7 +247,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
         if event_steps:
             rows = np.array(event_steps)
             event_steps.clear()
-            tracker.update_all(rows, block[:rows.size], tr_bits[rows], tr_spread, tr_dq)
+            tracker.update_all(rows, block[:rows.size], tr_bits[rows], tr_dq)
 
     # lambda-hat clamps an overflow and the checks catch the rest, among them the
     # NaN of an inf partial plus -inf noise, which the tracker rejects with its block
@@ -274,10 +284,13 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite demand at step {steps - 1}")
     np.divide(x_sum, steps + 1, out=xbar)
-    # the running max starts at 0 and never falls, so the max so far fills the event-free steps
-    np.maximum.accumulate(tr_dq, axis=0, out=tr_dq)
+    if dense:   # the running max starts at 0 and never falls: the max so far fills the other steps
+        np.maximum.accumulate(tr_dq, axis=0, out=tr_dq)
 
     return Trace(
-        x=tr_x, final_xbar=np.ascontiguousarray(xbar.T), event_bits=tr_bits, noisy_derivative=tr_nderiv,
-        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales, gamma=gamma[:, 0].copy(),
+        x=tr_x, final_xbar=np.ascontiguousarray(xbar.T), final_sensitivity=tracker.running_max,
+        event_bits=tr_bits, noisy_derivative=tr_nderiv, sensitivity=tr_dq,
+        grid_sensitivity=tracker.grid_sensitivity, grid_events=tracker.grid_events,
+        grid_spread=tracker.grid_spread, grid_spread_step=tracker.grid_spread_step,
+        noise_scales=scales, gamma=gamma[:, 0].copy(),
     )

@@ -1,10 +1,10 @@
 """Post-processing of simulation traces: errors, cost ratio, consensus, bits.
 
 All functions are pure over immutable traces and read only a trace's (n, m)
-and (steps, m) arrays, never its dense per-agent series: the errors and the
-cost ratio come from the engine's final averages, and the derivative spread is
-the one it recorded from the noiseless partials at the averages the agents
-used at each event.
+arrays, its event bits and its values on the summary's grid, never a per-step
+series: the errors and the cost ratio come from the engine's final averages,
+and the derivative spread is the one it recorded from the noiseless partials
+at the averages the agents used at the events the grid samples.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ class RunSummary:
     trace: Trace                            # final averages, bits, sensitivity, scales
     abs_error: np.ndarray                   # (n, m) |xbar - x*|
     cost_ratio: float | None                # None when some resource saw no event
-    derivative_spread: dict                 # resource -> (event_steps, spread)
+    derivative_spread: dict                 # resource -> (event_steps, spread) on the grid
 
 
 def cost_ratio(trace: Trace, costs: list, optimum: OptimalAllocation) -> float | None:
@@ -41,15 +41,17 @@ def cost_ratio(trace: Trace, costs: list, optimum: OptimalAllocation) -> float |
 
 
 def derivative_spread(trace: Trace) -> dict:
-    """Per resource: event step indices and max-min of noiseless partials there.
+    """Per resource: the steps of the last events at or before the grid steps,
+    each once (every event if the grid is every step), and max-min of noiseless partials there.
 
     The engine records the spread of the partials each agent used for its
     back-off at the event, taken at the average it held before that step.
     """
     out = {}
     for j in range(trace.n_resources):
-        event_steps = np.nonzero(trace.event_bits[:, j])[0]
-        out[j] = (event_steps, trace.partial_spread[event_steps, j])
+        steps_j = trace.grid_spread_step[:, j]
+        new = np.diff(steps_j, prepend=-1) > 0     # -1 marks the grid steps before the first event
+        out[j] = (steps_j[new], trace.grid_spread[new, j])
     return out
 
 

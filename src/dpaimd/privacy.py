@@ -149,29 +149,35 @@ class SensitivityTracker:
     derivatives reflect initialization, not dynamics. The max is shared across
     agents, because each resource has one noise scale for every agent.
     Nothing in the step loop reads it, so the loop feeds it a block of event
-    steps at a time.
+    steps at a time. At each step of the increasing ``grid`` it records, per
+    resource, the running max, the events so far, and the spread max - min of
+    the partials at the last event and its step (NaN and -1 before the first).
     """
 
-    def __init__(self, n_agents: int, n_resources: int, burn_in_events: int):
+    def __init__(self, n_agents: int, n_resources: int, burn_in_events: int, grid: np.ndarray):
         self.last_derivative = np.zeros((n_agents, n_resources))
         self.running_max = np.zeros(n_resources)
         self.events_seen = [0] * n_resources
         # all agents are fed together, so a second event means every agent has a previous one
         self.first_counted = max(burn_in_events, 2)
+        self.grid, shape = grid, (len(grid), n_resources)
+        self.grid_sensitivity, self.grid_spread = np.zeros(shape), np.full(shape, np.nan)
+        self.grid_events, self.grid_spread_step = np.zeros(shape, np.int64), np.full(shape, -1, np.int64)
 
     def update_all(self, steps: np.ndarray, derivatives: np.ndarray, bits: np.ndarray,
-                   spread: np.ndarray, dq: np.ndarray):
+                   dq: np.ndarray | None = None):
         """Feed every agent's noiseless partials at a block of event steps, in step order.
 
         Row i of the (k, m, n) ``derivatives`` holds the partials at step
         ``steps[i]``, and row i of the (k, m) ``bits`` the resources that fired
         there; the partials of the others are not read. Each fired cell (i, j)
-        is one event of resource j, and may raise ``running_max[j]``. At row
-        ``steps[i]``, column j, ``spread`` receives the spread max - min of its
-        partials and ``dq`` the running max after it; other cells keep their
-        values. A non-finite or negative partial raises NumericError, naming
-        the lowest such step and then the lowest resource, before any state
-        changes.
+        is one event of resource j, and may raise ``running_max[j]``. Column j
+        of the grid record is rewritten from the block's first event of j on,
+        so a later block overwrites what this one wrote past its own first
+        event. ``dq``, if given, receives the running max after each fired cell
+        at row ``steps[i]``, column j; its other cells keep their values. A
+        non-finite or negative partial raises NumericError, naming the lowest
+        such step and then the lowest resource, before any state changes.
         """
         fired = np.asarray(bits, dtype=bool)
         lo, hi = np.minimum.reduce(derivatives, axis=2), np.maximum.reduce(derivatives, axis=2)
@@ -185,14 +191,22 @@ class SensitivityTracker:
             if not rows.size:
                 continue
             at = steps[rows]
-            spread[at, j] = hi[rows, j] - lo[rows, j]
             # each event's partials after the previous event's, the block's first after the last fed
             partials = np.concatenate([self.last_derivative[None, :, j], derivatives[rows, j]])
             diffs = np.subtract(partials[1:], partials[:-1])
             jumps = np.maximum.reduce(np.abs(diffs, out=diffs), axis=1)
             jumps[:max(self.first_counted - 1 - self.events_seen[j], 0)] = 0.0     # burn-in events
             np.maximum.accumulate(jumps, out=jumps)
-            dq[at, j] = np.maximum(jumps, self.running_max[j], out=jumps)
+            np.maximum(jumps, self.running_max[j], out=jumps)
+            if dq is not None:
+                dq[at, j] = jumps
+            # the grid steps from the block's first event on, and the last event at or before each
+            tail = slice(np.searchsorted(self.grid, at[0]), None)
+            last = np.searchsorted(at, self.grid[tail], side="right") - 1
+            self.grid_sensitivity[tail, j] = jumps[last]
+            self.grid_events[tail, j] = last + (self.events_seen[j] + 1)
+            self.grid_spread[tail, j] = hi[rows[last], j] - lo[rows[last], j]
+            self.grid_spread_step[tail, j] = at[last]
             self.running_max[j] = jumps[-1]
             self.last_derivative[:, j] = partials[-1]
             self.events_seen[j] += rows.size

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from dpaimd.baseline import OptimalAllocation, kkt_residual, project_simplex
-from dpaimd.engine import LAMBDA_MIN, Trace
+from dpaimd.engine import LAMBDA_MIN, Trace, series_grid
 from dpaimd.model import NOISE_STREAM, ConfigurationError, NumericError, PolyBatch
 from dpaimd.privacy import NoiseKind
 
@@ -323,7 +323,10 @@ def simulate_oracle(config) -> Trace:
     """``engine._simulate`` with one ``rng.laplace(0, s)`` or ``rng.normal(0, s)``
     per agent stream at each noisy event, on the dense kernel, and the
     sensitivity fed one event at a time; the event rule and the back-off are
-    written out here, so the engine's own definitions are checked, not shared."""
+    written out here, so the engine's own definitions are checked, not shared.
+    It keeps every per-step series and takes the trace's grid values from them:
+    each resource's last event at or before a step by a running max of event
+    steps, and the events so far by a cumsum of the bits."""
     n, m = config.n_agents, config.n_resources
     steps = config.steps
     scales = np.array([spec.noise_scale(j) for j, spec in enumerate(config.noise)])
@@ -382,9 +385,14 @@ def simulate_oracle(config) -> Trace:
         tr_bits[nu] = bits
         tr_dq[nu] = tracker.running_max
 
+    grid = series_grid(steps)
+    last = np.maximum.accumulate(np.where(tr_bits == 1, np.arange(steps)[:, None], -1), axis=0)[grid]
     return Trace(
-        x=tr_x, final_xbar=xbar, event_bits=tr_bits, noisy_derivative=tr_nderiv,
-        partial_spread=tr_spread, sensitivity=tr_dq, noise_scales=scales, gamma=gamma,
+        x=tr_x, final_xbar=xbar, final_sensitivity=tracker.running_max, event_bits=tr_bits,
+        noisy_derivative=tr_nderiv, sensitivity=tr_dq,
+        grid_sensitivity=tr_dq[grid], grid_events=np.cumsum(tr_bits, axis=0, dtype=np.int64)[grid],
+        grid_spread=np.where(last >= 0, tr_spread[last, np.arange(m)], np.nan), grid_spread_step=last,
+        noise_scales=scales, gamma=gamma,
     )
 
 

@@ -210,26 +210,26 @@ class TestTraceCsv:
 
 
 class TestDownsample:
+    """``engine.series_grid``: the steps at which the engine records, and a summary
+    reads, its series."""
+
     def test_short_series_untouched(self):
-        idx, out = cli._downsample(np.arange(10.0))
-        assert np.array_equal(out, np.arange(10.0))
+        assert np.array_equal(engine.series_grid(10), np.arange(10))
 
     def test_long_series_capped_with_endpoints(self):
-        series = np.arange(100_000.0)
-        idx, out = cli._downsample(series)
-        assert out.size <= cli.MAX_SERIES_POINTS
-        assert idx[0] == 0 and idx[-1] == series.size - 1
+        idx = engine.series_grid(100_000)
+        assert idx.size == engine.MAX_SERIES_POINTS
+        assert idx[0] == 0 and idx[-1] == 100_000 - 1
 
     @pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 514, 1023, 1024, 50_000, 200_000])
     def test_indices_are_those_of_np_unique(self, length):
-        idx, out = cli._downsample(np.arange(float(length)))
-        if length <= cli.MAX_SERIES_POINTS:
+        idx = engine.series_grid(length)
+        if length <= engine.MAX_SERIES_POINTS:
             expected = np.arange(length)
         else:
-            expected = np.unique(np.linspace(0, length - 1, cli.MAX_SERIES_POINTS).astype(int))
+            expected = np.unique(np.linspace(0, length - 1, engine.MAX_SERIES_POINTS).astype(int))
         assert idx.dtype == expected.dtype and idx.tobytes() == expected.tobytes()
         assert (np.diff(idx) > 0).all()     # no index repeats: np.unique would drop nothing
-        assert out.tobytes() == expected.astype(float).tobytes()
 
 
 def fresh_python(*args, cwd=None):
@@ -492,6 +492,21 @@ class TestRunCommand:
         [row] = csv.DictReader((out / "sweep_summary.csv").read_text().splitlines())
         assert float(row["max_rel_error"]) == pytest.approx(0.0191, abs=5e-5)
         assert f"max_rel_error={row['max_rel_error']}\n" in capsys.readouterr().out
+
+    def test_feasibility_gap_shows_why_a_short_run_costs_less_than_the_optimum(self, tmp_path):
+        """x-bar is a mean over every step, the ramp up from x(0) = 0 too, so after
+        1,000 reference steps it sums short of each capacity and the cost ratio
+        reads below 1. The summary and the sweep row carry sum_i x-bar - C."""
+        config = cli.reference_system_config(cli._gaussian_pair(20.50, 39.31), steps=1_000)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(self.write(tmp_path, cli.serialize_config(config))),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / f"summary_p000_s{config.seed}.json").read_text())
+        gap = np.array(summary["final_xbar"]).sum(axis=0) - [5.0, 6.0]
+        assert summary["feasibility_gap"] == gap.tolist() and (gap < 0).all()
+        assert summary["cost_ratio"] < 1
+        [row] = csv.DictReader((out / "sweep_summary.csv").read_text().splitlines())
+        assert json.loads(row["feasibility_gap"]) == summary["feasibility_gap"]
 
     def test_zero_optimal_cost_gives_a_null_cost_ratio(self, tmp_path):
         # x^2 and 2 x^2 at shares of 1e-300 cost 0.0 once squared
@@ -781,7 +796,7 @@ class TestFixedCosts:
         assert (done.returncode, done.stdout) == (0, "0 0 True\n"), done.stderr
 
     def test_a_run_and_a_traced_run_leave_out_numpy_ma(self, tmp_path):
-        """A summary of more than MAX_SERIES_POINTS steps is downsampled without np.unique."""
+        """A summary of more than MAX_SERIES_POINTS steps is sampled without np.unique."""
         (tmp_path / "config.json").write_text(json.dumps(small_doc(steps=600)), encoding="utf-8")
         probe = ("import sys; from dpaimd import cli; "
                  "codes = [cli.main(['run', '--config', 'config.json', '--out', out, *extra]) "
@@ -790,7 +805,7 @@ class TestFixedCosts:
         done = fresh_python("-c", probe, cwd=tmp_path)
         assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "[0, 0] False"), done.stderr
         assert len(json.loads((tmp_path / "b" / "summary_p000_s4.json").read_text())
-                   ["sensitivity"]["steps"]) == cli.MAX_SERIES_POINTS
+                   ["sensitivity"]["steps"]) == engine.MAX_SERIES_POINTS
 
     def test_a_forked_sweep_writes_what_one_process_writes(self, tmp_path):
         (tmp_path / "config.json").write_text(json.dumps(calibrated_sweep_doc()), encoding="utf-8")

@@ -334,7 +334,7 @@ class TestCalibration:
 
     def test_pilot_calibration_matches_noiseless_sensitivity(self):
         pilot = dpaimd.run(self.base([NoiseSpec(kind=NoiseKind.NONE)]))
-        dq = float(pilot.sensitivity[-1, 0])
+        dq = float(pilot.final_sensitivity[0])
         assert dq > 0
         cfg = self.base([NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.5,
                                    scale_mode=ScaleMode.CALIBRATED)])
@@ -362,7 +362,7 @@ class TestCalibration:
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_each_spec_scales_the_pilot_sensitivity(self, monkeypatch, names, pilots):
         specs = [self.SPECS[name] for name in names]
-        dq = dpaimd.run(self.two_resources([NoiseSpec()] * 2)).sensitivity[-1]
+        dq = dpaimd.run(self.two_resources([NoiseSpec()] * 2)).final_sensitivity
         assert (dq > 0).all() and dq[0] != dq[1]
         runs = []
         simulate = engine._simulate
@@ -377,7 +377,7 @@ class TestCalibration:
         stays, and a run on the resolved specs is the run that calibrates itself."""
         specs = [self.SPECS["laplace"][0], self.SPECS["override"][0]]
         config = self.two_resources(specs)
-        dq = dpaimd.run(self.two_resources([NoiseSpec()] * 2)).sensitivity[-1]
+        dq = dpaimd.run(self.two_resources([NoiseSpec()] * 2)).final_sensitivity
         [noise] = resolve_noise_scales(config, [config.noise])
         assert noise == [replace(specs[0], sensitivity=float(dq[0])), specs[1]]
         resolved, calibrated = engine.run(replace(config, noise=noise)), engine.run(config)
@@ -622,15 +622,18 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 
 class TestLeanTrace:
-    """Without dense=True a run keeps no (steps, n, m) series and changes no other bit."""
+    """Without dense=True a run keeps no per-step series but the event bits, and
+    changes no other bit."""
 
     @given(small_configs())
+    @example(replace(wide_separable_config(), steps=700))
     @settings(max_examples=60, deadline=None)
     def test_lean_run_equals_dense_run(self, config):
         config = usable_config(config)
         lean, dense = engine.run(config), engine.run(config, dense=True)
-        assert lean.x is None and lean.noisy_derivative is None
-        for name in ("event_bits", "partial_spread", "sensitivity", "final_xbar", "noise_scales"):
+        assert lean.x is None and lean.noisy_derivative is None and lean.sensitivity is None
+        for name in ("event_bits", "final_xbar", "final_sensitivity", "grid_sensitivity",
+                     "grid_events", "grid_spread", "grid_spread_step", "noise_scales", "gamma"):
             assert getattr(lean, name).dtype == getattr(dense, name).dtype, name
             assert getattr(lean, name).tobytes() == getattr(dense, name).tobytes(), name
         # the optimum enters a summary only as given numbers, so any allocation serves
@@ -655,6 +658,18 @@ class TestLeanTrace:
         peak = traced_peak(lambda: runs.append(engine.run(config)))
         assert runs[0].event_counts.all() and runs[0].x is None
         assert peak < steps * n * m * 8
+
+    def test_memory_grows_by_the_event_bits_alone(self, monkeypatch):
+        """Past the tracker block's saturation, the peak of a lean run grows by the one
+        byte a step and resource of ``event_bits``, and by no per-step float. A tiny
+        gamma keeps lambda-hat at its floor, so the demand stays above capacity and
+        fires at almost every step; a block of 2,048 events keeps the run short."""
+        monkeypatch.setattr(engine, "TRACKER_BLOCK_CELLS", 2048)
+        config = SystemConfig(agents=[square_cost()], noise=[NoiseSpec()], steps=0, seed=0,
+                              resources=[ResourceConfig(capacity=1.0, alpha=1.0, beta=0.5,
+                                                        gamma=1e-12)])
+        peaks = [traced_peak(engine.run, replace(config, steps=steps)) for steps in (5_000, 10_000)]
+        assert peaks[1] - peaks[0] <= 5_000 * config.n_resources + 4096, peaks
 
     def test_dense_views_of_a_lean_trace_raise(self, tmp_path):
         trace = dpaimd.run(one_resource_config([square_cost()], steps=30))
@@ -731,6 +746,38 @@ def separable_config(n, m, steps=300, coefficient=1.0, noise=("none",) * 3):
     return SystemConfig(
         agents=agents, noise=[NOISE_CHOICES[kind] for kind in noise[:m]], steps=steps, seed=5,
         resources=[ResourceConfig(capacity=c, alpha=a, beta=0.7, gamma=1e-3) for c, a in limits])
+
+
+class TestSummaryGrid:
+    """A run records its series only at the steps of ``series_grid``, at most
+    MAX_SERIES_POINTS of them, once per tracker block: the per-event oracle's
+    per-step series, sampled there, equal its values bit for bit."""
+
+    @given(small_configs(), st.just(0) | st.integers(1, engine.MAX_SERIES_POINTS)
+           | st.integers(engine.MAX_SERIES_POINTS + 1, 1_500))
+    @example(mixed_config(), 0)
+    @example(mixed_config(), engine.MAX_SERIES_POINTS)
+    @example(mixed_config(), engine.MAX_SERIES_POINTS + 1)
+    @example(separable_config(9, 2), 1_200)     # resource 1 never fires
+    @settings(max_examples=40, deadline=None)
+    def test_grid_values_equal_the_oracle_sampled_at_the_grid(self, config, steps):
+        config = usable_config(replace(config, steps=steps))
+        got, expected = engine.run(config), simulate_oracle(config)
+        grid = engine.series_grid(steps)
+        assert got.grid_sensitivity.tobytes() == expected.sensitivity[grid].tobytes()
+        assert got.grid_events.sum(axis=1).tobytes() == expected.cum_bits[grid].tobytes()
+        for name in ("grid_sensitivity", "grid_events", "grid_spread", "grid_spread_step"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert got.final_sensitivity.tobytes() == (expected.sensitivity[-1] if steps else
+                                                   np.zeros(config.n_resources)).tobytes()
+        # each event a summary lists is one of the resource's, and a short run lists them all
+        for j, (steps_j, spread_j) in metrics.derivative_spread(got).items():
+            events = np.flatnonzero(expected.event_bits[:, j])
+            assert np.isin(steps_j, events).all() and (np.diff(steps_j) > 0).all()
+            assert not np.isnan(spread_j).any() and spread_j.shape == steps_j.shape
+            if steps <= engine.MAX_SERIES_POINTS:
+                assert steps_j.tolist() == events.tolist()
 
 
 class TestResourceMajorLoop:

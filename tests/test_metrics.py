@@ -73,11 +73,16 @@ def test_a_run_and_a_summary_each_build_only_the_table_they_read(monkeypatch):
 
 class TestDerivativeSpread:
     def test_one_entry_per_event(self, short_reference_run):
+        """Each grid step's last event, once: one entry per grid step on this run,
+        which fires every resource at least once between two grid steps."""
         config, trace, _ = short_reference_run
         spread = derivative_spread(trace)
+        grid = engine.series_grid(trace.steps)
         for j in range(trace.n_resources):
             steps_j, values = spread[j]
-            assert steps_j.size == trace.event_counts[j]
+            first = np.flatnonzero(trace.event_bits[:, j])[0]
+            assert steps_j.size == (grid >= first).sum()
+            assert trace.event_bits[steps_j, j].all() and (np.diff(steps_j) > 0).all()
             assert values.shape == steps_j.shape
             assert (values >= 0).all()
 
@@ -106,20 +111,24 @@ class TestDerivativeSpread:
         assert steps_j.size == 0 and values.size == 0
 
 
-def kernel_spread(config, trace, j):
-    """Per event of resource j: max - min of the noiseless partials at the x-bar used then."""
-    steps_j = np.nonzero(trace.event_bits[:, j])[0]
+def kernel_spread(config, trace, j, steps_j):
+    """At events of resource j: max - min of the noiseless partials at the x-bar used then."""
     partials = PolyBatch(config.agents).partial(trace.xbar[steps_j - 1], j)
-    return steps_j, partials.max(axis=1) - partials.min(axis=1)
+    return partials.max(axis=1) - partials.min(axis=1)
 
 
 def assert_spread_matches_kernel(config, trace):
+    """The spread series lists, for each grid step, the resource's last event at or
+    before it, with the kernel's spread there; on a run of at most
+    MAX_SERIES_POINTS steps, every event."""
     spread = derivative_spread(trace)
     assert trace.event_counts.all()
+    grid = engine.series_grid(trace.steps)
     for j in range(trace.n_resources):
-        steps_j, expected = kernel_spread(config, trace, j)
-        assert np.array_equal(spread[j][0], steps_j)
-        assert np.array_equal(spread[j][1], expected)
+        events = np.flatnonzero(trace.event_bits[:, j])
+        last = events[np.searchsorted(events, grid, side="right") - 1][grid >= events[0]]
+        assert np.array_equal(spread[j][0], np.unique(last))
+        assert np.array_equal(spread[j][1], kernel_spread(config, trace, j, spread[j][0]))
 
 
 def noisy_pair(kind, s1, s2):
@@ -175,8 +184,15 @@ class TestRecordedSpreadMatchesKernel:
         assert_spread_matches_kernel(config, dpaimd.run(config, dense=True))
 
     def test_off_event_steps_are_nan(self, short_reference_run):
+        """A grid step before the resource's first event has no event: its spread is
+        NaN and its event step -1, which the spread series leaves out."""
         _, trace, _ = short_reference_run
-        assert np.array_equal(np.isnan(trace.partial_spread), trace.event_bits == 0)
+        grid = engine.series_grid(trace.steps)
+        first = np.array([np.flatnonzero(trace.event_bits[:, j])[0] for j in range(trace.n_resources)])
+        before = grid[:, None] < first
+        assert before[0].all()
+        assert np.array_equal(np.isnan(trace.grid_spread), before)
+        assert np.array_equal(trace.grid_spread_step == -1, before)
 
 
 @st.composite

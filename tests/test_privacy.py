@@ -122,16 +122,17 @@ class TestNoiseSpecValidation:
 
 
 def feed(tracker, *events):
-    """Feed ``events``, one (resource, partials) pair per step from step 0, as
-    one block; returns its (spread, dq) rows, NaN where no resource fired."""
+    """Feed ``events``, one (resource, partials) pair per step after the steps
+    fed before, as one block; returns the (spread, dq) rows of its steps in the
+    tracker's grid record, which must hold every step."""
     k, (n, m) = len(events), tracker.last_derivative.shape
     derivatives = np.full((k, m, n), np.nan)    # the partials of unfired resources are never read
     bits = np.zeros((k, m), dtype=np.uint8)
     for i, (j, partials) in enumerate(events):
         derivatives[i, j], bits[i, j] = partials, 1
-    spread, dq = np.full((k, m), np.nan), np.full((k, m), np.nan)
-    tracker.update_all(np.arange(k), derivatives, bits, spread, dq)
-    return spread, dq
+    steps = sum(tracker.events_seen) + np.arange(k)
+    tracker.update_all(steps, derivatives, bits)
+    return tracker.grid_spread[steps], tracker.grid_sensitivity[steps]
 
 
 @st.composite
@@ -146,7 +147,9 @@ def event_blocks(draw):
     gaps = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     return {"burn_in": draw(st.integers(0, 6)), "block": draw(st.integers(1, max(k, 1))),
             "fired": np.array(fired, dtype=bool).reshape(k, m),
-            "partials": np.array(partials).reshape(k, n, m), "steps": np.cumsum(gaps, dtype=int) - 1}
+            "partials": np.array(partials).reshape(k, n, m), "steps": np.cumsum(gaps, dtype=int) - 1,
+            "sample": np.array(draw(st.lists(st.integers(0, 1), min_size=sum(gaps) + 1,
+                                             max_size=sum(gaps) + 1)), dtype=int)}
 
 
 def example_blocks(burn_in, block, fired, n=2):
@@ -154,14 +157,15 @@ def example_blocks(burn_in, block, fired, n=2):
     fired = np.array(fired, dtype=bool)
     partials = np.random.default_rng(len(fired)).uniform(0.0, 10.0, (len(fired), n, fired.shape[1]))
     return {"burn_in": burn_in, "block": block, "fired": fired, "partials": partials,
-            "steps": np.arange(len(fired))}
+            "steps": np.arange(len(fired)), "sample": np.arange(len(fired) + 1)}
 
 
 class TestSensitivityTracker:
     """``update_all`` takes a block of event steps; each fired (step, resource) cell is one event."""
 
     def make(self, burn_in=0):
-        return SensitivityTracker(n_agents=2, n_resources=2, burn_in_events=burn_in)
+        return SensitivityTracker(n_agents=2, n_resources=2, burn_in_events=burn_in,
+                                  grid=np.arange(200))
 
     def test_consecutive_difference(self):
         t = self.make()
@@ -182,9 +186,14 @@ class TestSensitivityTracker:
     def test_writes_the_spread_and_running_max_at_fired_cells(self):
         t = self.make()
         spread, dq = feed(t, (0, [10.0, 3.0]), (0, [9.5, 8.0]), (1, [4.0, 4.0]))
-        # the first event has a spread too; a cell that did not fire keeps its value
-        assert np.array_equal(spread, [[7.0, np.nan], [1.5, np.nan], [np.nan, 0.0]], equal_nan=True)
-        assert np.array_equal(dq, [[0.0, np.nan], [5.0, np.nan], [np.nan, 0.0]], equal_nan=True)
+        # the first event has a spread too; a step where the resource did not fire
+        # holds its last event's values, NaN and 0 before its first
+        assert np.array_equal(spread, [[7.0, np.nan], [1.5, np.nan], [1.5, 0.0]], equal_nan=True)
+        assert np.array_equal(dq, [[0.0, 0.0], [5.0, 0.0], [5.0, 0.0]])
+        assert t.grid_spread_step[:3].tolist() == [[0, -1], [1, -1], [1, 2]]
+        assert t.grid_events[:3].tolist() == [[1, 0], [2, 0], [2, 1]]
+        # the grid steps after the last event hold it too
+        assert t.grid_spread_step[-1].tolist() == [1, 2] and t.grid_sensitivity[-1].tolist() == [5.0, 0.0]
         assert t.running_max.tolist() == [5.0, 0.0]
 
     def test_burn_in_excludes_early_events(self):
@@ -226,13 +235,15 @@ class TestSensitivityTracker:
         t = self.make()
         # (step, agent, resource), handed over as (step, resource, agent) like the engine's block
         derivatives = np.array([[[1.0, 1.0], [1.0, 1.0]], [[np.inf, -1.0], [1.0, 1.0]]]).swapaxes(1, 2)
-        spread, dq = np.full((2, 2), np.nan), np.zeros((2, 2))
+        dq = np.zeros((8, 2))
         for bits, message in (([[1, 1], [1, 1]], "resource 0 at step 7$"),
                               ([[1, 1], [0, 1]], "resource 1 at step 7$")):
             with pytest.raises(NumericError, match=message):
-                t.update_all(np.array([3, 7]), derivatives, np.array(bits, dtype=np.uint8), spread, dq)
-            assert np.isnan(spread).all() and not dq.any() and t.events_seen == [0, 0]
+                t.update_all(np.array([3, 7]), derivatives, np.array(bits, dtype=np.uint8), dq)
+            assert not dq.any() and t.events_seen == [0, 0]
             assert not t.running_max.any() and not t.last_derivative.any()
+            assert np.isnan(t.grid_spread).all() and (t.grid_spread_step == -1).all()
+            assert not t.grid_sensitivity.any() and not t.grid_events.any()
 
     @given(event_blocks())
     @example(example_blocks(0, 1, [[1, 0], [0, 1], [1, 1], [1, 0], [1, 1]]))       # blocks of one step
@@ -241,24 +252,34 @@ class TestSensitivityTracker:
     @example(example_blocks(2, 2, [[1, 1], [1, 0], [1, 0], [1, 0], [0, 1], [1, 1]]))   # resource 1 skips a block
     @settings(max_examples=200, deadline=None)
     def test_blocks_equal_one_event_at_a_time(self, case):
+        """The grid record and the per-step dq equal the per-event reference's values,
+        kept per step and forward-filled, at every step and on a sampled grid."""
         fired, partials, steps = case["fired"], case["partials"], case["steps"]
         k, n, m = partials.shape
-        rows = (steps[-1] + 1) if k else 0
+        rows = (steps[-1] + 2) if k else 1      # a step past the last event, too
         reference = PerEventSensitivity(n, m, case["burn_in"])
-        want_spread, want_dq = np.full((rows, m), np.nan), np.full((rows, m), np.nan)
+        want = {"grid_spread": np.full((rows, m), np.nan), "grid_sensitivity": np.zeros((rows, m)),
+                "grid_spread_step": np.full((rows, m), -1), "grid_events": np.zeros((rows, m), int)}
+        fired_dq = np.full((rows, m), np.nan)
         for i, j in zip(*np.nonzero(fired)):        # step order, then resource order
-            want_spread[steps[i], j] = reference.update(j, partials[i, :, j])
-            want_dq[steps[i], j] = reference.running_max[j]
+            after = slice(steps[i], None)
+            want["grid_spread"][after, j] = reference.update(j, partials[i, :, j])
+            want["grid_sensitivity"][after, j] = fired_dq[steps[i], j] = reference.running_max[j]
+            want["grid_spread_step"][after, j] = steps[i]
+            want["grid_events"][after, j] += 1
 
-        tracker = SensitivityTracker(n, m, case["burn_in"])
-        spread, dq = np.full((rows, m), np.nan), np.full((rows, m), np.nan)
-        # unfired partials are never read: make any read show
-        blocks = np.where(fired[:, :, None], partials.swapaxes(1, 2), np.nan)
-        for lo in range(0, k, case["block"]):
-            span = slice(lo, lo + case["block"])
-            tracker.update_all(steps[span], blocks[span], fired[span].view(np.uint8), spread, dq)
-        assert spread.tobytes() == want_spread.tobytes()
-        assert dq.tobytes() == want_dq.tobytes()
+        for grid in (np.arange(rows), np.arange(rows)[case["sample"] % 2 == 1]):
+            tracker = SensitivityTracker(n, m, case["burn_in"], grid=grid)
+            dq = np.full((rows, m), np.nan)
+            # unfired partials are never read: make any read show
+            blocks = np.where(fired[:, :, None], partials.swapaxes(1, 2), np.nan)
+            for lo in range(0, k, case["block"]):
+                span = slice(lo, lo + case["block"])
+                tracker.update_all(steps[span], blocks[span], fired[span].view(np.uint8), dq)
+            assert dq.tobytes() == fired_dq.tobytes()
+            for name, values in want.items():
+                assert getattr(tracker, name).dtype == values.dtype, name
+                assert getattr(tracker, name).tobytes() == values[grid].tobytes(), name
         assert tracker.running_max.tobytes() == reference.running_max.tobytes()
         assert tracker.last_derivative.tobytes() == reference.last_derivative.tobytes()
         assert tracker.events_seen == reference.events_seen
