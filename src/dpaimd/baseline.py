@@ -4,14 +4,13 @@ The feasibility set factors into one scaled simplex per resource (column sums
 fixed at capacity, entries non-negative). At the optimum every agent holding a
 share of resource j has the same partial derivative mu_j, and every agent at
 zero has a partial no smaller (Boyd & Vandenberghe, *Convex Optimization*,
-5.5.3). Costs have positive coefficients, so with the other columns held
-fixed each agent's partial in x_ij is increasing and convex: its demand at a
-price mu is a Newton root-find that falls monotonically from above, and mu_j
-is the price at which the demands fill the capacity. Costs without
-cross-resource monomials are solved in one pass over the resources; coupled
-costs take Gauss-Seidel passes until the KKT residual certifies the point.
-That certificate is for a stationary point, which is the optimum only for
-convex costs: a cross term such as x1*x2 can break convexity.
+5.5.3). With the other columns fixed, an agent's partial in x_ij is a posynomial,
+log-convex in log x_ij: its demand at a price mu is Newton in log x_ij, falling
+monotonically from above, and mu_j is the price at which the demands fill the
+capacity. Costs without cross-resource monomials take one pass over the
+resources, coupled costs Gauss-Seidel passes. A relative duality gap
+(``certify``) accepts the answer: it bounds (f - f*) / f for a separable cost,
+and for a coupled one certifies a stationary point, the optimum if it is convex.
 """
 from __future__ import annotations
 
@@ -22,9 +21,8 @@ import numpy as np
 
 from .model import ConfigurationError, PolyBatch
 
-ACTIVE_TOL = 1e-6   # an agent at or below this share of a resource sits on its boundary
-KKT_TOL = 1e-10     # passes stop once the KKT residual is this small
-KKT_LIMIT = 1e-6    # a solve whose residual stays above this has not converged
+GAP_TOL = 1e-10     # a solve whose relative duality gap stays above this has not converged
+PASS_TOL = 1e-15    # passes stop once it is this small: a gap is quadratic in the distance to x*
 MAX_PASSES = 100    # Gauss-Seidel passes over the resources
 MAX_STEPS = 200     # Newton or bisection steps of one root-find
 
@@ -47,46 +45,50 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def kkt_residual(batch: PolyBatch, x: np.ndarray, capacities: np.ndarray) -> float:
-    """Largest violation of the optimality conditions, per resource.
-
-    How far any agent's partial lies below the active agents' largest (their
-    spread, or a cheaper agent at zero), and the feasibility gap.
-    """
-    grads = batch.gradient(x)
-    residual = 0.0
-    for j in range(x.shape[1]):
-        top = grads[x[:, j] > ACTIVE_TOL, j].max(initial=-math.inf)
-        residual = max(residual, float(top - grads[:, j].min()),
-                       abs(float(x[:, j].sum()) - float(capacities[j])))
-    return residual
+def certify(batch: PolyBatch, x: np.ndarray, capacities, prices) -> tuple[float, float]:
+    """f(x) and its relative duality gap, sum_j |f(x) - L_j(mu_j)| / f(x), where
+    L_j(mu_j) = mu_j C_j + sum_i min over 0 <= t <= C_j of f_i(t) - mu_j t, with the
+    other columns held at x. On a feasible x it bounds (f(x) - f*) / f(x) for a separable
+    cost (weak duality), and is 0 at a stationary point of a coupled one. A gap of
+    exactly 0 reads 0, and any other over a cost of 0 reads inf."""
+    values = batch.value(x)
+    total, gap = float(values.sum()), 0.0
+    with np.errstate(all="ignore"):     # Newton's masked-off lanes may divide by 0
+        for j, (mu, capacity) in enumerate(zip(prices, capacities)):
+            point = x.copy()
+            point[:, j] = 0.0
+            demand = _demand(batch, point, j, mu, batch.partial(point, j), capacity)[0]
+            point[:, j] = demand
+            gap += abs(float((values - batch.value(point)).sum())
+                       - mu * (capacity - float(demand.sum())))
+    return total, 0.0 if gap == 0 else gap / total if total > 0 else math.inf
 
 
 def _demand(batch: PolyBatch, point: np.ndarray, j: int, mu: float, g0: np.ndarray,
-            top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            top: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     """Each agent's x_ij at which its partial equals mu, and the curvature there.
 
-    Newton starts at ``top``, which lies at or above every root, and falls
-    monotonically to it; an agent whose partial at zero already reaches mu
-    takes 0, and one whose partial at ``top`` stays below mu keeps ``top``.
-    ``point`` holds the other columns and is overwritten in column j.
+    Newton on log(partial) = log(mu) in log x_ij falls monotonically from ``top``, at or
+    above every root, to it; g / mu and g / (t c) carry no units. An agent whose partial
+    at zero reaches mu takes 0, and one whose partial at ``top`` stays below mu keeps
+    ``top``. ``point`` holds the other columns and is overwritten in column j.
     """
     t = np.where(g0 < mu, top, 0.0)
     for _ in range(MAX_STEPS):
         point[:, j] = t
-        excess = batch.partial(point, j) - mu
+        g = batch.partial(point, j)
         curvature = batch.second_partial(point, j)
-        step = np.divide(excess, curvature, out=np.zeros_like(t),
-                         where=(excess > 0) & (curvature > 0))
-        lower = np.maximum(t - step, 0.0)
+        falls = (g > mu) & (curvature > 0) & (t > 0)
+        log_ratio = np.log(np.minimum(g / mu, np.finfo(float).max))     # an overflow steps short
+        lower = np.where(falls, t * np.exp(-log_ratio * (g / (t * curvature))), t)
         if not (lower < t).any():
             break
-        t = np.minimum(lower, t)
+        t = lower
     return t, curvature
 
 
-def _fill(batch: PolyBatch, x: np.ndarray, j: int, capacity: float) -> np.ndarray:
-    """Column j of the optimum with the other columns held at x: >= 0, summing to capacity."""
+def _fill(batch: PolyBatch, x: np.ndarray, j: int, capacity: float) -> tuple[np.ndarray, float]:
+    """Column j of the optimum with the other columns held at x, and the price it ends at."""
     point = x.copy()
     point[:, j] = 0.0
     g0 = batch.partial(point, j)
@@ -106,7 +108,7 @@ def _fill(batch: PolyBatch, x: np.ndarray, j: int, capacity: float) -> np.ndarra
         # the cheapest flat agents take what the others leave at their price
         tied = flat & (g0 == price)
         x_hi[tied] = (capacity - x_hi.sum()) / tied.sum()
-        return x_hi
+        return x_hi, hi
 
     lo = float(g0[~flat].min())     # every demand is 0 at this price
     x_lo, d_lo, d_hi = np.zeros_like(x_hi), 0.0, float(x_hi.sum())
@@ -130,7 +132,7 @@ def _fill(batch: PolyBatch, x: np.ndarray, j: int, capacity: float) -> np.ndarra
         else:
             hi, x_hi, d_hi = mu, x, d
     # every agent's partial lies in [lo, hi] anywhere between the two demands
-    return x_lo + (capacity - d_lo) / (d_hi - d_lo) * (x_hi - x_lo)
+    return x_lo + (capacity - d_lo) / (d_hi - d_lo) * (x_hi - x_lo), mu
 
 
 def solve_optimum(costs, resources) -> OptimalAllocation:
@@ -139,25 +141,23 @@ def solve_optimum(costs, resources) -> OptimalAllocation:
     capacities = np.array([r.capacity for r in resources], dtype=float)
     batch = PolyBatch(costs)
     x = np.tile(capacities / n, (n, 1))   # feasible symmetric start
+    prices = np.zeros(m)
 
-    residual = math.inf
-    # overflow and 0/0 surface below as non-finite partials, columns, residuals or costs
+    # overflow and 0/0 surface below as non-finite partials, columns, gaps or costs
     with np.errstate(all="ignore"):
         for _ in range(MAX_PASSES):
             before = x.copy()
             for j in range(m):
-                x[:, j] = _fill(batch, x, j, capacities[j])
+                x[:, j], prices[j] = _fill(batch, x, j, capacities[j])
                 if not np.isfinite(x[:, j]).all():
                     raise RuntimeError(f"baseline solver: resource {j} has a non-finite share")
-            residual = kkt_residual(batch, x, capacities)
+            total_cost, gap = certify(batch, x, capacities, prices)
             # without cross-resource terms a second pass repeats the first
-            if residual <= KKT_TOL or np.array_equal(x, before):
+            if gap <= PASS_TOL or np.array_equal(x, before):
                 break
-        total_cost = float(batch.value(x).sum())
-    if not residual <= KKT_LIMIT:
-        raise RuntimeError(
-            f"baseline solver did not converge: KKT residual {residual:.3e} > {KKT_LIMIT:g}"
-        )
     if not math.isfinite(total_cost):
         raise RuntimeError(f"baseline solver: the optimal total cost is {total_cost}")
-    return OptimalAllocation(x_star=x, total_cost=total_cost, kkt_residual=residual)
+    if not gap <= GAP_TOL:
+        raise RuntimeError(f"baseline solver did not converge: relative duality gap {gap:.3e}"
+                           f" > {GAP_TOL:g}")
+    return OptimalAllocation(x_star=x, total_cost=total_cost, kkt_residual=gap)

@@ -3,7 +3,10 @@
 - ``solve_grid_oracle``: brute-force search over a grid of the feasible set,
   for the baseline solver on tiny instances.
 - ``solve_pgd_oracle``: projected gradient descent, the baseline solver that
-  water-filling replaced, for differential tests on small instances.
+  water-filling replaced, for differential tests on small instances. It stops
+  on its own certificate, the Frank-Wolfe gap (``frank_wolfe_gap``).
+- ``dual_bound_oracle``: the Lagrangian dual bound of a separable cost, in
+  ``decimal`` at 60 digits, and the demands at its price.
 - ``empirical_dp_ratio`` and ``empirical_dp_violation_fraction``: histogram
   checks of the privacy bound against the mechanisms' own draws.
 - ``linear_fit_r2``: how close the cumulative broadcast bits are to a line.
@@ -20,13 +23,15 @@
 from __future__ import annotations
 
 import csv
+import decimal
 import functools
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 
-from dpaimd.baseline import OptimalAllocation, kkt_residual, project_simplex
+from dpaimd.baseline import OptimalAllocation, project_simplex
 from dpaimd.engine import LAMBDA_MIN, Trace, series_grid
 from dpaimd.model import NOISE_STREAM, ConfigurationError, NumericError, PolyBatch
 from dpaimd.privacy import NoiseKind
@@ -99,16 +104,26 @@ def solve_grid_oracle(costs, resources, resolution: float) -> OptimalAllocation:
             c = float(batch.value(x).sum())
             if c < best_cost:
                 best_cost, best = c, x
-    residual = kkt_residual(batch, best, capacities)
-    return OptimalAllocation(x_star=np.asarray(best, dtype=float),
-                             total_cost=best_cost, kkt_residual=residual)
+    return OptimalAllocation(x_star=np.asarray(best, dtype=float), total_cost=best_cost,
+                             kkt_residual=frank_wolfe_gap(batch, best, capacities))
 
 
 # ---------------------------------------------------------------------------
 # Baseline by projected gradient
 # ---------------------------------------------------------------------------
 
-PGD_TOL = 1e-7      # projected gradient stops once its KKT residual is this small
+PGD_TOL = 1e-9      # projected gradient stops once its relative Frank-Wolfe gap is this small
+
+
+def frank_wolfe_gap(batch: PolyBatch, x: np.ndarray, capacities: np.ndarray) -> float:
+    """Relative Frank-Wolfe gap, sum_j (sum_i g_ij x_ij - C_j min_i g_ij) / f(x).
+
+    On a feasible x of a convex cost it bounds (f(x) - f*) / f(x) (Jaggi, ICML
+    2013). An agent at x_ij = 0 adds nothing to the first sum, whatever its partial.
+    """
+    g = batch.gradient(x)
+    held = np.multiply(g, x, out=np.zeros_like(x), where=x > 0).sum(axis=0)
+    return float((held - capacities * g.min(axis=0)).sum() / batch.value(x).sum())
 
 
 def solve_pgd_oracle(costs, resources, max_iter: int = 500_000) -> OptimalAllocation:
@@ -126,7 +141,7 @@ def solve_pgd_oracle(costs, resources, max_iter: int = 500_000) -> OptimalAlloca
         raise RuntimeError(f"baseline solver: curvature bound {lip} is not finite")
     step = 1.0 / max(lip, 1e-12)
 
-    residual = math.inf
+    gap = math.inf
     for it in range(max_iter):
         moved = x - step * batch.gradient(x)
         if not np.isfinite(moved).all():
@@ -135,19 +150,108 @@ def solve_pgd_oracle(costs, resources, max_iter: int = 500_000) -> OptimalAlloca
         for j in range(m):
             x[:, j] = project_simplex(moved[:, j], capacities[j])
         if it % 50 == 0:
-            residual = kkt_residual(batch, x, capacities)
-            # a fixed point of the iteration keeps this residual for good
-            if residual <= PGD_TOL or np.array_equal(x, before):
+            gap = frank_wolfe_gap(batch, x, capacities)
+            # a fixed point of the iteration keeps this gap for good
+            if gap <= PGD_TOL or np.array_equal(x, before):
                 break
     else:
-        residual = kkt_residual(batch, x, capacities)
-    if residual > 1e-6:
-        raise RuntimeError(
-            f"baseline solver did not converge: KKT residual {residual:.3e} > 1e-6"
-        )
-    return OptimalAllocation(
-        x_star=x, total_cost=float(batch.value(x).sum()), kkt_residual=residual,
-    )
+        gap = frank_wolfe_gap(batch, x, capacities)
+    if gap > 1e-6:
+        raise RuntimeError(f"baseline solver did not converge: Frank-Wolfe gap {gap:.3e} > 1e-6")
+    return OptimalAllocation(x_star=x, total_cost=float(batch.value(x).sum()), kkt_residual=gap)
+
+
+# ---------------------------------------------------------------------------
+# Baseline by the Lagrangian dual, in decimal
+# ---------------------------------------------------------------------------
+
+DUAL_DIGITS = 60
+DUAL_STEPS = 400    # geometric bisection steps on the price
+
+
+def _column_terms(costs, j: int) -> list:
+    """Per agent, {exponent: coefficient} of its terms in x_j alone."""
+    columns = []
+    for f in costs:
+        terms = {}
+        for c, e in zip(f.coeffs, f.exponents):
+            if np.count_nonzero(e) > 1:
+                raise ConfigurationError("dual bound oracle: the cost is not separable")
+            if e[j] > 0:
+                terms[int(e[j])] = terms.get(int(e[j]), Decimal(0)) + Decimal(float(c))
+        if not terms:
+            raise ConfigurationError(f"dual bound oracle: an agent ignores resource {j}")
+        columns.append(terms)
+    return columns
+
+
+def _slope(terms: dict, t: Decimal) -> Decimal:
+    return sum(e * c * t ** (e - 1) for e, c in terms.items())
+
+
+def _argmin(terms: dict, mu: Decimal, capacity: Decimal) -> Decimal:
+    """argmin over 0 <= t <= capacity of sum c t^e - mu t, in closed form: one term
+    of degree e >= 2 besides a linear one, or degrees 2 and 4 (Cardano)."""
+    q = mu - terms.get(1, Decimal(0))
+    rest = {e: c for e, c in terms.items() if e != 1}
+    if q <= 0:
+        return Decimal(0)
+    if not rest:
+        return capacity
+    if len(rest) == 1:
+        [(e, c)] = rest.items()
+        t = (q / (e * c)) ** (Decimal(1) / (e - 1))
+    elif set(rest) == {2, 4}:
+        # t^3 + p t = r; with u^3 = r/2 + sqrt(r^2/4 + p^3/27) and v = p / (3u), the
+        # root u - v = r / (u^2 + uv + v^2) is a sum of positive terms
+        p, r = rest[2] / (2 * rest[4]), q / (4 * rest[4])
+        u = (r / 2 + (r * r / 4 + p ** 3 / 27).sqrt()) ** (Decimal(1) / 3)
+        t = r / (u * u + p / 3 + (p / (3 * u)) ** 2)
+    else:
+        raise ConfigurationError(f"dual bound oracle: no closed form for degrees {sorted(terms)}")
+    return min(t, capacity)
+
+
+def dual_bound_oracle(costs, capacities) -> tuple[Decimal, np.ndarray]:
+    """max over mu of the Lagrangian dual L(mu) of a separable cost, and the demands there.
+
+    Per resource, L_j(mu) = mu C_j + sum_i min over 0 <= t <= C_j of f_ij(t) - mu t,
+    each inner minimum in closed form (``_argmin``), at 60 digits. L_j is concave,
+    and its slope C_j - sum_i t_i(mu) changes sign at the optimal price: a geometric
+    bisection between a price at which every demand is below C_j / n and one at
+    which every demand is C_j finds it. Any price gives a lower bound on f*, and for
+    convex costs the best one equals it (Boyd & Vandenberghe, *Convex Optimization*,
+    5.2 and 5.5).
+    """
+    n = len(costs)
+    bound, x = Decimal(0), np.empty((n, len(capacities)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = DUAL_DIGITS
+        # rounded to the context, so that a sum of demands compares with it at 60 digits
+        for j, capacity in enumerate(+Decimal(float(c)) for c in capacities):
+            columns = _column_terms(costs, j)
+
+            def demands(mu):
+                return [_argmin(terms, mu, capacity) for terms in columns]
+
+            def dual(mu, ts):
+                return mu * capacity + sum(sum(c * t ** e for e, c in terms.items()) - mu * t
+                                           for terms, t in zip(columns, ts))
+
+            lo = min(_slope(terms, capacity / n) for terms in columns)
+            hi = 2 * max(_slope(terms, capacity) for terms in columns)
+            for _ in range(DUAL_STEPS):
+                mid = (lo * hi).sqrt()
+                if mid in (lo, hi):
+                    break
+                if sum(demands(mid)) < capacity:
+                    lo = mid
+                else:
+                    hi = mid
+            t_lo, t_hi = demands(lo), demands(hi)
+            bound += max(dual(lo, t_lo), dual(hi, t_hi))
+            x[:, j] = [float(t) for t in t_hi]
+    return bound, x
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from dpaimd import baseline
 from dpaimd.baseline import (
-    kkt_residual,
+    certify,
     project_simplex,
     solve_optimum,
 )
@@ -17,7 +20,7 @@ from dpaimd.model import (
     quad_quartic_cost,
     quadratic_cost,
 )
-from oracles import solve_grid_oracle, solve_pgd_oracle
+from oracles import dual_bound_oracle, solve_grid_oracle, solve_pgd_oracle
 
 
 def res(*capacities):
@@ -58,29 +61,54 @@ class TestProjection:
 
 
 class TestKktResidual:
+    """``certify``'s relative duality gap, the solver's ``kkt_residual``, in closed
+    form: x^2 and 2 x^2 on capacity 3 have the optimum (2, 1) at the price 4, f* = 6."""
+
     def test_zero_at_analytic_optimum(self):
         costs = [power_cost(1.0, 2), power_cost(2.0, 2)]   # x^2 and 2 x^2
         x = np.array([[2.0], [1.0]])                       # 2 x1 matches 4 x2
-        assert kkt_residual(PolyBatch(costs), x, np.array([3.0])) < 1e-12
+        assert certify(PolyBatch(costs), x, np.array([3.0]), [4.0]) == (6.0, 0.0)
 
     def test_positive_off_optimum(self):
+        # f(1.5, 1.5) = 6.75 against L(4) = 12 + (4 - 8) + (2 - 4) = 6
         costs = [power_cost(1.0, 2), power_cost(2.0, 2)]
         x = np.array([[1.5], [1.5]])
-        assert kkt_residual(PolyBatch(costs), x, np.array([3.0])) == pytest.approx(3.0)
+        total, gap = certify(PolyBatch(costs), x, np.array([3.0]), [4.0])
+        assert total == 6.75
+        assert gap == pytest.approx(0.75 / 6.75, rel=1e-12)
 
     def test_includes_feasibility_gap(self):
+        # x^2 at 2.5 on capacity 3, priced at its own partial 5: the demand is
+        # the point itself, and L(5) = 15 + 6.25 - 12.5 exceeds f = 6.25 by 5 * 0.5
         costs = [power_cost(1.0, 2)]
         x = np.array([[2.5]])
-        assert kkt_residual(PolyBatch(costs), x, np.array([3.0])) >= 0.5
+        total, gap = certify(PolyBatch(costs), x, np.array([3.0]), [5.0])
+        assert gap == pytest.approx(2.5 / 6.25, rel=1e-12)
 
     def test_agent_at_zero_must_not_be_cheaper(self):
         # x^2 and 10 x on capacity 2: the optimum gives agent 0 everything
-        # (cost 4); the other corner costs 20, and agent 0's partial there
-        # (0) sits below the active agent's (10)
+        # (cost 4, price 4); the other corner costs 20 against L(4) = 4
         costs = [power_cost(1.0, 2), CostFunction(np.array([10.0]), np.array([[1]]))]
         batch, caps = PolyBatch(costs), np.array([2.0])
-        assert kkt_residual(batch, np.array([[2.0], [0.0]]), caps) == 0.0
-        assert kkt_residual(batch, np.array([[0.0], [2.0]]), caps) == pytest.approx(10.0)
+        assert certify(batch, np.array([[2.0], [0.0]]), caps, [4.0]) == (4.0, 0.0)
+        assert certify(batch, np.array([[0.0], [2.0]]), caps, [4.0]) == (20.0, 0.8)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.5e-8, 6e-8])
+    def test_refuses_a_corner_below_one_millionth(self, mu):
+        # x^2 and 3 x^2 at C = 1e-8: the corner (0, 1e-8) costs 4 times the optimum
+        # (7.5e-9, 2.5e-9), so its gap is at least 0.75 at any price
+        costs = [power_cost(1.0, 2), power_cost(3.0, 2)]
+        _, gap = certify(PolyBatch(costs), np.array([[0.0], [1e-8]]), np.array([1e-8]), [mu])
+        assert gap >= 0.75 - 1e-15
+
+    def test_a_gap_over_a_cost_of_zero_reads_inf(self):
+        # x^2 twice at C = 1e-200: the corner's cost underflows to 0, while at the
+        # price 1 both agents demand C, so L(1) = -1e-200 and the gap is 1e-200
+        costs = [power_cost(1.0, 2), power_cost(1.0, 2)]
+        corner = np.array([[1e-200], [0.0]])
+        assert certify(PolyBatch(costs), corner, np.array([1e-200]), [1.0]) == (0.0, math.inf)
+        # at the price 0 every demand is 0 and L(0) = 0: a gap of exactly 0 reads 0
+        assert certify(PolyBatch(costs), corner, np.array([1e-200]), [0.0]) == (0.0, 0.0)
 
 
 class TestSolver:
@@ -90,7 +118,7 @@ class TestSolver:
         assert np.allclose(opt.x_star, [[2.0], [1.0]], atol=1e-5)
         assert opt.total_cost == pytest.approx(6.0, rel=1e-6)
         assert opt.kkt_residual <= 1e-6
-        assert (opt.x_star > baseline.ACTIVE_TOL).all()
+        assert (opt.x_star > 1e-6).all()
 
     def test_two_agent_quartic_closed_form(self):
         # x1^4 + 2 x2^4 on sum = 3: gradients match at x1 = 2^(1/3) x2
@@ -111,7 +139,7 @@ class TestSolver:
         costs = [power_cost(1.0, 2), steep]
         opt = solve_optimum(costs, res(2.0))
         assert np.allclose(opt.x_star, [[2.0], [0.0]], atol=1e-6)
-        assert opt.x_star[1, 0] <= baseline.ACTIVE_TOL
+        assert opt.x_star[1, 0] <= 1e-6
 
     def test_column_sums_match_capacities(self, short_reference_run):
         config, _, optimum = short_reference_run
@@ -129,16 +157,20 @@ class TestSolver:
             solve_optimum(costs, res(capacity))
 
     def test_fixed_point_short_of_tolerance_fails_at_once(self, monkeypatch):
-        # at capacity 1e15 the partials' rounding error (0.5) exceeds the
-        # tolerance, and a second pass over the one resource repeats the first;
-        # each pass ends with one certificate
+        # a certificate that stays above the tolerance: a second pass over the
+        # one resource repeats the first, and each pass ends with one certificate
         calls = []
-        certify = baseline.kkt_residual
-        monkeypatch.setattr(baseline, "kkt_residual",
-                            lambda *args: calls.append(1) or certify(*args))
-        with pytest.raises(RuntimeError, match="did not converge"):
+        certify_at = baseline.certify
+        monkeypatch.setattr(baseline, "certify", lambda *args: calls.append(1) or
+                            (certify_at(*args)[0], 2 * baseline.GAP_TOL))
+        with pytest.raises(RuntimeError, match="did not converge: relative duality gap 2.000e-10"):
             solve_optimum([power_cost(1.0, 2), power_cost(3.0, 2)], res(1e15))
         assert len(calls) == 2          # the budget is MAX_PASSES passes
+
+    def test_infinite_total_cost_is_named(self):
+        # 4.5e103 x at C = 1.21e265: every share is finite, the cost is not
+        with pytest.raises(RuntimeError, match="the optimal total cost is inf"):
+            solve_optimum([power_cost(4.5e103, 1)], res(1.21e265))
 
     def test_resources_decouple(self):
         # solving two resources jointly equals solving each alone
@@ -162,14 +194,16 @@ class TestSolver:
         assert opt.kkt_residual <= 1e-12
 
     def test_kkt_residual_certifies_a_stationary_point_only(self):
-        # 3 x1 x2 is not convex: the KKT conditions hold exactly at a point
-        # costing 1.2, while the optimum, found by the solver and the grid, costs 1.0
+        # 3 x1 x2 is not convex: at a point costing 1.2, every partial is 1.2 and each
+        # column is optimal with the other held, while the optimum, found by the
+        # solver and the grid, costs 1.0
         costs = [CostFunction(np.array([3.0]), np.array([[1, 1]])),
                  CostFunction(np.array([1.0, 1.0]), np.array([[2, 0], [0, 2]]))]
         batch, caps = PolyBatch(costs), np.array([1.0, 1.0])
         stationary = np.array([[0.4, 0.4], [0.6, 0.6]])
-        assert kkt_residual(batch, stationary, caps) <= 1e-12
-        assert batch.value(stationary).sum() == pytest.approx(1.2)
+        total, gap = certify(batch, stationary, caps, [1.2, 1.2])
+        assert gap <= 1e-12
+        assert total == pytest.approx(1.2)
         opt = solve_optimum(costs, res(1.0, 1.0))
         grid = solve_grid_oracle(costs, res(1.0, 1.0), resolution=0.05)
         assert opt.total_cost == pytest.approx(1.0)
@@ -188,17 +222,38 @@ class TestSolver:
         opt = solve_optimum([power_cost(1.0, 2), power_cost(1e-200, 2)], tiny)
         assert opt.x_star.tolist() == [[0.0], [1e-200]]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: Newton in _demand stops far above "
-                       "the root of a degree-39 partial, and the absolute KKT limit passes it")
     def test_high_degree_partial_reaches_its_root(self):
-        # x0 = (3.21e-127 / 40)^(1/39) = 5.19396e-4 gives the optimum; the solver
-        # returns a total cost of 5.648e-91 with a KKT residual of 4.1e-87
+        # x0 = (3.21e-127 / 40)^(1/39) = 5.19396e-4 gives the optimum; Newton on the
+        # partial itself stopped near 6e-3, at a total cost of 5.648e-91
         opt = solve_optimum([power_cost(1.0, 40), power_cost(2.51e63, 1),
                              power_cost(3.21e-127, 1)], res(1.0))
         x0 = (3.21e-127 / 40) ** (1 / 39)
         f_star = x0 ** 40 + 3.21e-127 * (1 - x0)
         assert f_star == pytest.approx(3.2083744e-127, rel=1e-7, abs=0)
         assert opt.total_cost == pytest.approx(f_star, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("costs,capacity", [
+        ([power_cost(1.0, 2), power_cost(3.0, 2)], 1e10),
+        ([power_cost(1.0, 2), power_cost(3.0, 2)], 1e15),
+        *[([power_cost(1.0, 2), power_cost(3.0, 2), power_cost(5.0, 4)], c)
+          for c in (1e10, 1e15, 1e20, 1e100)],
+        # the quadratic agent's exact share, 7.9e-344, underflows to 0
+        ([power_cost(2.13e269, 1), power_cost(2.20e100, 2), power_cost(3.46e-243, 1)], 2.97e118),
+        ([power_cost(8e33, 2), power_cost(1e70, 2)], 1.0),
+        # the x^40 partial at the capacity over the price overflows (4e196 / 1e-120):
+        # uncapped, Newton's first step lands on 0, not on the root 7.6e-4, and the
+        # certificate, which takes the same demands, reads 0 at a cost 7.4e-9 too high
+        ([power_cost(1.0, 40), power_cost(1e-120, 1)], 1e5),
+    ], ids=["2-agents-1e10", "2-agents-1e15", "3-agents-1e10", "3-agents-1e15",
+            "3-agents-1e20", "3-agents-1e100", "underflowed-share", "coefficients-1e36-apart",
+            "partial-over-price-overflows"])
+    def test_large_or_lopsided_problems_meet_the_dual_bound(self, costs, capacity):
+        # rounding here dwarfs any absolute tolerance, and a plain Frank-Wolfe gap
+        # reads 1.0 on the underflowed share
+        opt = solve_optimum(costs, res(capacity))
+        bound, _ = dual_bound_oracle(costs, [capacity])
+        assert abs(Decimal(opt.total_cost) - bound) <= Decimal(baseline.GAP_TOL * opt.total_cost)
+        assert opt.kkt_residual <= baseline.GAP_TOL
 
 
 def small_problems(coupled):
