@@ -246,33 +246,40 @@ def summary_to_dict(summary: metrics.RunSummary, config: SystemConfig,
     }
 
 
-_ROW_TEMPLATES = np.array(["%d,%s%.17g,%.17g,0,,,%s", "%d,%s%.17g,%.17g,1,%.17g,%.17g,%s"])
+_ROW_BODIES = np.array(["%.17g,%.17g,0,,,", "%.17g,%.17g,1,%.17g,%.17g,"])   # by event bit
 
 
 def write_trace_csv(trace: engine.Trace, path: Path):
     """Full per-step trace, one row per (step, agent, resource), 17 sig digits;
     rows go out TRACE_CHUNK_ROWS at a time, x-bar and lambda-hat derived per
-    chunk, each chunk as one ``%`` of its rows' templates. The engine records
-    lambda-hat and the noisy derivative NaN exactly off event, where a row's
-    template leaves them empty. Needs a trace run with ``dense=True``."""
+    chunk, each chunk as one ``%`` of its floats alone on a template whose other
+    fields are text without a ``%``. The engine records lambda-hat and the noisy
+    derivative NaN exactly off event, where a row's body leaves them empty.
+    Needs a trace run with ``dense=True``."""
     n, m = trace.n_agents, trace.n_resources
     cum_bits = trace.cum_bits
     views = trace.views(max(1, TRACE_CHUNK_ROWS // (n * m)))   # raises on a lean trace
-    cells = np.array([[f"{i},{j}," for j in range(m)] for i in range(n)], dtype=object)
+    cells = [f"{i},{j}," for i in range(n) for j in range(m)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,agent,resource,x,xbar,event_bit,lambda_hat,noisy_derivative,"
                  "sensitivity,cum_bits\n")
         for span, xbar, lambda_hat in views:
-            tails = [["%.17g,%d\n" % (s, c) for s in row] for row, c in
-                     zip(trace.sensitivity[span].tolist(), cum_bits[span].tolist())]
-            columns = (np.arange(span.start, span.start + len(xbar))[:, None, None], cells,
-                       trace.x[span], xbar, lambda_hat, trace.noisy_derivative[span],
-                       np.array(tails, dtype=object).reshape(-1, 1, m))
-            fields = np.stack(np.broadcast_arrays(*columns), axis=-1)   # dtype object
-            bits = np.broadcast_to(trace.event_bits[span, None], xbar.shape)
-            keep = np.ones(fields.shape, dtype=bool)    # all but an off-event row's two NaNs
-            keep[..., 4:6] = bits[..., None]
-            fh.write("".join(_ROW_TEMPLATES[bits].ravel().tolist()) % tuple(fields[keep].tolist()))
+            k, bits = len(xbar), trace.event_bits[span]
+            block = np.stack([trace.x[span], xbar, lambda_hat, trace.noisy_derivative[span]], -1)
+            # x and x-bar on every row, lambda-hat and the noisy derivative on event rows
+            keep = np.broadcast_to(bits[:, None, :, None] >= [0, 0, 1, 1], block.shape)
+            # each (step, resource)'s "sensitivity,cum_bits" tail, resource-major
+            pairs = zip(trace.sensitivity[span].T.ravel().tolist(), cum_bits[span].tolist() * m)
+            text = "%.17g,%d\n" * (k * m) % tuple(itertools.chain.from_iterable(pairs))
+            tails, bodies = text.splitlines(keepends=True), _ROW_BODIES[bits.T].tolist()
+            steps = [f"{s}," for s in range(span.start, span.start + k)]
+            pieces = [None] * (4 * k * n * m)      # the step, cell, body and tail of each row
+            pieces[1::4] = cells * k
+            for r in range(n * m):      # rows r, r + n*m, ... of agent r // m and resource r % m
+                pieces[4 * r::4 * n * m] = steps
+                pieces[4 * r + 2::4 * n * m] = bodies[r % m]
+                pieces[4 * r + 3::4 * n * m] = tails[r % m * k:(r % m + 1) * k]
+            fh.write("".join(pieces) % tuple(block[keep].tolist()))
 
 
 def _problem_key(config: SystemConfig):

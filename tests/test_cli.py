@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpaimd import baseline, cli, engine, metrics
@@ -145,10 +145,24 @@ def trace_configs(draw):
         steps=draw(st.integers(0, 40)), seed=draw(st.integers(0, 2**32 - 1)))
 
 
+def square_cost_config(n, m, steps, seed=11):
+    """n agents with quadratic costs on m resources, which draw Laplace, Gaussian
+    and no noise in turn."""
+    return SystemConfig(
+        agents=[CostFunction(np.linspace(1.0, 3.0, m) * (1 + i / n), 2 * np.eye(m, dtype=int))
+                for i in range(n)],
+        resources=[ResourceConfig(capacity=0.3 * n, alpha=0.05, beta=0.5, gamma=1e-3)] * m,
+        noise=[NOISE_KINDS[("laplace", "gaussian", "none")[j % 3]] for j in range(m)],
+        steps=steps, seed=seed)
+
+
 class TestTraceCsv:
     """The chunked writer gives the bytes of the per-cell writer it replaced."""
 
     @given(trace_configs(), st.integers(1, 12))
+    @example(small_config(steps=0), 12)                 # the header alone
+    @example(square_cost_config(3, 3, steps=7), 4)      # one step, 9 rows, exceeds a chunk
+    @example(small_config(steps=40), 12)                # chunks of 6 steps, the last of 4
     @settings(max_examples=60, deadline=None)
     def test_byte_equal_to_the_per_cell_writer(self, config, chunk_rows):
         trace = engine.run(config, dense=True)
@@ -170,13 +184,7 @@ class TestTraceCsv:
         """Default chunks of 25 steps over 300: the "agent,resource," fields built
         once per run and each (step, resource)'s tail broadcast over 16 agents."""
         n, m = 16, 3
-        config = SystemConfig(
-            agents=[CostFunction(np.linspace(1.0, 3.0, m) * (1 + i / n), 2 * np.eye(m, dtype=int))
-                    for i in range(n)],
-            resources=[ResourceConfig(capacity=0.3 * n, alpha=0.05, beta=0.5, gamma=1e-3)] * m,
-            noise=[NOISE_KINDS[kind] for kind in ("laplace", "gaussian", "none")],
-            steps=300, seed=11)
-        trace = engine.run(config, dense=True)
+        trace = engine.run(square_cost_config(n, m, steps=300), dense=True)
         assert cli.TRACE_CHUNK_ROWS // (n * m) == 25 and trace.event_counts.all()
         got, expected = self.written_and_expected(trace, tmp_path)
         assert got == expected
@@ -208,6 +216,36 @@ class TestTraceCsv:
         finally:
             tracemalloc.stop()
         assert peak < trace.x.nbytes
+
+    def test_python_calls_per_chunk_are_the_same_at_any_chunk_size(self, tmp_path):
+        """The writer makes no Python-level call per step or row: writing 400 more
+        reference steps adds the same calls (``sys.setprofile``'s call and c_call
+        events) per added chunk in chunks of 10 steps as in chunks of 100."""
+        noise = [NoiseSpec(kind=NoiseKind.LAPLACE, epsilon=0.1, scale_mode=ScaleMode.FIXED,
+                           scale=scale) for scale in (59.0, 63.4)]
+        short, long = (engine.run(cli.reference_system_config(noise, steps=steps), dense=True)
+                       for steps in (200, 600))
+
+        def calls(trace, chunk_rows):
+            events = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "TRACE_CHUNK_ROWS", chunk_rows)
+                gc.disable()        # no collection may run a Python callback while counting
+                sys.setprofile(lambda frame, event, arg: events.append(event))
+                try:
+                    cli.write_trace_csv(trace, tmp_path / "trace.csv")
+                finally:
+                    sys.setprofile(None)
+                    gc.enable()
+            return events.count("call") + events.count("c_call")
+
+        calls(short, cli.TRACE_CHUNK_ROWS)      # once first: one-time imports and lookups
+        per_chunk = {}
+        for chunk_rows in (120, 1200):
+            steps_per_chunk = chunk_rows // (short.n_agents * short.n_resources)
+            added_chunks = (long.steps - short.steps) // steps_per_chunk
+            per_chunk[chunk_rows] = (calls(long, chunk_rows) - calls(short, chunk_rows)) / added_chunks
+        assert per_chunk[120] == per_chunk[1200], per_chunk
 
 
 class TestDownsample:
