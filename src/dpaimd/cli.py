@@ -257,8 +257,8 @@ def write_trace_csv(trace: engine.Trace, path: Path):
     derivative NaN exactly off event, where a row's body leaves them empty.
     Needs a trace run with ``dense=True``."""
     n, m = trace.n_agents, trace.n_resources
-    cum_bits = trace.cum_bits
     views = trace.views(max(1, TRACE_CHUNK_ROWS // (n * m)))   # raises on a lean trace
+    cum_bits = trace.cum_bits
     cells = [f"{i},{j}," for i in range(n) for j in range(m)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,agent,resource,x,xbar,event_bit,lambda_hat,noisy_derivative,"

@@ -83,16 +83,18 @@ def multiplicative_decrease(x, lam, beta, out=None, where=True, factor=None):
 class Trace:
     """Struct-of-arrays record of a run, each fact stored once.
 
-    A run with ``dense=True`` keeps the per-step series, None otherwise; a summary
-    reads only the loop's own final x-bar, the bits and the values at the g steps
-    of ``series_grid(steps)``. x-bar, lambda-hat and the bit counts are derived on
-    each read, bit for bit the values the engine used.
+    A run with ``dense=True`` keeps the per-step series, the event bits among
+    them, None otherwise; a summary reads only the loop's own final x-bar and the
+    values at the g steps of ``series_grid(steps)``, whose last is the last step:
+    the event counts are the grid's there. x-bar, lambda-hat and the cumulative
+    bits are derived on each read, bit for bit the values the engine used.
     """
 
+    steps: int
     x: np.ndarray | None                 # (steps, n, m), None unless dense
     final_xbar: np.ndarray               # (n, m) x-bar after the last step, zeros at 0 steps
     final_sensitivity: np.ndarray        # (m,) running max dq after the last step
-    event_bits: np.ndarray               # (steps, m) uint8
+    event_bits: np.ndarray | None        # (steps, m) uint8, None unless dense
     noisy_derivative: np.ndarray | None  # (steps, n, m), NaN off-event, None unless dense
     sensitivity: np.ndarray | None       # (steps, m) running max dq, None unless dense
     grid_sensitivity: np.ndarray         # (g, m) running max dq
@@ -138,20 +140,16 @@ class Trace:
         return lambda_hat
 
     @property
-    def event_counts(self) -> np.ndarray:       # (m,) events K_j per resource
-        return self.event_bits.sum(axis=0, dtype=np.int64)
+    def event_counts(self) -> np.ndarray:       # (m,) events K_j per resource, at the last step
+        return self.grid_events[-1] if self.steps else np.zeros(self.n_resources, np.int64)
 
     @property
-    def cum_bits(self) -> np.ndarray:           # (steps,) cumulative broadcast bits
+    def cum_bits(self) -> np.ndarray:           # (steps,) cumulative broadcast bits, dense only
         return np.cumsum(self.event_bits.sum(axis=1, dtype=np.int64))
 
     @property
     def broadcast_bits_total(self) -> int:
-        return int(self.event_bits.sum(dtype=np.int64))
-
-    @property
-    def steps(self) -> int:
-        return self.event_bits.shape[0]
+        return int(self.event_counts.sum())
 
     @property
     def n_agents(self) -> int:
@@ -184,9 +182,9 @@ def run(config: SystemConfig, *, dense: bool = False) -> Trace:
 
     A calibrated spec without a ``sensitivity`` gets one from
     ``resolve_noise_scales``, which runs its pilot. The trace keeps the
-    per-step series only with ``dense=True``; without it the run holds
-    O(n m + MAX_SERIES_POINTS m) memory plus the byte a step and resource of
-    ``event_bits``, and every other field, the summary's inputs, has the same bits.
+    per-step series, ``event_bits`` among them, only with ``dense=True``;
+    without it the run holds O(n m + MAX_SERIES_POINTS m) memory whatever its
+    horizon, and every other field, the summary's inputs, has the same bits.
     """
     if any(spec.needs_pilot for spec in config.noise):
         [noise] = resolve_noise_scales(config, [config.noise])
@@ -201,10 +199,11 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     demand; the NumericError names the step it failed at.
 
     Nothing in the loop reads the sensitivity, so each event step writes its
-    gradient into a block that the tracker takes in one pass when it is full,
-    when ``server_step`` fails and after the loop: a partial that failed first
-    still wins. The tracker keeps the ``grid_`` values; a dense run's
-    ``sensitivity`` is written on event steps and forward-filled after the loop. Each
+    gradient and its bits into blocks that the tracker takes in one pass when
+    full, when ``server_step`` fails and after the loop: a partial that failed
+    first still wins. The tracker keeps the ``grid_`` values, the event counts
+    among them; a dense run's ``sensitivity`` is written on event steps and
+    forward-filled after the loop, and its bits on every step. Each
     per-step call takes operands made once per run, and x-bar is divided out
     only where it is read: at event steps and after the loop."""
     n, m, steps = config.n_agents, config.n_resources, config.steps
@@ -228,26 +227,25 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
     lam = np.zeros((m, n))              # the noisy partials, then lambda-hat, of the fired rows
     factor = np.empty((m, n))           # the back-off factor
 
-    tr_x = tr_nderiv = tr_dq = None
-    try:
-        tr_bits = np.empty((steps, m), dtype=np.uint8)
-        if dense:
-            tr_x = np.empty((steps, n, m))
-            tr_nderiv = np.full((steps, n, m), np.nan)
-            tr_dq = np.zeros((steps, m))
-    except (ValueError, MemoryError) as exc:
-        raise ConfigurationError(f"steps={steps} gives a trace numpy cannot allocate: {exc}") from exc
+    tr_x = tr_bits = tr_nderiv = tr_dq = None
+    if dense:
+        try:
+            tr_x, tr_bits = np.empty((steps, n, m)), np.empty((steps, m), dtype=np.uint8)
+            tr_nderiv, tr_dq = np.full((steps, n, m), np.nan), np.zeros((steps, m))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigurationError(f"steps={steps} gives a trace numpy cannot allocate: {exc}") from exc
     tracker = SensitivityTracker(n, m, config.burn_in_events, series_grid(steps))
 
-    # the (m, n) partials of the event steps the tracker has not taken yet
+    # the (m, n) partials and the (m,) bits of the event steps the tracker has not taken yet
     block = np.empty((max(1, min(steps, TRACKER_BLOCK_CELLS // (n * m))), m, n))
+    block_bits = np.empty((len(block), m), dtype=np.uint8)
     event_steps = []
 
     def feed_tracker():
         if event_steps:
             rows = np.array(event_steps)
             event_steps.clear()
-            tracker.update_all(rows, block[:rows.size], tr_bits[rows], tr_dq)
+            tracker.update_all(rows, block[:rows.size], block_bits[:rows.size], tr_dq)
 
     # lambda-hat clamps an overflow and the checks catch the rest, among them the
     # NaN of an inf partial plus -inf noise, which the tracker rejects with its block
@@ -255,7 +253,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
         for nu in range(steps):
             np.add.accumulate(x, 1, None, sums)
             try:
-                fired, tr_bits[nu], where = server_step(limits, aggregate, pair, patterns, n)
+                fired, bits, where = server_step(limits, aggregate, pair, patterns, n)
             except NumericError as exc:
                 feed_tracker()              # a partial that failed at an earlier step wins
                 raise NumericError(f"{exc} at step {nu}") from exc
@@ -266,6 +264,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
                 count[...] = nu + 1
                 np.divide(x_sum, count, out=xbar)
                 grads = gradient(xbar_flat, block[len(event_steps)])
+                block_bits[len(event_steps)] = bits
                 event_steps.append(nu)
                 for j in fired:             # each fired row's partials plus its next noise row
                     np.add(grads[j], _ZERO if sources[j] is None else sources[j].send(j), out=lam[j])
@@ -279,7 +278,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
             x, grown = grown, x
             x_sum += x
             if dense:
-                tr_x[nu] = x.T
+                tr_x[nu], tr_bits[nu] = x.T, bits
         feed_tracker()
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite demand at step {steps - 1}")
@@ -288,8 +287,8 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
         np.maximum.accumulate(tr_dq, axis=0, out=tr_dq)
 
     return Trace(
-        x=tr_x, final_xbar=np.ascontiguousarray(xbar.T), final_sensitivity=tracker.running_max,
-        event_bits=tr_bits, noisy_derivative=tr_nderiv, sensitivity=tr_dq,
+        steps=steps, x=tr_x, event_bits=tr_bits, noisy_derivative=tr_nderiv, sensitivity=tr_dq,
+        final_xbar=np.ascontiguousarray(xbar.T), final_sensitivity=tracker.running_max,
         grid_sensitivity=tracker.grid_sensitivity, grid_events=tracker.grid_events,
         grid_spread=tracker.grid_spread, grid_spread_step=tracker.grid_spread_step,
         noise_scales=scales, gamma=gamma[:, 0].copy(),

@@ -253,8 +253,8 @@ class SystemConfig:
             raise ConfigurationError("need at least one resource")
         if len(self.noise) != len(self.resources):
             raise ConfigurationError("need one noise spec per resource")
-        if self.steps < 0:
-            raise ConfigurationError("steps must be >= 0")
+        if not 0 <= self.steps < 2**53:     # so x-bar's float64 divisor, steps + 1 at most, is exact
+            raise ConfigurationError("steps must be >= 0 and below 2**53")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
         if self.burn_in_events < 0:

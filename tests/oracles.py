@@ -492,8 +492,8 @@ def simulate_oracle(config) -> Trace:
     grid = series_grid(steps)
     last = np.maximum.accumulate(np.where(tr_bits == 1, np.arange(steps)[:, None], -1), axis=0)[grid]
     return Trace(
-        x=tr_x, final_xbar=xbar, final_sensitivity=tracker.running_max, event_bits=tr_bits,
-        noisy_derivative=tr_nderiv, sensitivity=tr_dq,
+        steps=steps, x=tr_x, final_xbar=xbar, final_sensitivity=tracker.running_max,
+        event_bits=tr_bits, noisy_derivative=tr_nderiv, sensitivity=tr_dq,
         grid_sensitivity=tr_dq[grid], grid_events=np.cumsum(tr_bits, axis=0, dtype=np.int64)[grid],
         grid_spread=np.where(last >= 0, tr_spread[last, np.arange(m)], np.nan), grid_spread_step=last,
         noise_scales=scales, gamma=gamma,

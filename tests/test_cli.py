@@ -322,6 +322,18 @@ class TestRunCommand:
         summary = json.loads((out / "summary_p000_s9.json").read_text())
         assert summary["seed"] == 9 and summary["steps"] == 10
 
+    def test_seed_override_replaces_the_sweep_seeds(self, tmp_path):
+        doc = small_doc(steps=30)
+        doc["sweep"] = {"axes": [{"path": "noise.0.scale", "values": [0.5, 1.0]}],
+                        "seeds": [1, 2]}
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(self.write(tmp_path, doc)), "--out", str(out),
+                         "--seed", "9"]) == 0
+        assert sorted(p.name for p in out.glob("summary_*.json")) == \
+            ["summary_p000_s9.json", "summary_p001_s9.json"]
+        rows = list(csv.DictReader((out / "sweep_summary.csv").read_text().splitlines()))
+        assert [(row["point"], row["seed"]) for row in rows] == [("0", "9"), ("1", "9")]
+
     def test_sweep_writes_one_summary_per_job(self, tmp_path):
         doc = small_doc(steps=30)
         doc["sweep"] = {"axes": [{"path": "noise.0.scale", "values": [0.5, 1.0]}],
@@ -393,6 +405,16 @@ class TestRunCommand:
         (lambda d: d["resources"][0].update(capacity=10**3999), []),
         (lambda d: d["noise"][0].update(kind="x" * 50_000), []),
         (lambda d: d["noise"][0].update(scale_mode="x" * 50_000), []),
+        (lambda d: d.update(agents=[]), []),
+        (lambda d: d.update(resources=[], noise=[]), []),
+        (lambda d: d.update(noise=[]), []),
+        (lambda d: d.update(steps=-1), []),
+        (lambda d: d.update(steps=2**53), []),
+        (lambda d: d.update(burn_in_events=-1), []),
+        (lambda d: d["agents"][0]["terms"][0][1].__setitem__(0, -2), []),
+        (lambda d: d["agents"][0].update(terms=[[1.0, [2]]]), []),
+        (lambda d: d.update(sweep={"axes": [{"path": "steps.x", "values": [1]}]}), []),
+        (lambda d: d.update(steps=2**52), ["--emit-trace"]),
     ], ids=["sweep-path-index", "sweep-value", "term-without-exponents",
             "calibration-without-events", "agents-not-list", "resources-not-objects",
             "noise-not-objects", "agent-ids-not-list", "sweep-seeds-not-list", "steps-string",
@@ -402,7 +424,10 @@ class TestRunCommand:
             "duplicate-agent-ids", "duplicate-sweep-seeds", "sweep-seeds-empty",
             "sweep-values-empty", "noise-scale-bool", "resource-beta-bool",
             "resource-capacity-bool", "steps-long-list", "capacity-long-string",
-            "capacity-4000-digits", "noise-kind-long-string", "scale-mode-long-string"])
+            "capacity-4000-digits", "noise-kind-long-string", "scale-mode-long-string",
+            "agents-empty", "resources-empty", "noise-empty", "steps-negative", "steps-2-53",
+            "burn-in-negative", "exponent-negative", "exponent-width", "sweep-path-below-number",
+            "dense-trace-too-large"])
     def test_config_errors_exit_2(self, tmp_path, capsys, mutate, extra_args):
         out_args = ["--out", str(tmp_path / "out"), *extra_args]
         assert self.run_mutated_suite_config(tmp_path, mutate, out_args) == 2
@@ -1006,7 +1031,7 @@ class TestSuiteAndSolve:
 # ---------------------------------------------------------------------------
 
 # Extreme numbers only at sizes a run refuses at once: a step count of 10**30
-# or 2**62 fails its first allocation, and no other field sets a loop length.
+# or 2**62 is past the bound of 2**53, and no other field sets a loop length.
 EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0, -1, 10**30, 2**62]
 OTHER_KINDS = [True, None, "1", 1, 1.5, [], [1], {}, {"a": 1}]
 

@@ -49,6 +49,17 @@ def square_cost(c=1.0):
     return CostFunction(np.array([c]), np.array([[2]]))
 
 
+def assert_same_trace(got, expected):
+    """Every field of ``expected`` in ``got``: ``steps`` by value, an array by its
+    dtype and bytes, and a field a lean run leaves out as None in both."""
+    for name, value in vars(expected).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(got, name).dtype == value.dtype, name
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+        else:
+            assert getattr(got, name) == value, name
+
+
 # signed zeros, subnormals, infinities, NaN and the ends of the float range
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan,
                1e308, -1e308, 1.0, 0.5]
@@ -192,6 +203,13 @@ class TestRunBehaviour:
         assert trace.x.shape == (0, 1, 1)
         assert trace.broadcast_bits_total == 0
 
+    def test_steps_stay_below_2_53(self):
+        """x-bar divides by up to steps + 1, which float64 holds exactly only up to 2**53."""
+        assert one_resource_config([square_cost()], steps=2**53 - 1).steps == 2**53 - 1
+        for steps in (2**53, -1):
+            with pytest.raises(ConfigurationError, match="steps must be >= 0 and below 2"):
+                one_resource_config([square_cost()], steps=steps)
+
     def test_deterministic_given_seed(self):
         noise = [NoiseSpec(kind=NoiseKind.GAUSSIAN, epsilon=0.2, delta=0.01,
                            scale_mode=ScaleMode.FIXED, scale=3.0)]
@@ -245,6 +263,7 @@ class TestRunBehaviour:
         _, trace, _ = short_reference_run
         expected = np.cumsum(trace.event_bits.sum(axis=1))
         assert np.array_equal(trace.cum_bits, expected)
+        assert trace.event_counts.tolist() == trace.event_bits.sum(axis=0).tolist()
         assert trace.broadcast_bits_total == trace.event_counts.sum()
         assert trace.cum_bits[-1] == trace.broadcast_bits_total
 
@@ -380,10 +399,7 @@ class TestCalibration:
         dq = dpaimd.run(self.two_resources([NoiseSpec()] * 2)).final_sensitivity
         [noise] = resolve_noise_scales(config, [config.noise])
         assert noise == [replace(specs[0], sensitivity=float(dq[0])), specs[1]]
-        resolved, calibrated = engine.run(replace(config, noise=noise)), engine.run(config)
-        for name, value in vars(calibrated).items():
-            if value is not None:
-                assert getattr(resolved, name).tobytes() == value.tobytes(), name
+        assert_same_trace(engine.run(replace(config, noise=noise)), engine.run(config))
 
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
            kind=st.sampled_from([NoiseKind.LAPLACE, NoiseKind.GAUSSIAN]),
@@ -528,13 +544,15 @@ class TestFinalXbar:
         assert trace.final_xbar.tobytes() == trace.xbar[-1].tobytes()
 
     def test_the_examples_end_as_named(self):
-        assert engine.run(sawtooth_pair(19)).event_bits[-3:, 0].tolist() == [1, 0, 0]
-        assert engine.run(sawtooth_pair(20)).event_bits[-1, 0] == 1
+        assert engine.run(sawtooth_pair(19), dense=True).event_bits[-3:, 0].tolist() == [1, 0, 0]
+        assert engine.run(sawtooth_pair(20), dense=True).event_bits[-1, 0] == 1
 
     def test_zeros_without_steps(self):
         trace = engine.run(one_resource_config([square_cost(), square_cost(2.0)], steps=0))
         assert trace.steps == 0 and trace.n_agents == 2 and trace.n_resources == 1
         assert trace.final_xbar.tobytes() == np.zeros((2, 1)).tobytes()
+        assert trace.event_counts.tobytes() == np.zeros(1, np.int64).tobytes()
+        assert trace.broadcast_bits_total == 0
 
 
 class TestNoiseBlocks:
@@ -546,10 +564,7 @@ class TestNoiseBlocks:
     @settings(max_examples=60, deadline=None)
     def test_trace_is_byte_equal_to_per_event_draws(self, config):
         config = usable_config(config)
-        got, expected = engine.run(config, dense=True), simulate_oracle(config)
-        for name, value in vars(expected).items():
-            assert getattr(got, name).dtype == value.dtype, name
-            assert getattr(got, name).tobytes() == value.tobytes(), name
+        assert_same_trace(engine.run(config, dense=True), simulate_oracle(config))
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @given(config=small_configs(mixed=True))
@@ -564,14 +579,11 @@ class TestNoiseBlocks:
             patch.setattr(privacy, "NOISE_BLOCK", rows)
             patch.setattr(privacy, "SCALED_ROWS", 2)
             got = engine.run(config, dense=True)
-        for name, value in vars(simulate_oracle(config)).items():
-            assert getattr(got, name).dtype == value.dtype, name
-            assert getattr(got, name).tobytes() == value.tobytes(), name
+        assert_same_trace(got, simulate_oracle(config))
 
     def test_mixed_kinds_are_deterministic(self):
         a, b = dpaimd.run(mixed_config(), dense=True), dpaimd.run(mixed_config(), dense=True)
-        for name, value in vars(a).items():
-            assert getattr(b, name).tobytes() == value.tobytes(), name
+        assert_same_trace(b, a)
         assert not np.array_equal(a.x, dpaimd.run(mixed_config(seed=5), dense=True).x)
 
     def test_mixed_kinds_draw_from_one_stream_per_agent_and_kind(self):
@@ -622,8 +634,8 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 
 class TestLeanTrace:
-    """Without dense=True a run keeps no per-step series but the event bits, and
-    changes no other bit."""
+    """Without dense=True a run keeps no per-step series, the event bits among
+    them, and changes no other bit."""
 
     @given(small_configs())
     @example(replace(wide_separable_config(), steps=700))
@@ -631,11 +643,11 @@ class TestLeanTrace:
     def test_lean_run_equals_dense_run(self, config):
         config = usable_config(config)
         lean, dense = engine.run(config), engine.run(config, dense=True)
-        assert lean.x is None and lean.noisy_derivative is None and lean.sensitivity is None
-        for name in ("event_bits", "final_xbar", "final_sensitivity", "grid_sensitivity",
-                     "grid_events", "grid_spread", "grid_spread_step", "noise_scales", "gamma"):
-            assert getattr(lean, name).dtype == getattr(dense, name).dtype, name
-            assert getattr(lean, name).tobytes() == getattr(dense, name).tobytes(), name
+        assert_same_trace(lean, replace(dense, x=None, event_bits=None, noisy_derivative=None,
+                                        sensitivity=None))
+        assert lean.event_counts.dtype == dense.event_counts.dtype
+        assert lean.event_counts.tobytes() == dense.event_counts.tobytes()
+        assert lean.broadcast_bits_total == dense.broadcast_bits_total
         # the optimum enters a summary only as given numbers, so any allocation serves
         optimum = OptimalAllocation(x_star=np.ones((config.n_agents, config.n_resources)),
                                     total_cost=1.0, kkt_residual=0.0)
@@ -659,20 +671,24 @@ class TestLeanTrace:
         assert runs[0].event_counts.all() and runs[0].x is None
         assert peak < steps * n * m * 8
 
-    def test_memory_grows_by_the_event_bits_alone(self, monkeypatch):
-        """Past the tracker block's saturation, the peak of a lean run grows by the one
-        byte a step and resource of ``event_bits``, and by no per-step float. A tiny
-        gamma keeps lambda-hat at its floor, so the demand stays above capacity and
-        fires at almost every step; a block of 2,048 events keeps the run short."""
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
+        """Past the tracker block's saturation, the peak of a lean run does not grow
+        with its horizon: 5,000 more steps on 4 resources would add 20,000 bytes
+        of per-step bits. A tiny gamma keeps lambda-hat at its floor, so the demand
+        stays above capacity and fires at almost every step; a block of 2,048
+        partials keeps the run short."""
         monkeypatch.setattr(engine, "TRACKER_BLOCK_CELLS", 2048)
-        config = SystemConfig(agents=[square_cost()], noise=[NoiseSpec()], steps=0, seed=0,
+        m = 4
+        config = SystemConfig(agents=[CostFunction(np.ones(m), 2 * np.eye(m, dtype=int))],
+                              noise=[NoiseSpec()] * m, steps=0, seed=0,
                               resources=[ResourceConfig(capacity=1.0, alpha=1.0, beta=0.5,
-                                                        gamma=1e-12)])
+                                                        gamma=1e-12)] * m)
         peaks = [traced_peak(engine.run, replace(config, steps=steps)) for steps in (5_000, 10_000)]
-        assert peaks[1] - peaks[0] <= 5_000 * config.n_resources + 4096, peaks
+        assert peaks[1] - peaks[0] <= 4096, peaks
 
     def test_dense_views_of_a_lean_trace_raise(self, tmp_path):
         trace = dpaimd.run(one_resource_config([square_cost()], steps=30))
+        assert trace.event_bits is None and trace.event_counts.tolist() == [5]
         path = tmp_path / "trace.csv"
         for read in (lambda: trace.views(1), lambda: trace.xbar, lambda: trace.lambda_hat,
                      lambda: cli.write_trace_csv(trace, path)):
@@ -723,10 +739,9 @@ class TestTrackerBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "TRACKER_BLOCK_CELLS", rows * config.n_agents * config.n_resources)
             blocked = engine.run(config, dense=True)
-        for name, value in vars(simulate_oracle(config)).items():
-            assert getattr(blocked, name).dtype == value.dtype, name
-            assert getattr(blocked, name).tobytes() == value.tobytes(), name
-            assert getattr(default, name).tobytes() == value.tobytes(), name
+        expected = simulate_oracle(config)
+        assert_same_trace(blocked, expected)
+        assert_same_trace(default, expected)
 
 
 def separable_config(n, m, steps=300, coefficient=1.0, noise=("none",) * 3):
@@ -823,8 +838,7 @@ class TestResourceMajorLoop:
         with np.errstate(over="ignore"):
             partials = PolyBatch(huge.agents).partial(got.xbar[events - 1], 1)
         assert np.isinf(partials[:, 0]).mean() > 0.8
-        for name, value in vars(expected).items():
-            assert getattr(got, name).tobytes() == value.tobytes(), name
+        assert_same_trace(got, expected)
 
 
 class CountedCall:
@@ -905,9 +919,7 @@ class TestCallBudget:
             patched.setattr(dpaimd.model, "np", proxy)
             patched.setattr(engine, "server_step", recorded)
             counted = engine.run(config)
-        plain = engine.run(config)
-        for name, value in vars(plain).items():    # the proxy changes no bit
-            assert value is None or getattr(counted, name).tobytes() == value.tobytes(), name
+        assert_same_trace(counted, engine.run(config))     # the proxy changes no bit
         starts = [k for k, name in enumerate(log) if name == "add.accumulate"]
         assert len(starts) == len(fired) == config.steps
         return [(k, miss, collections.Counter(log[lo:hi]))
@@ -1060,7 +1072,7 @@ class TestMetamorphic:
         order = data.draw(st.permutations(range(config.n_agents)))
         moved = replace(config, agents=[config.agents[i] for i in order],
                         agent_ids=[config.agent_ids[i] for i in order])
-        base, got = engine.run(config), engine.run(moved)
+        base, got = engine.run(config, dense=True), engine.run(moved, dense=True)
         assert got.event_bits.tobytes() == base.event_bits.tobytes()
         assert got.final_xbar.tobytes() == base.final_xbar[order].tobytes()
 
