@@ -81,7 +81,9 @@ def _demand(batch: PolyBatch, point: np.ndarray, j: int, mu: float, g0: np.ndarr
         falls = (g > mu) & (curvature > 0) & (t > 0)
         log_ratio = np.log(np.minimum(g / mu, np.finfo(float).max))     # an overflow steps short
         lower = np.where(falls, t * np.exp(-log_ratio * (g / (t * curvature))), t)
-        if not (lower < t).any():
+        if not (lower < t).any():   # log and exp resolve t to an ulp: end by a step in x_ij
+            normal = (np.finfo(float).tiny <= g) & (g < np.inf) & (curvature > 0) & (t > 0)
+            t = np.where(normal & (t < top), t - (g - mu) / curvature, t)
             break
         t = lower
     return t, curvature

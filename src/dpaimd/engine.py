@@ -114,8 +114,8 @@ class Trace:
         0 steps gives one empty block. A lean trace raises ValueError at once.
         """
         if self.x is None:
-            raise ValueError("this trace keeps no per-agent series: run with dense=True "
-                             "to derive x-bar, lambda-hat or the trace CSV")
+            raise ValueError("this trace keeps no per-step series: run with dense=True to "
+                             "derive x-bar, lambda-hat, the cumulative bits or the trace CSV")
 
         def blocks():
             carry = np.zeros(self.x.shape[1:])     # sum of x over the steps before the block
@@ -145,6 +145,7 @@ class Trace:
 
     @property
     def cum_bits(self) -> np.ndarray:           # (steps,) cumulative broadcast bits, dense only
+        self.views(1)                           # raises the lean trace's ValueError
         return np.cumsum(self.event_bits.sum(axis=1, dtype=np.int64))
 
     @property

@@ -83,40 +83,54 @@ def _merged(x: np.ndarray) -> np.ndarray:     # an (..., n, m) point as a kernel
     return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (-1,))
 
 
-def _sum_terms(weights: np.ndarray, exponents: np.ndarray, index: np.ndarray):
+def _power_rows(exponents: np.ndarray):
+    """Each row's exponent, ascending, and the (row, row, out row) multiplies that fill
+    rows 2 on: x ** 0 = 1 and x, the squares x ** 2, x ** 4, ... up to the largest
+    exponent E, and one row for each other exponent used, the product of the squares
+    for its set bits, lowest bit first: about log2 E + popcount(e) rows and multiplies."""
+    top = int(exponents.max(initial=1))
+    powers = sorted({0, 1, *(1 << k for k in range(1, top.bit_length())), *exponents.ravel().tolist()})
+    row, fills = {e: r for r, e in enumerate(powers)}, []
+    for r, e in enumerate(powers[2:], 2):
+        bits = [row[1 << k] for k in range(e.bit_length()) if e >> k & 1]
+        bits = bits if len(bits) > 1 else [row[e >> 1]] * 2     # a square: the row of e / 2 twice
+        fills += [(bits[0], bits[1], r)] + [(r, b, r) for b in bits[2:]]
+    return powers, fills
+
+
+def _sum_terms(weights: np.ndarray, exponents: np.ndarray, index: np.ndarray, width: int):
     """kernel(flat) = sum_t weights[..., t] * prod_k flat[..., index[..., t, k]] ** exponents[..., t, k].
 
-    The one polynomial evaluator, bound once to a support table of ``_compact``
-    (``kernel(flat, out=None)``): a point (..., n, m), merged resource-major to
-    ``flat`` (..., m * n), is gathered through ``index``, raised to the table's
-    exponents with ``order="C"`` and multiplied over the support axis (no product
-    when s = 1). The table is held term-major: one multiply weights the T' term
-    rows, and they are summed left to right into the result, rows 0 and 1 by one
-    ``np.add`` and each further row by one more (at T' = 1 the multiply writes
-    the result), so a point gives the same bits alone or in a batch. A lone
-    point, ``flat`` of one axis, is raised into a block bound with the kernel,
-    so two threads must not call one kernel at once. ``order="C"`` keeps
-    numpy's scalar shortcut (x * x for x ** 2) on a one-element block of 2 or
-    more axes, which the dense evaluation takes too; a block of 1 axis never
-    takes it, so the term axis stays at T' = 1.
-    """
-    product = exponents.shape[-1] > 1   # more than one factor a term: a product over the support axis
-    if not product:
-        exponents, index = exponents[..., 0], index[..., 0]
-    term_axis = -2 if product else -1
+    The one polynomial evaluator, bound once to a support table of ``_compact`` as
+    ``kernel(flat, out=None)``, ``flat`` a point (..., n, m) merged resource-major to
+    (..., width). It raises by multiplication alone, into the rows of ``_power_rows``,
+    gathers each factor, cell row * width + point, by one ``take``, multiplies over the
+    support axis (none when s = 1), weighs the T' term rows by one multiply and sums
+    them left to right, so a point gives the same bits alone or in a batch. A lone
+    point is raised into a table and a block bound with the kernel: two threads must
+    not call one kernel at once."""
+    powers, fills = _power_rows(exponents)
+    index = np.searchsorted(powers, exponents) * width + index
+    product = index.shape[-1] > 1   # more than one factor a term: a product over the support axis
     weights = np.ascontiguousarray(np.moveaxis(weights, -1, 0))
-    exponents, index = (np.ascontiguousarray(np.moveaxis(a, term_axis, 0)) for a in (exponents, index))
+    index = np.ascontiguousarray(np.moveaxis(index, -2, 0) if product else np.moveaxis(index[..., 0], -1, 0))
+    table = np.ones((len(powers), width))      # the power table of a lone point; row 0 stays 1
+    table_rows, cells = list(table), table.reshape(-1)
     lone = np.empty(weights.shape)      # the raised, then weighted, terms at a lone point
     lone_rows, weight, more = list(lone), weights[0], range(2, len(weights))
     at = [(..., t) + (slice(None),) * (weights.ndim - 1) for t in range(len(weights))]
 
     def kernel(flat, out=None):
-        block = lone if flat.ndim == 1 else None
-        if product:
-            block = np.multiply.reduce(np.power(flat.take(index, axis=-1), exponents, order="C"),
-                                       axis=-1, out=block)
-        else:
-            block = np.power(flat.take(index, axis=-1), exponents, out=block, order="C")
+        rows, raised, block = table_rows, cells, lone
+        if flat.ndim > 1:       # a batch: a table of its own, whose rows are (..., width)
+            rows = list(np.moveaxis(raised := np.ones(flat.shape[:-1] + table.shape), -2, 0))
+            raised, block = raised.reshape(flat.shape[:-1] + (-1,)), None
+        rows[1][...] = flat
+        for a, b, r in fills:
+            np.multiply(rows[a], rows[b], out=rows[r])
+        # every index is in range: "clip" only spares ``out`` numpy's buffered copy
+        block = (np.multiply.reduce(raised.take(index, axis=-1), axis=-1, out=block) if product
+                 else raised.take(index, axis=-1, out=block, mode="clip"))
         rows = lone_rows if block is lone else [block[t] for t in at]
         if len(rows) == 1:
             return np.multiply(weight, rows[0], out=out)
@@ -135,14 +149,11 @@ def _compact(weights: np.ndarray, exponents: np.ndarray):
     padded to T', the largest kept count but at least 1, with weight-0 terms
     (x ** 0 where no term is kept), which add exactly 0 at any point. Each kept
     term keeps only its positive exponents, in resource order, padded to s, the
-    largest such count, with exponent 0;
-    ``index`` points each factor into the merged, resource-major (m * n) axis.
-    A dropped factor is x ** 0 = 1.0, so the product keeps its bits.
-    Returns (..., n, T') weights, (..., n, T', s) exponents as floats (numpy
-    raises a float by a float exponent; a table of ints costs a cast per call)
-    and the (..., n, T', s) index.
+    largest such count, with exponent 0; ``index`` points each factor into the merged,
+    resource-major (m * n) axis. A dropped factor is x ** 0 = 1.0, so the product keeps
+    its bits. Returns (..., n, T') weights and the (..., n, T', s) exponents and index.
     """
-    n, m = exponents.shape[-3], exponents.shape[-1]
+    n = exponents.shape[-3]
     keep = weights != 0
     order = np.argsort(~keep, axis=-1, kind="stable")[..., :max(1, int(keep.sum(axis=-1).max()))]
     pad = ~np.take_along_axis(keep, order, axis=-1)
@@ -150,13 +161,9 @@ def _compact(weights: np.ndarray, exponents: np.ndarray):
     exponents = np.where(pad[..., None], 0, np.take_along_axis(exponents, order[..., None], axis=-2))
     positive = exponents > 0
     s = int(positive.sum(axis=-1).max(initial=1))
-    if n * weights.shape[-1] * s == 1 < m:
-        # numpy raises a one-element block by a scalar shortcut (x * x for x ** 2),
-        # which the m factors of the term did not take: keep a second, x ** 0
-        s = 2
     support = np.argsort(~positive, axis=-1, kind="stable")[..., :s]   # positives first, in order
     index = support * n + np.arange(n)[:, None, None]
-    return weights, np.take_along_axis(exponents, support, axis=-1).astype(float), index
+    return weights, np.take_along_axis(exponents, support, axis=-1), index
 
 
 class PolyBatch:
@@ -173,6 +180,7 @@ class PolyBatch:
     def __init__(self, costs):
         n, m = len(costs), costs[0].n_resources
         t_max = max(f.coeffs.shape[0] for f in costs)
+        self._bind = lambda *table: _sum_terms(*table, m * n)     # a table's kernel, m * n wide
         self._coeffs = np.zeros((n, t_max))
         self._exps = np.zeros((n, t_max, m), dtype=int)
         for i, f in enumerate(costs):
@@ -180,7 +188,7 @@ class PolyBatch:
 
     @cached_property
     def _value(self):
-        return _sum_terms(*_compact(self._coeffs, self._exps))
+        return self._bind(*_compact(self._coeffs, self._exps))
 
     @cached_property
     def _first(self):
@@ -194,7 +202,7 @@ class PolyBatch:
         # a huge coefficient times its exponent overflows to inf; callers check finiteness
         with np.errstate(over="ignore"):
             table = _compact(*_differentiate(self._coeffs, self._exps, order))
-        return _sum_terms(*table), [_sum_terms(*(t[j] for t in table)) for j in range(len(table[0]))]
+        return self._bind(*table), [self._bind(*(t[j] for t in table)) for j in range(len(table[0]))]
 
     def value(self, x) -> np.ndarray:
         return self._value(_merged(x))

@@ -11,7 +11,8 @@
   checks of the privacy bound against the mechanisms' own draws.
 - ``linear_fit_r2``: how close the cumulative broadcast bits are to a line.
 - ``DensePolyBatch``: the padded polynomial kernel that the compacted
-  ``PolyBatch`` replaced, every partial evaluated over all T terms.
+  ``PolyBatch`` replaced, every partial evaluated over all T terms, each
+  factor raised by ``binary_power``.
 - ``PerEventSensitivity``: the sensitivity tracker as it was before the loop
   fed it blocks of event steps, one call per event.
 - ``simulate_oracle``: the engine loop as it was before noise was drawn in
@@ -356,9 +357,22 @@ def linear_fit_r2(series: np.ndarray) -> float:
 # Dense polynomial kernel, per-event sensitivity and per-event-draw engine loop
 # ---------------------------------------------------------------------------
 
+def binary_power(x, e):
+    """x ** e elementwise by binary powers, the rule the kernel raises by: the
+    product of the squares x, x ** 2, x ** 4, ... for the set bits of e, lowest
+    bit first, and x ** 0 = 1. A square past e's top bit may overflow unused."""
+    x, e = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(e, dtype=np.int64))
+    power, square = np.ones(x.shape), x
+    with np.errstate(over="ignore"):
+        while e.any():
+            power = np.where(e & 1, power * square, power)   # 1 * square is square, exactly
+            square, e = square * square, e >> 1
+    return power
+
+
 def _dense_sum_terms(x, weights, exponents):
     """Every padded term, summed left to right."""
-    mono = np.prod(x[..., None, :] ** exponents, axis=-1)
+    mono = np.prod(binary_power(x[..., None, :], exponents), axis=-1)
     total = weights[..., 0] * mono[..., 0]
     for t in range(1, weights.shape[-1]):
         total = total + weights[..., t] * mono[..., t]

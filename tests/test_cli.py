@@ -542,6 +542,16 @@ class TestRunCommand:
         assert capsys.readouterr().err == \
             "numeric abort: baseline solver: the optimal total cost is inf\n"
 
+    @pytest.mark.parametrize("command", ["run", "solve"])
+    def test_an_exponent_of_1e9_exits_cleanly(self, tmp_path, capsys, command):
+        # the kernel raises x ** (1e9 - 1) from about 30 squares and products,
+        # so the table holds about 30 rows of m * n floats, not 1e9 of them
+        doc = small_doc()
+        doc["agents"][1] = {"terms": [[1.0, [2]], [2.0, [10**9]]]}
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli.main([command, "--config", str(self.write(tmp_path, doc)), *args]) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_max_rel_error_skips_zero_optimal_shares(self, tmp_path, capsys):
         # 50 x + x^2 prices agent 1 out: x* = (1, 0), x-bar = (0.981, 0.017)
         doc = small_doc(steps=3_000)

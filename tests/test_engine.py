@@ -1,5 +1,10 @@
 import collections
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -28,9 +33,15 @@ from dpaimd.model import (
     PolyBatch,
     ResourceConfig,
     SystemConfig,
+    reference_agent_costs,
 )
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
 from oracles import simulate_oracle
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:     # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
 
 
 def one_resource_config(costs, steps, seed=0, noise=None, **kw):
@@ -691,7 +702,7 @@ class TestLeanTrace:
         assert trace.event_bits is None and trace.event_counts.tolist() == [5]
         path = tmp_path / "trace.csv"
         for read in (lambda: trace.views(1), lambda: trace.xbar, lambda: trace.lambda_hat,
-                     lambda: cli.write_trace_csv(trace, path)):
+                     lambda: trace.cum_bits, lambda: cli.write_trace_csv(trace, path)):
             with pytest.raises(ValueError, match="run with dense=True"):
                 read()
         assert not path.exists()
@@ -881,21 +892,23 @@ class TestCallBudget:
     calls are not counted. It sees module-level calls only: ndarray methods
     (``take``, ``tobytes``, ``all``), in-place operators (``x_sum += x``),
     item assignment and a generator's ``send`` are invisible to it, so work
-    moved there leaves these counts and must be named where it is moved.
+    moved there leaves these counts and must be named where it is moved: the
+    kernel copies the point into its power table by item assignment.
 
     A step starts with the aggregate's ``add.accumulate``, the one such call in
     the loop. The last step is left out: the calls after the loop follow it.
-    Both configs hold two-term partials of one factor each, so their gradient
-    kernel makes one ``power``, one weighting ``multiply`` and one ``add``.
+    Both configs hold two-term partials of one factor each, x and x ** 3, so
+    their gradient kernel makes two ``multiply`` for its power table (x ** 2,
+    then x ** 3), one weighting ``multiply`` and one ``add``.
     """
 
     QUIET = collections.Counter({"add.accumulate": 1, "less": 1, "add": 1})
-    # every resource fired: the x-bar divide, the kernel (power, multiply, add),
+    # every resource fired: the x-bar divide, the kernel (multiply 3, add),
     # lambda-hat (abs, multiply, divide, maximum, minimum) and the back-off
     # (multiply, subtract, add, multiply)
-    ALL_FIRED = collections.Counter({"add.accumulate": 1, "less": 1, "divide": 2, "power": 1,
-                                     "multiply": 4, "add": 2, "abs": 1, "maximum": 1,
-                                     "minimum": 1, "subtract": 1})
+    ALL_FIRED = collections.Counter({"add.accumulate": 1, "less": 1, "divide": 2, "multiply": 6,
+                                     "add": 2, "abs": 1, "maximum": 1, "minimum": 1,
+                                     "subtract": 1})
     SOME_FIRED = ALL_FIRED + collections.Counter({"add": 1})    # plus the additive increase
     PER_FIRED_RESOURCE = collections.Counter({"add": 1})        # partials plus the noise row
     # the first step of each bit pattern, before ``server_step`` caches its answer
@@ -935,8 +948,8 @@ class TestCallBudget:
 
     @pytest.mark.parametrize("config, totals", [
         (cli.reference_system_config(cli._gaussian_pair(20.50, 39.31), steps=2_000),
-         {0: 3, 1: 17, 2: 17}),
-        (wide_separable_config(), {0: 3, 1: 17, 2: 18, 3: 18}),
+         {0: 3, 1: 18, 2: 18}),
+        (wide_separable_config(), {0: 3, 1: 18, 2: 19, 3: 19}),
     ], ids=["reference", "16x3"])
     def test_calls_per_step(self, monkeypatch, config, totals):
         m = config.n_resources
@@ -1050,8 +1063,9 @@ def rescaled(config, k, q):
 
 
 class TestMetamorphic:
-    """Relations between two runs, on derandomized examples: numpy's pow is not
-    exactly scale-commuting at every point, so a random search could meet one."""
+    """Relations between two runs, on derandomized examples. The kernel raises by
+    multiplying, which commutes with a power-of-two scale unless a product leaves
+    the normal floats; the solver's log and exp do not, at every point."""
 
     @given(small_configs(), st.integers(-20, 20), st.integers(-20, 20))
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1098,3 +1112,54 @@ class TestMetamorphic:
                             config.resources)
         assert (abs(got.x_star - base.x_star) <= np.spacing(base.x_star)).all()
         assert got.total_cost == pytest.approx(base.total_cost * factor, rel=1e-15, abs=0)
+
+
+def dispatch_hashes():
+    """sha256 of the gradient kernel's rows at fixed 6 x 2, 16 x 3 and 100 x 10
+    points, alone and in a batch of 4, and of every array field of a dense
+    2,000-step run of the paper suite's gaussian_base config."""
+    rng = np.random.default_rng(36)
+    wide = []
+    for _ in range(100):        # 4 terms over 10 resources, each with an exponent of 1 to 5
+        exponents = rng.integers(0, 6, (4, 10)) * (rng.random((4, 10)) < 0.3)
+        exponents[np.arange(4), rng.integers(0, 10, 4)] = rng.integers(1, 6, 4)
+        wide.append(CostFunction(rng.uniform(0.5, 30.0, 4), exponents))
+    hashes = {}
+    for name, agents in (("6x2", reference_agent_costs(1)),
+                         ("16x3", wide_separable_config().agents), ("100x10", wide)):
+        kernel = PolyBatch(agents).gradient_kernel()
+        points = rng.uniform(0.0, 3.0, (4, len(agents) * agents[0].n_resources))
+        rows = np.concatenate([kernel(points[0]), kernel(points)], axis=None)
+        hashes[name] = hashlib.sha256(rows.tobytes()).hexdigest()
+    trace = engine.run(cli.reference_system_config(cli._gaussian_pair(20.50, 39.31), steps=2_000),
+                       dense=True)
+    fields = b"".join(v.tobytes() for v in vars(trace).values() if isinstance(v, np.ndarray))
+    hashes["gaussian_base"] = hashlib.sha256(fields).hexdigest()
+    return hashes
+
+
+@pytest.mark.skipif("X86_V4" not in __cpu_features__, reason="the feature groups are x86's")
+class TestDispatch:
+    """The kernel's and the engine's bits under numpy's AVX-512 kernels, its AVX2
+    ones and its baseline SIMD: every operation on a run's path is an exactly
+    rounded add, multiply, divide or compare, so no dispatch moves a bit. The
+    variable takes effect only at numpy's import, so each dispatch is a child
+    interpreter; X86_V3 and X86_V4 are numpy 2.4's names of the AVX2 and AVX-512
+    groups, and a group the CPU lacks is off anyway."""
+
+    @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
+                                          "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"],
+                             ids=["no-avx512", "no-avx2"])
+    def test_kernel_and_dense_run_keep_their_bits(self, disabled):
+        tests, src = os.path.dirname(__file__), os.path.dirname(os.path.dirname(dpaimd.__file__))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+        probe = ("import json; from test_engine import __cpu_features__ as f, dispatch_hashes; "
+                 "print(json.dumps([{k: f[k] for k in ('X86_V3', 'X86_V4')}, dispatch_hashes()]))")
+        # -W error: numpy warns of a feature name it does not know, and then ignores it
+        done = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        features, hashes = json.loads(done.stdout.splitlines()[-1])
+        assert not any(features[k] for k in disabled.split() if k in features), features
+        assert hashes == dispatch_hashes()

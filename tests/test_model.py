@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from dpaimd.model import (
     quartic_cost,
     reference_agent_costs,
 )
-from oracles import DensePolyBatch
+from dpaimd.model import _power_rows
+from oracles import DensePolyBatch, binary_power
 
 
 def value(f, x):
@@ -206,10 +208,8 @@ def test_poly_batch_matches_dense_kernel(case):
 
 
 def test_a_lone_term_of_a_lone_agent_matches_the_dense_kernel():
-    """One agent whose one term raises one of m resources: numpy raises a
-    one-element block of 2 or more axes by a scalar shortcut (x * x for x ** 2).
-    At m = 3 the m factors of the dense kernel do not take it, so the support
-    keeps a second; at m = 1 both take it, for a lone point and in a batch."""
+    """One agent whose one term raises one of m resources, a one-element block:
+    its one factor against the dense kernel's m, for a lone point and in a batch."""
     for m, e in itertools.product((1, 3), (2, 3, 4)):
         points = np.random.default_rng(5).uniform(0.0, 3.0, (1000, 1, m))
         f = CostFunction(np.array([1.5]), np.array([[0] * (m > 1) + [e] + [0] * (m - 2)]))
@@ -252,9 +252,8 @@ def test_bound_gradient_kernel_matches_the_partials_and_the_dense_kernel(case):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_the_bound_kernel_of_a_lone_term_of_a_lone_agent_matches_the_dense_kernel(m):
-    """The lone-term case above through the bound gradient kernel: its one-element
-    support block, squeezed when s = 1, takes numpy's scalar shortcut as the
-    dense kernel does, or keeps a second factor where the dense one has m."""
+    """The lone-term case above through the bound gradient kernel, whose
+    one-element support block is squeezed when s = 1."""
     points = np.random.default_rng(5).uniform(0.0, 3.0, (1000, 1, m))
     for e in (2, 3, 4, 40):
         f = CostFunction(np.array([1.5]), np.array([[0] * (m > 1) + [e] + [0] * (m - 2)]))
@@ -265,11 +264,9 @@ def test_the_bound_kernel_of_a_lone_term_of_a_lone_agent_matches_the_dense_kerne
             assert np.array_equal(kernel(merged(x), np.empty(expected.shape)), expected)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: at m = 1 _compact keeps no second factor, so "
-                   "the kernel squares by numpy's x * x shortcut where the dense kernel takes pow")
 def test_a_lone_agents_one_term_partial_at_one_resource_matches_the_dense_kernel():
     """x + x**4 on one resource: the second partial 12 x**2 keeps one of the dense
-    kernel's two terms, and ``_compact``'s one-element rule covers only m > 1."""
+    kernel's two terms, a one-element block, and both square by one multiply."""
     f = CostFunction(np.array([1.0, 1.0]), np.array([[1], [4]]))
     points = np.random.default_rng(0).uniform(0.0, 3.0, (20_000, 1, 1))
     batch, dense = PolyBatch([f]), DensePolyBatch([f])
@@ -277,6 +274,50 @@ def test_a_lone_agents_one_term_partial_at_one_resource_matches_the_dense_kernel
     alone = sum(np.count_nonzero(batch.second_partial(x, 0) != dense.second_partial(x, 0))
                 for x in points)
     assert (in_batch, alone) == (0, 0)
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u) for double precision, u = 2**-53, exactly."""
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
+@pytest.mark.parametrize("e", [*range(41), 400])
+def test_binary_powers_stay_within_gamma_of_the_exact_power(e):
+    """x ** e by binary powers, in the oracle and in the kernel, against the exact
+    power in fractions: a product of e floats, in any grouping, is within
+    gamma_{e-1} of it (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, 3.1), and x ** 0 and x ** 1 are exact. The points keep x ** e normal."""
+    span = min(4.0, 1000 / max(e, 1))
+    x = 2.0 ** np.random.default_rng(e).uniform(-span, span, 200)
+    powers = binary_power(x, e)
+    if e:
+        f = CostFunction(np.array([1.0]), np.array([[e]]))
+        assert PolyBatch([f]).value(x[:, None, None]).tobytes() == powers.tobytes()
+    bound = gamma(max(e - 1, 0))
+    for point, power in zip(x.tolist(), powers.tolist()):
+        exact = Fraction(point) ** e
+        assert abs(Fraction(power) - exact) <= bound * exact, (point, power)
+
+
+@pytest.mark.parametrize("top", [3, 40, 400, 10**9])
+def test_power_table_grows_with_the_bits_of_its_exponents(top):
+    """Rows 0 and 1, one square per bit below the top one, one row per other
+    exponent; each such row costs popcount(e) - 1 multiplies, so an exponent of
+    1e9 costs about 30 rows, never 1e9."""
+    exponents = np.array([[0, 1, 2, top], [top - 1, 3, 5, 1]])
+    powers, fills = _power_rows(exponents)
+    squares = max(top, 5).bit_length() - 1
+    others = [e for e in set(exponents.ravel().tolist()) if e & (e - 1)]
+    assert powers == sorted({0, 1, *(1 << k for k in range(1, squares + 1)), *others})
+    assert len(fills) == squares + sum(bin(e).count("1") - 1 for e in others)
+    x = np.array([1.0 + 2.0**-30])     # (1 + h) ** e, near 1 + e h: every row finite
+    rows = np.empty((len(powers), 1))
+    rows[0], rows[1] = 1.0, x
+    for a, b, r in fills:       # each reads rows already filled; a == r goes on multiplying
+        assert a <= r and b < r
+        rows[r] = rows[a] * rows[b]
+    assert rows.ravel().tolist() == binary_power(x, np.array(powers)).tolist()
 
 
 def test_zero_weight_term_that_overflows_leaves_the_partial_finite():
