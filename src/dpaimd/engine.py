@@ -6,8 +6,8 @@ agents holding a 1-bit back off multiplicatively using a noisy scaling factor
 computed from their average allocation (the running mean of their demand over
 every step so far), all other demands grow additively.
 Runs are deterministic given the config and seed. At an event the engine adds
-the resource's next pre-scaled noise row from its ``privacy.noise_sources``
-generator; it never branches on the mechanism.
+the resource's next noise row from its ``privacy.noise_sources`` iterator, zeros
+where it has no noise; it never branches on the mechanism.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ LAMBDA_MIN = 1e-9
 TRACKER_BLOCK_CELLS = 1 << 16    # partials the loop holds for the sensitivity tracker
 MAX_SERIES_POINTS = 512         # most steps at which a run records, and a summary reads, its series
 # 0-d float64 operands: a Python float's bits, without its NEP 50 conversion on every call
-_LAMBDA_MIN, _ONE, _ZERO = np.array(LAMBDA_MIN), np.array(1.0), np.array(0.0)
+_LAMBDA_MIN, _ONE = np.array(LAMBDA_MIN), np.array(1.0)
 
 
 def series_grid(steps: int) -> np.ndarray:
@@ -86,14 +86,14 @@ class Trace:
     A run with ``dense=True`` keeps the per-step series, the event bits among
     them, None otherwise; a summary reads only the loop's own final x-bar and the
     values at the g steps of ``series_grid(steps)``, whose last is the last step:
-    the event counts are the grid's there. x-bar, lambda-hat and the cumulative
-    bits are derived on each read, bit for bit the values the engine used.
+    the event counts and the final sensitivity are the grid's there. x-bar,
+    lambda-hat and the cumulative bits are derived on each read, bit for bit the
+    values the engine used.
     """
 
     steps: int
     x: np.ndarray | None                 # (steps, n, m), None unless dense
     final_xbar: np.ndarray               # (n, m) x-bar after the last step, zeros at 0 steps
-    final_sensitivity: np.ndarray        # (m,) running max dq after the last step
     event_bits: np.ndarray | None        # (steps, m) uint8, None unless dense
     noisy_derivative: np.ndarray | None  # (steps, n, m), NaN off-event, None unless dense
     sensitivity: np.ndarray | None       # (steps, m) running max dq, None unless dense
@@ -142,6 +142,10 @@ class Trace:
     @property
     def event_counts(self) -> np.ndarray:       # (m,) events K_j per resource, at the last step
         return self.grid_events[-1] if self.steps else np.zeros(self.n_resources, np.int64)
+
+    @property
+    def final_sensitivity(self) -> np.ndarray:  # (m,) running max dq after the last step
+        return self.grid_sensitivity[-1] if self.steps else np.zeros(self.n_resources)
 
     @property
     def cum_bits(self) -> np.ndarray:           # (steps,) cumulative broadcast bits, dense only
@@ -268,7 +272,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
                 block_bits[len(event_steps)] = bits
                 event_steps.append(nu)
                 for j in fired:             # each fired row's partials plus its next noise row
-                    np.add(grads[j], _ZERO if sources[j] is None else sources[j].send(j), out=lam[j])
+                    np.add(grads[j], next(sources[j]), out=lam[j])
                 if dense:
                     np.copyto(tr_nderiv[nu].T, lam, where=where)
                 # every row at once; the mask keeps x + alpha in the rows that did not fire
@@ -289,8 +293,7 @@ def _simulate(config: SystemConfig, *, dense: bool = False) -> Trace:
 
     return Trace(
         steps=steps, x=tr_x, event_bits=tr_bits, noisy_derivative=tr_nderiv, sensitivity=tr_dq,
-        final_xbar=np.ascontiguousarray(xbar.T), final_sensitivity=tracker.running_max,
-        grid_sensitivity=tracker.grid_sensitivity, grid_events=tracker.grid_events,
-        grid_spread=tracker.grid_spread, grid_spread_step=tracker.grid_spread_step,
-        noise_scales=scales, gamma=gamma[:, 0].copy(),
+        final_xbar=np.ascontiguousarray(xbar.T), grid_sensitivity=tracker.grid_sensitivity,
+        grid_events=tracker.grid_events, grid_spread=tracker.grid_spread,
+        grid_spread_step=tracker.grid_spread_step, noise_scales=scales, gamma=gamma[:, 0].copy(),
     )

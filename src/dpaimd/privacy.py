@@ -3,12 +3,13 @@
 Each resource's NoiseSpec turns the sensitivity dq of the partial derivatives
 into its noise scale: Laplace uses scale = dq / epsilon (pure epsilon-LDP),
 Gaussian uses sigma = (dq / epsilon) * sqrt(2 ln(1.25 / delta)) for
-(epsilon, delta)-LDP. ``noise_sources`` draws all noise: each agent's noise
-comes from its own stream, one per noise kind, drawn ahead in blocks of scale-1
-draws, which each resource of the kind scales once; an event takes the next row.
+(epsilon, delta)-LDP. ``noise_sources`` draws all noise: each agent has its own
+stream per noisy resource, drawn ahead in blocks that are scaled once; an event
+of the resource takes the next row.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import reprlib
 from dataclasses import dataclass
@@ -18,8 +19,7 @@ import numpy as np
 
 from .model import NOISE_STREAM, ConfigurationError, NumericError, SystemConfig
 
-NOISE_BLOCK = 1024      # draws per agent stream taken ahead at a time
-SCALED_ROWS = 64        # rows of a block scaled at a time, once per resource of the kind
+NOISE_BLOCK = 256       # draws per agent stream taken ahead at a time
 
 
 class NoiseKind(str, Enum):
@@ -103,41 +103,29 @@ def unit_noise(kind: NoiseKind, rng: np.random.Generator, size: int) -> np.ndarr
     return rng.standard_normal(size)
 
 
-def _scaled_rows(kind: NoiseKind, rngs: list, limit: int, scales: dict):
-    """Generator whose ``send(j)`` returns resource j's next (n,) row of ``kind`` noise.
+def _scaled_rows(kind: NoiseKind, rngs: list, limit: int, scale: float):
+    """Iterator of (n,) rows of ``kind`` noise at ``scale``, one per event.
 
     (size, n) blocks of up to NOISE_BLOCK draws per agent stream are drawn lazily,
-    at most ``limit`` per stream in all. Each resource j of the kind scales them
-    once, by ``scales[j]``, SCALED_ROWS rows at a time, and takes the rows its events reach."""
-    j = yield
+    at most ``limit`` per stream in all, and each is scaled once, in place."""
     while limit > 0:
         size = min(NOISE_BLOCK, limit)
         limit -= size
-        unit = np.stack([unit_noise(kind, rng, size) for rng in rngs], axis=1)
-        for part in np.split(unit, range(SCALED_ROWS, size, SCALED_ROWS)):
-            rows = {r: part * scale for r, scale in scales.items()}
-            for i in range(len(part)):
-                j = yield rows[j][i]
-        del unit, part      # free this block before the next one is drawn
+        block = np.stack([unit_noise(kind, rng, size) for rng in rngs], axis=1)
+        block *= scale
+        yield from block
+        del block       # free this block before the next one is drawn
 
 
 def noise_sources(config: SystemConfig, scales) -> list:
-    """Per resource, the ``_scaled_rows`` of its kind on ``scales``, primed, or None.
-
-    Each agent has one stream per noise kind, which the resources of that kind
-    share in event order. The first noisy resource's kind keeps the agent's
-    original stream, so a config with one kind draws as per-event draws would."""
-    kinds = [spec.kind for spec in config.noise]
-    noisy = dict.fromkeys(kind for kind in kinds if kind is not NoiseKind.NONE)   # first seen first
-    sources = {}
-    for stream, kind in enumerate(noisy):
-        tag = (stream,) if stream else ()
-        rngs = [np.random.default_rng(np.random.SeedSequence(
-                    config.seed, spawn_key=(NOISE_STREAM, aid) + tag)) for aid in config.agent_ids]
-        sources[kind] = _scaled_rows(kind, rngs, config.steps * kinds.count(kind),
-                                     {j: scales[j] for j, k in enumerate(kinds) if k is kind})
-        next(sources[kind])
-    return [sources.get(kind) for kind in kinds]
+    """Per resource j, an iterator of (n,) noise rows: ``_scaled_rows`` on ``scales[j]``,
+    at most ``steps`` of them, from each agent's stream for j, or one row of zeros
+    repeated where j has no noise."""
+    zeros = itertools.repeat(np.zeros(config.n_agents))
+    return [zeros if spec.kind is NoiseKind.NONE else _scaled_rows(spec.kind, [
+                np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(NOISE_STREAM, aid, j)))
+                for aid in config.agent_ids], config.steps, scales[j])
+            for j, spec in enumerate(config.noise)]
 
 
 class SensitivityTracker:

@@ -439,7 +439,7 @@ class PerEventSensitivity:
 
 def simulate_oracle(config) -> Trace:
     """``engine._simulate`` with one ``rng.laplace(0, s)`` or ``rng.normal(0, s)``
-    per agent stream at each noisy event, on the dense kernel, and the
+    per agent from the resource's own stream at each noisy event, on the dense kernel, and the
     sensitivity fed one event at a time; the event rule and the back-off are
     written out here, so the engine's own definitions are checked, not shared.
     It keeps every per-step series and takes the trace's grid values from them:
@@ -454,11 +454,9 @@ def simulate_oracle(config) -> Trace:
     gamma = np.array([r.gamma for r in config.resources], dtype=float)
 
     batch = DensePolyBatch(config.agents)
-    # one stream per agent and noise kind; the first noisy kind keeps the untagged one
-    kinds = dict.fromkeys(spec.kind for spec in config.noise if spec.kind is not NoiseKind.NONE)
-    rngs = {kind: [np.random.default_rng(np.random.SeedSequence(
-                config.seed, spawn_key=(NOISE_STREAM, aid) + ((tag,) if tag else ())))
-                   for aid in config.agent_ids] for tag, kind in enumerate(kinds)}
+    # one stream per agent and resource
+    rngs = [[np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(NOISE_STREAM, aid, j)))
+             for aid in config.agent_ids] for j in range(m)]
     tracker = PerEventSensitivity(n, m, config.burn_in_events)
 
     x = np.zeros((n, m))
@@ -486,9 +484,9 @@ def simulate_oracle(config) -> Trace:
                 if kind is NoiseKind.NONE:
                     d = np.zeros(n)
                 elif kind is NoiseKind.LAPLACE:
-                    d = np.array([rng.laplace(0.0, scales[j]) for rng in rngs[kind]])
+                    d = np.array([rng.laplace(0.0, scales[j]) for rng in rngs[j]])
                 else:
-                    d = np.array([rng.normal(0.0, scales[j]) for rng in rngs[kind]])
+                    d = np.array([rng.normal(0.0, scales[j]) for rng in rngs[j]])
                 tr_nderiv[nu, :, j] = grads[:, j] + d
                 lam = np.clip(gamma[j] * np.abs(grads[:, j] + d) / xbar[:, j], LAMBDA_MIN, 1.0)
                 x[:, j] = (lam * beta[j] + (1 - lam)) * x[:, j]
@@ -506,7 +504,7 @@ def simulate_oracle(config) -> Trace:
     grid = series_grid(steps)
     last = np.maximum.accumulate(np.where(tr_bits == 1, np.arange(steps)[:, None], -1), axis=0)[grid]
     return Trace(
-        steps=steps, x=tr_x, final_xbar=xbar, final_sensitivity=tracker.running_max,
+        steps=steps, x=tr_x, final_xbar=xbar,
         event_bits=tr_bits, noisy_derivative=tr_nderiv, sensitivity=tr_dq,
         grid_sensitivity=tr_dq[grid], grid_events=np.cumsum(tr_bits, axis=0, dtype=np.int64)[grid],
         grid_spread=np.where(last >= 0, tr_spread[last, np.arange(m)], np.nan), grid_spread_step=last,

@@ -569,9 +569,9 @@ class TestRunCommand:
 
     def test_feasibility_gap_shows_why_a_short_run_costs_less_than_the_optimum(self, tmp_path):
         """x-bar is a mean over every step, the ramp up from x(0) = 0 too, so after
-        1,000 reference steps it sums short of each capacity and the cost ratio
-        reads below 1. The summary and the sweep row carry sum_i x-bar - C."""
-        config = cli.reference_system_config(cli._gaussian_pair(20.50, 39.31), steps=1_000)
+        1,000 noiseless reference steps it sums short of each capacity and the cost
+        ratio reads below 1. The summary and the sweep row carry sum_i x-bar - C."""
+        config = cli.reference_system_config([NoiseSpec()] * 2, steps=1_000)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(self.write(tmp_path, cli.serialize_config(config))),
                          "--out", str(out)]) == 0

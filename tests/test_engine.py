@@ -508,8 +508,9 @@ def mixed_config(steps=400, seed=4):
         steps=steps, seed=seed, agent_ids=[7, 2, 5])
 
 
-def noise_stream(seed, agent_id, *tag):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_STREAM, agent_id) + tag))
+def noise_stream(seed, agent_id, resource):
+    """The agent's noise stream for ``resource``, as a run draws from it."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(NOISE_STREAM, agent_id, resource)))
 
 
 def usable_config(config):
@@ -567,7 +568,7 @@ class TestFinalXbar:
 
 
 class TestNoiseBlocks:
-    """Noise is drawn ahead in blocks per agent stream, sliced one column per event."""
+    """Noise is drawn ahead in blocks per agent and resource stream, one row per event."""
 
     @given(small_configs())
     @example(wide_separable_config())
@@ -582,13 +583,11 @@ class TestNoiseBlocks:
     @example(config=mixed_config(steps=60))
     @settings(max_examples=30, deadline=None)
     def test_rows_refill_at_any_block_size(self, rows, config):
-        """Blocks of 1, 2 or 3 draws per stream, scaled 2 rows at a time, refill
-        the scaled rows at almost every event, of one kind or of two, and change
-        no bit."""
+        """Blocks of 1, 2 or 3 draws per stream refill at almost every event, of
+        every noisy resource, and change no bit."""
         config = usable_config(config)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(privacy, "NOISE_BLOCK", rows)
-            patch.setattr(privacy, "SCALED_ROWS", 2)
             got = engine.run(config, dense=True)
         assert_same_trace(got, simulate_oracle(config))
 
@@ -597,41 +596,47 @@ class TestNoiseBlocks:
         assert_same_trace(b, a)
         assert not np.array_equal(a.x, dpaimd.run(mixed_config(seed=5), dense=True).x)
 
-    def test_mixed_kinds_draw_from_one_stream_per_agent_and_kind(self):
-        """The first noisy resource's kind keeps the agent's stream, the other gets its own."""
-        config = mixed_config()
-        trace = dpaimd.run(config, dense=True)
-        batch = PolyBatch(config.agents)
-        prev_xbar = np.concatenate([np.zeros_like(trace.x[:1]), trace.xbar[:-1]])
-        draws = [lambda rng, k: rng.laplace(0.0, 4.0, k), lambda rng, k: rng.normal(0.0, 3.0, k)]
-        for j, tag in ((0, ()), (1, (1,))):
-            events = np.nonzero(trace.event_bits[:, j])[0]
-            assert events.size > 10
-            noise = np.stack([draws[j](noise_stream(config.seed, aid, *tag), events.size)
-                              for aid in config.agent_ids], axis=1)
-            partials = batch.partial(prev_xbar[events], j)
-            assert np.array_equal(trace.noisy_derivative[events, :, j], partials + noise)
+    def test_each_resource_draws_from_its_own_stream_per_agent(self):
+        """Resource j's noisy partials are its partials plus each agent's draws from
+        its stream for j, whether the two resources' kinds differ or agree."""
+        one_kind = replace(mixed_config(), noise=[NOISE_CHOICES["laplace"]] * 2)
+        for config in (mixed_config(), one_kind):
+            trace = dpaimd.run(config, dense=True)
+            batch = PolyBatch(config.agents)
+            prev_xbar = np.concatenate([np.zeros_like(trace.x[:1]), trace.xbar[:-1]])
+            for j, spec in enumerate(config.noise):
+                events = np.nonzero(trace.event_bits[:, j])[0]
+                assert events.size > 10
+                draw = "laplace" if spec.kind is NoiseKind.LAPLACE else "normal"
+                noise = np.stack([getattr(noise_stream(config.seed, aid, j), draw)(0.0, spec.scale,
+                                                                                   events.size)
+                                  for aid in config.agent_ids], axis=1)
+                partials = batch.partial(prev_xbar[events], j)
+                assert np.array_equal(trace.noisy_derivative[events, :, j], partials + noise)
 
     def test_blocks_are_drawn_lazily_and_capped(self, monkeypatch):
+        """Each stream's blocks, told apart by its spawn key (NOISE_STREAM, agent id, resource)."""
         blocks = []
         draw = privacy.unit_noise
-        monkeypatch.setattr(privacy, "unit_noise",
-                            lambda kind, rng, size: blocks.append((kind, size)) or draw(kind, rng, size))
+        monkeypatch.setattr(privacy, "unit_noise", lambda kind, rng, size: blocks.append(
+            (rng.bit_generator.seed_seq.spawn_key, size)) or draw(kind, rng, size))
         config = mixed_config(steps=3000)
         dpaimd.run(replace(config, noise=[NoiseSpec()] * 2))
         assert blocks == []                 # a noiseless run, such as a pilot, draws nothing
         trace = dpaimd.run(config)
-        n, block = config.n_agents, privacy.NOISE_BLOCK
-        for j, spec in enumerate(config.noise):
-            sizes = [size for kind, size in blocks if kind is spec.kind]
+        block = privacy.NOISE_BLOCK
+        for j in range(config.n_resources):
             # whole blocks as events need them, the last one cut at steps draws per stream
             needed = -(-int(trace.event_counts[j]) // block)
-            expected = [min(block, config.steps - b * block) for b in range(needed)]
-            assert sorted(sizes, reverse=True) == sorted(expected * n, reverse=True)
             assert needed > 1
+            for aid in config.agent_ids:
+                sizes = [size for key, size in blocks if key == (NOISE_STREAM, aid, j)]
+                assert sizes == [min(block, config.steps - b * block) for b in range(needed)]
+        assert len(blocks) == config.n_agents * sum(-(-int(k) // block) for k in trace.event_counts)
         blocks.clear()
         dpaimd.run(replace(config, steps=40))
-        assert [size for _, size in blocks] == [40] * (2 * n)
+        assert sorted(blocks) == sorted(((NOISE_STREAM, aid, j), 40) for aid in config.agent_ids
+                                        for j in range(2))
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -891,7 +896,7 @@ class TestCallBudget:
     gradient kernel's calls), so the tracker's and the noise streams' own numpy
     calls are not counted. It sees module-level calls only: ndarray methods
     (``take``, ``tobytes``, ``all``), in-place operators (``x_sum += x``),
-    item assignment and a generator's ``send`` are invisible to it, so work
+    item assignment and the noise iterators' ``next`` are invisible to it, so work
     moved there leaves these counts and must be named where it is moved: the
     kernel copies the point into its power table by item assignment.
 
@@ -1026,15 +1031,15 @@ class TestNumericFailures:
         assert len(cached) == 5 and alone <= cached[-1]
 
     def test_an_infinite_partial_with_infinite_noise(self):
-        """At seed 13 agent 1's first Laplace draw times 1e308 is -inf: its noisy
-        partial inf + -inf is NaN, and the loop must not warn about it."""
+        """At seed 9 agent 1's first Laplace draw on resource 0 times 1e308 is -inf:
+        its noisy partial inf + -inf is NaN, and the loop must not warn about it."""
         agents = [square_cost(), CostFunction(np.array([1e300]), np.array([[40]]))]
         config = SystemConfig(
-            agents=agents, steps=20, seed=13,
+            agents=agents, steps=20, seed=9,
             noise=[NoiseSpec(kind=NoiseKind.LAPLACE, scale_mode=ScaleMode.FIXED, scale=1e308)],
             resources=[ResourceConfig(capacity=10.0, alpha=1.0, beta=0.5, gamma=1e-3)])
         with np.errstate(over="ignore"):
-            assert 1e308 * noise_stream(13, 1).laplace(0.0, 1.0) == -math.inf
+            assert 1e308 * noise_stream(9, 1, 0).laplace(0.0, 1.0) == -math.inf
         with pytest.raises(NumericError, match="derivative for resource 0 at step 5$"):
             engine.run(config)
 
@@ -1138,6 +1143,11 @@ def dispatch_hashes():
     return hashes
 
 
+def laplace_hash():
+    """sha256 of 200,000 seeded scale-1 Laplace draws, which take the C library's log."""
+    return hashlib.sha256(np.random.default_rng(37).laplace(0.0, 1.0, 200_000).tobytes()).hexdigest()
+
+
 @pytest.mark.skipif("X86_V4" not in __cpu_features__, reason="the feature groups are x86's")
 class TestDispatch:
     """The kernel's and the engine's bits under numpy's AVX-512 kernels, its AVX2
@@ -1145,21 +1155,36 @@ class TestDispatch:
     rounded add, multiply, divide or compare, so no dispatch moves a bit. The
     variable takes effect only at numpy's import, so each dispatch is a child
     interpreter; X86_V3 and X86_V4 are numpy 2.4's names of the AVX2 and AVX-512
-    groups, and a group the CPU lacks is off anyway."""
+    groups, and a group the CPU lacks is off anyway. glibc picks its ``log`` by
+    CPU too, and only Laplace draws take it."""
+
+    def child(self, **variables):
+        """[numpy's X86_V3 and X86_V4 flags, ``dispatch_hashes()``, ``laplace_hash()``]
+        in a child interpreter whose environment adds ``variables``."""
+        tests, src = os.path.dirname(__file__), os.path.dirname(os.path.dirname(dpaimd.__file__))
+        env = dict(os.environ, **variables,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+        probe = ("import json; from test_engine import __cpu_features__ as f, dispatch_hashes, laplace_hash; "
+                 "print(json.dumps([{k: f[k] for k in ('X86_V3', 'X86_V4')}, dispatch_hashes(), "
+                 "laplace_hash()]))")
+        # -W error: numpy warns of a feature name it does not know, and then ignores it
+        done = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
 
     @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
                                           "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"],
                              ids=["no-avx512", "no-avx2"])
     def test_kernel_and_dense_run_keep_their_bits(self, disabled):
-        tests, src = os.path.dirname(__file__), os.path.dirname(os.path.dirname(dpaimd.__file__))
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
-        probe = ("import json; from test_engine import __cpu_features__ as f, dispatch_hashes; "
-                 "print(json.dumps([{k: f[k] for k in ('X86_V3', 'X86_V4')}, dispatch_hashes()]))")
-        # -W error: numpy warns of a feature name it does not know, and then ignores it
-        done = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        features, hashes = json.loads(done.stdout.splitlines()[-1])
+        features, hashes, _ = self.child(NPY_DISABLE_CPU_FEATURES=disabled)
         assert not any(features[k] for k in disabled.split() if k in features), features
         assert hashes == dispatch_hashes()
+
+    def test_glibc_without_avx2_and_fma_moves_only_the_laplace_draws(self):
+        """The kernel and the Gaussian run keep their bits; where the CPU has AVX2
+        and FMA, the Laplace draws move, which shows that the tunable acted."""
+        _, hashes, laplace = self.child(GLIBC_TUNABLES="glibc.cpu.hwcaps=-AVX2,-FMA")
+        assert hashes == dispatch_hashes()
+        if __cpu_features__["AVX2"] and __cpu_features__["FMA3"]:
+            assert laplace != laplace_hash()
