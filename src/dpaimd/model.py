@@ -105,39 +105,35 @@ def _sum_terms(weights: np.ndarray, exponents: np.ndarray, index: np.ndarray, wi
     ``kernel(flat, out=None)``, ``flat`` a point (..., n, m) merged resource-major to
     (..., width). It raises by multiplication alone, into the rows of ``_power_rows``,
     gathers each factor, cell row * width + point, by one ``take``, multiplies over the
-    support axis (none when s = 1), weighs the T' term rows by one multiply and sums
-    them left to right, so a point gives the same bits alone or in a batch. A lone
-    point is raised into a table and a block bound with the kernel: two threads must
-    not call one kernel at once."""
+    support axis (none when s = 1), weighs the T' >= 2 term rows by one multiply and
+    sums them left to right, so a point gives the same bits alone or in a batch. A
+    lone point, of leading shape (), uses a power table and term block bound once; a
+    batch binds its own per call: two threads must not call one kernel at once."""
     powers, fills = _power_rows(exponents)
     index = np.searchsorted(powers, exponents) * width + index
     product = index.shape[-1] > 1   # more than one factor a term: a product over the support axis
     weights = np.ascontiguousarray(np.moveaxis(weights, -1, 0))
     index = np.ascontiguousarray(np.moveaxis(index, -2, 0) if product else np.moveaxis(index[..., 0], -1, 0))
-    table = np.ones((len(powers), width))      # the power table of a lone point; row 0 stays 1
-    table_rows, cells = list(table), table.reshape(-1)
-    lone = np.empty(weights.shape)      # the raised, then weighted, terms at a lone point
-    lone_rows, weight, more = list(lone), weights[0], range(2, len(weights))
-    at = [(..., t) + (slice(None),) * (weights.ndim - 1) for t in range(len(weights))]
+    more = range(2, len(weights))
+
+    def bind(lead: tuple):     # power table rows (row 0 stays 1), cells, term rows, term block
+        table, block = np.ones(lead + (len(powers), width)), np.empty(lead + weights.shape)
+        return (list(np.moveaxis(table, -2, 0)), table.reshape(lead + (-1,)),
+                list(np.moveaxis(block, len(lead), 0)), block)
+    lone = bind(())
 
     def kernel(flat, out=None):
-        rows, raised, block = table_rows, cells, lone
-        if flat.ndim > 1:       # a batch: a table of its own, whose rows are (..., width)
-            rows = list(np.moveaxis(raised := np.ones(flat.shape[:-1] + table.shape), -2, 0))
-            raised, block = raised.reshape(flat.shape[:-1] + (-1,)), None
+        rows, raised, terms, block = lone if flat.ndim == 1 else bind(flat.shape[:-1])
         rows[1][...] = flat
         for a, b, r in fills:
             np.multiply(rows[a], rows[b], out=rows[r])
         # every index is in range: "clip" only spares ``out`` numpy's buffered copy
         block = (np.multiply.reduce(raised.take(index, axis=-1), axis=-1, out=block) if product
                  else raised.take(index, axis=-1, out=block, mode="clip"))
-        rows = lone_rows if block is lone else [block[t] for t in at]
-        if len(rows) == 1:
-            return np.multiply(weight, rows[0], out=out)
         np.multiply(weights, block, out=block)
-        out = np.add(rows[0], rows[1], out=out)
+        out = np.add(terms[0], terms[1], out=out)
         for t in more:
-            np.add(out, rows[t], out=out)
+            np.add(out, terms[t], out=out)
         return out
     return kernel
 
@@ -146,16 +142,16 @@ def _compact(weights: np.ndarray, exponents: np.ndarray):
     """Support table of (..., n, T) weights and (..., n, T, m) exponents.
 
     Terms of weight 0 are dropped; kept terms stay in order, and each row is
-    padded to T', the largest kept count but at least 1, with weight-0 terms
-    (x ** 0 where no term is kept), which add exactly 0 at any point. Each kept
-    term keeps only its positive exponents, in resource order, padded to s, the
-    largest such count, with exponent 0; ``index`` points each factor into the merged,
-    resource-major (m * n) axis. A dropped factor is x ** 0 = 1.0, so the product keeps
-    its bits. Returns (..., n, T') weights and the (..., n, T', s) exponents and index.
+    padded to T', the largest kept count but at least 2, with weight-0 x ** 0
+    terms, which add exactly 0 at any point. Each kept term keeps only its
+    positive exponents, in resource order, padded to s, the largest such count,
+    with exponent 0; ``index`` points each factor into the merged, resource-major
+    (m * n) axis. A dropped factor is x ** 0 = 1.0, so the product keeps its bits.
+    Returns (..., n, T') weights and the (..., n, T', s) exponents and index.
     """
     n = exponents.shape[-3]
     keep = weights != 0
-    order = np.argsort(~keep, axis=-1, kind="stable")[..., :max(1, int(keep.sum(axis=-1).max()))]
+    order = np.argsort(~keep, axis=-1, kind="stable")[..., :max(2, int(keep.sum(axis=-1).max()))]
     pad = ~np.take_along_axis(keep, order, axis=-1)
     weights = np.where(pad, 0.0, np.take_along_axis(weights, order, axis=-1))
     exponents = np.where(pad[..., None], 0, np.take_along_axis(exponents, order[..., None], axis=-2))
@@ -170,7 +166,8 @@ class PolyBatch:
     """All agents' cost functions stacked into support tables.
 
     Evaluates every agent at once: a point array (..., n, m) gives (..., n)
-    values or partials, one per agent, or an (..., n, m) gradient. Each table is
+    values or partials, one per agent, or an (..., n, m) gradient. Every agent is
+    padded to at least two terms, the pad a weight-0 x ** 0. Each table is
     built by ``_compact`` on first use: an (n, T', s) table for the value, and
     per derivative order one stacked (m, n, T', s) table whose row j holds only
     the terms of d f / dx_j with a weight other than 0, each with only its
@@ -179,7 +176,7 @@ class PolyBatch:
 
     def __init__(self, costs):
         n, m = len(costs), costs[0].n_resources
-        t_max = max(f.coeffs.shape[0] for f in costs)
+        t_max = max(2, *(f.coeffs.shape[0] for f in costs))
         self._bind = lambda *table: _sum_terms(*table, m * n)     # a table's kernel, m * n wide
         self._coeffs = np.zeros((n, t_max))
         self._exps = np.zeros((n, t_max, m), dtype=int)

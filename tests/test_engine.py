@@ -33,6 +33,7 @@ from dpaimd.model import (
     PolyBatch,
     ResourceConfig,
     SystemConfig,
+    quadratic_cost,
     reference_agent_costs,
 )
 from dpaimd.privacy import NoiseKind, NoiseSpec, ScaleMode
@@ -902,9 +903,13 @@ class TestCallBudget:
 
     A step starts with the aggregate's ``add.accumulate``, the one such call in
     the loop. The last step is left out: the calls after the loop follow it.
-    Both configs hold two-term partials of one factor each, x and x ** 3, so
-    their gradient kernel makes two ``multiply`` for its power table (x ** 2,
-    then x ** 3), one weighting ``multiply`` and one ``add``.
+    The reference and 16x3 configs hold two-term partials of one factor each, x
+    and x ** 3, so their gradient kernel makes two ``multiply`` for its power
+    table (x ** 2, then x ** 3), one weighting ``multiply`` and one ``add``. The
+    one-term config's partials are b x alone: its kernel raises nothing, so it
+    makes two ``multiply`` fewer, but it keeps the ``add``, which adds the
+    weight-0 x ** 0 pad term. That add is the price of one path through the
+    kernel for every table.
     """
 
     QUIET = collections.Counter({"add.accumulate": 1, "less": 1, "add": 1})
@@ -943,25 +948,31 @@ class TestCallBudget:
         return [(k, miss, collections.Counter(log[lo:hi]))
                 for (k, miss), lo, hi in zip(fired, starts, starts[1:])]
 
-    def expected(self, k, m, miss):
+    def expected(self, k, m, miss, table_multiplies):
         calls = self.QUIET if k == 0 else self.ALL_FIRED if k == m else self.SOME_FIRED
+        if k:
+            calls = calls - collections.Counter({"multiply": 2 - table_multiplies})
         calls = calls + collections.Counter({name: k * count
                                              for name, count in self.PER_FIRED_RESOURCE.items()})
         if miss:
             calls = calls + self.CACHE_MISS + (self.MASK if k < m else collections.Counter())
         return calls
 
-    @pytest.mark.parametrize("config, totals", [
+    @pytest.mark.parametrize("config, totals, table_multiplies", [
         (cli.reference_system_config(cli._gaussian_pair(20.50, 39.31), steps=2_000),
-         {0: 3, 1: 18, 2: 18}),
-        (wide_separable_config(), {0: 3, 1: 18, 2: 19, 3: 19}),
-    ], ids=["reference", "16x3"])
-    def test_calls_per_step(self, monkeypatch, config, totals):
+         {0: 3, 1: 18, 2: 18}, 2),
+        (wide_separable_config(), {0: 3, 1: 18, 2: 19, 3: 19}, 2),
+        (replace(cli.reference_system_config(cli._gaussian_pair(20.50, 39.31), steps=2_000),
+                 agents=[quadratic_cost(b) for b in (15, 20, 25, 30, 35, 18)]),
+         {0: 3, 1: 16, 2: 16}, 0),
+    ], ids=["reference", "16x3", "one-term"])
+    def test_calls_per_step(self, monkeypatch, config, totals, table_multiplies):
         m = config.n_resources
         steps = self.counted_steps(monkeypatch, config)
-        assert {k: sum(self.expected(k, m, False).values()) for k in range(m + 1)} == totals
+        assert {k: sum(self.expected(k, m, False, table_multiplies).values())
+                for k in range(m + 1)} == totals
         for nu, (k, miss, calls) in enumerate(steps):
-            assert calls == self.expected(k, m, miss), (nu, k, miss)
+            assert calls == self.expected(k, m, miss, table_multiplies), (nu, k, miss)
         seen = collections.Counter(k for k, miss, _ in steps if not miss)
         assert set(seen) == set(totals) and min(seen.values()) > 10, seen
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -208,8 +209,8 @@ def test_poly_batch_matches_dense_kernel(case):
 
 
 def test_a_lone_term_of_a_lone_agent_matches_the_dense_kernel():
-    """One agent whose one term raises one of m resources, a one-element block:
-    its one factor against the dense kernel's m, for a lone point and in a batch."""
+    """One agent whose one term raises one of m resources, beside a weight-0 x ** 0
+    pad: its one factor against the dense kernel's m, for a lone point and in a batch."""
     for m, e in itertools.product((1, 3), (2, 3, 4)):
         points = np.random.default_rng(5).uniform(0.0, 3.0, (1000, 1, m))
         f = CostFunction(np.array([1.5]), np.array([[0] * (m > 1) + [e] + [0] * (m - 2)]))
@@ -226,13 +227,31 @@ def merged(x):
     return np.ascontiguousarray(np.swapaxes(x, -1, -2)).reshape(x.shape[:-2] + (-1,))
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc; args are made before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @given(agents_and_point(powers=st.integers(1, 40)))
 @cases
 @settings(max_examples=200, deadline=None)
 def test_bound_gradient_kernel_matches_the_partials_and_the_dense_kernel(case):
     """The kernel the engine binds once per run: its row j equals ``partial(x, j)``
     bit for bit, alone and in a batch of one or two leading axes, with and
-    without ``out``, and the padded dense kernel."""
+    without ``out``, and the padded dense kernel.
+
+    A batch binds buffers of its own: a lone point called after the batches
+    gives the same bytes as before them, and, given ``out``, allocates less than
+    one array view would, so it makes no array at all. Each peak is the least of
+    three calls: the first traced calls may read 48 bytes more, for Python's own
+    objects. That holds where each term is one factor; a product over the support
+    axis goes through ``np.multiply.reduce``, which allocates for its own
+    iteration."""
     agents, x = case
     batch, dense = PolyBatch(agents), DensePolyBatch(agents)
     kernel = batch.gradient_kernel()
@@ -244,6 +263,12 @@ def test_bound_gradient_kernel_matches_the_partials_and_the_dense_kernel(case):
         assert kernel(merged(points), out) is out
         assert out.tobytes() == kernel(merged(points)).tobytes()
         assert out[(1,) * (points.ndim - 2)].tobytes() == rows.tobytes()
+    out = np.empty(rows.shape)
+    view = min(traced_peak(lambda: out[...]) for _ in range(3))
+    lone = min(traced_peak(kernel, merged(x), out) for _ in range(3))
+    assert out.tobytes() == rows.tobytes()
+    if all(np.count_nonzero(f.exponents, axis=1).max() == 1 for f in agents):
+        assert lone < view, (lone, view)
     expected = dense.gradient(x)
     for j in range(x.shape[1]):
         assert rows[j].tobytes() == batch.partial(x, j).tobytes()
@@ -266,7 +291,7 @@ def test_the_bound_kernel_of_a_lone_term_of_a_lone_agent_matches_the_dense_kerne
 
 def test_a_lone_agents_one_term_partial_at_one_resource_matches_the_dense_kernel():
     """x + x**4 on one resource: the second partial 12 x**2 keeps one of the dense
-    kernel's two terms, a one-element block, and both square by one multiply."""
+    kernel's two terms, padded by a weight-0 x ** 0, and both square by one multiply."""
     f = CostFunction(np.array([1.0, 1.0]), np.array([[1], [4]]))
     points = np.random.default_rng(0).uniform(0.0, 3.0, (20_000, 1, 1))
     batch, dense = PolyBatch([f]), DensePolyBatch([f])
